@@ -19,7 +19,7 @@ from .counting import (
     enumerate_naive,
     enumerate_specialized,
 )
-from .fan import Fan, Lattice, MultiplicativeVector, OrbitDecomposition, galois_orbits, locate_cone, validate_fan
+from .fan import Fan, MultiplicativeVector, OrbitDecomposition, galois_orbits, locate_cone, validate_fan
 from .heights import TorusPoint, global_height, height_zeta_partial, local_height
 from .localdata import (
     LocalDensity,
@@ -35,7 +35,6 @@ from .tamagawa import EulerProduct, ThetaReport, archimedean_density, tau, theta
 
 __all__ = [
     "Fan",
-    "Lattice",
     "MultiplicativeVector",
     "OrbitDecomposition",
     "validate_fan",

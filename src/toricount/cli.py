@@ -12,13 +12,17 @@ import os
 import sys
 from fractions import Fraction
 
-from .cones import PolyCone, effective_cone_data, xfunction
+from .arith import factor
+from .cones import PolyCone, xfunction
 from .corpus import NAMES, fan_from_dict, fan_json_path
 from .counting import BudgetExceededError, asymptotic_report, count_table
 from .fan import validate_fan
 from .localdata import local_integral, point_count_fp, qsigma_split
 from .picard import PLFunction, picard_data
 from .tamagawa import theta
+
+# what reading a fan file raises on a missing, unreadable or malformed input
+_LOAD_ERRORS = (OSError, ValueError, KeyError)
 
 
 def _load_fan(path):
@@ -35,11 +39,7 @@ def _fail_parse(exc):
     return 2
 
 
-def cmd_validate(args):
-    try:
-        fan = _load_fan(args.path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        return _fail_parse(exc)
+def cmd_validate(args, fan):
     report = validate_fan(fan)
     if args.json:
         payload = {
@@ -55,11 +55,7 @@ def cmd_validate(args):
     return 0 if report.ok else 1
 
 
-def cmd_constants(args):
-    try:
-        fan = _load_fan(args.path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        return _fail_parse(exc)
+def cmd_constants(args, fan):
     try:
         report = theta(fan, prime_cutoff=args.cutoff)
     except ValueError as exc:
@@ -93,18 +89,16 @@ def _parse_schedule(text):
         part = part.strip()
         if not part:
             continue
-        value = Fraction(float(part)) if ("e" in part or "." in part) else Fraction(int(part))
+        value = Fraction(part)
+        if value <= 0:
+            raise ValueError("B must be positive, got %s" % part)
         out.append(value)
     if not out:
         raise ValueError("empty schedule")
     return out
 
 
-def cmd_count(args):
-    try:
-        fan = _load_fan(args.path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        return _fail_parse(exc)
+def cmd_count(args, fan):
     try:
         schedule = _parse_schedule(args.B_schedule)
     except ValueError as exc:
@@ -137,36 +131,32 @@ def cmd_count(args):
     return 0
 
 
-def cmd_xfunction(args):
+def cmd_xfunction(args, fan):
     try:
-        fan = _load_fan(args.path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        return _fail_parse(exc)
-    try:
-        k, gens, antican, h = effective_cone_data(fan)
-        xf = xfunction(PolyCone(k, gens))
+        pd = picard_data(fan)
+        xf = xfunction(PolyCone(pd.rank_K, pd.eff_generators_G))
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     payload = xf.to_json_dict()
-    payload["ambient_rank"] = k
-    payload["generators"] = [list(g) for g in gens]
-    payload["anticanonical"] = list(antican)
-    payload["h"] = h
+    payload["ambient_rank"] = pd.rank_K
+    payload["generators"] = [list(g) for g in pd.eff_generators_G]
+    payload["anticanonical"] = list(pd.anticanonical_G)
+    payload["h"] = pd.h
     print(json.dumps(payload, indent=1))
     return 0
 
 
-def cmd_localcheck(args):
-    try:
-        fan = _load_fan(args.path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        return _fail_parse(exc)
+def cmd_localcheck(args, fan):
+    p = args.prime
+    s = args.s
+    if p < 2 or factor(p) != {p: 1}:
+        return _fail_parse("--prime must be a prime, got %d" % p)
+    if s < 1 or args.truncation < 1:
+        return _fail_parse("--s and --truncation must be >= 1")
     if not fan.is_split():
         print("error: localcheck needs a split fan", file=sys.stderr)
         return 1
-    p = args.prime
-    s = args.s
     results = []
 
     q = qsigma_split(fan)
@@ -174,7 +164,11 @@ def cmd_localcheck(args):
                     q.degree_ge_two_away_from_one()))
 
     phi = PLFunction((s,) * fan.nrays)
-    li = local_integral(fan, p, phi, truncation=args.truncation)
+    try:
+        li = local_integral(fan, p, phi, truncation=args.truncation)
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
     gap = li.closed_form - li.truncated
     results.append(("series vs closed form within certified tail",
                     0 <= gap <= li.tail_bound))
@@ -241,8 +235,21 @@ def build_parser():
 
 
 def main(argv=None):
+    """Parse argv, load the fan, and refuse it unless it is valid.
+
+    Only `validate` runs on a fan that fails a check: it reports them.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        fan = _load_fan(args.path)
+        failed = [] if args.func is cmd_validate else validate_fan(fan).failed()
+    except _LOAD_ERRORS as exc:
+        return _fail_parse(exc)
+    if failed:
+        return _fail_parse(
+            "invalid fan: %s check failed: %s" % (failed[0].name, failed[0].witness)
+        )
+    return args.func(args, fan)
 
 
 if __name__ == "__main__":

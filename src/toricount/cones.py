@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import dd
-from .fan import galois_orbits
 from .linalg import (
     det,
     kernel_basis,
@@ -27,6 +26,7 @@ from .linalg import (
     quotient_map,
     rank,
 )
+from .picard import picard_data
 
 
 @dataclass(frozen=True)
@@ -197,59 +197,6 @@ def xfunction(c: PolyCone, order="lex") -> ConeRationalFunction:
     return ConeRationalFunction(k, tuple(terms))
 
 
-def effective_cone_data(fan):
-    """The effective cone in coordinates of PL(fan)^G modulo M^G.
-
-    Returns (k, generators, antican, h) where the generators are the
-    classes of the orbit-sum divisors, antican is the image of the
-    all-ones function, and h = |H^1(G, M)| is the index of this lattice
-    inside the Picard lattice over the ground field.
-
-    Chain of identifications: PL^G has one coordinate per ray orbit; M^G
-    embeds via m -> (<m, e_j>)_{one j per orbit}; the quotient is a free
-    lattice A~ of rank r - t whose inclusion into Pic has index h, so
-    X-values measured in A~ coordinates are h times the Pic-normalized
-    ones.
-    """
-    from .picard import _dual_action, _require_cyclic, h1_cyclic
-
-    orbits = galois_orbits(fan)
-    r = orbits.r
-    gen, order = _require_cyclic(fan)
-    d = fan.dim
-    if gen is None:
-        mg_basis = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-        h = 1
-    else:
-        dual = _dual_action(gen)
-        gm1 = [[dual[i][j] - (1 if i == j else 0) for j in range(d)] for i in range(d)]
-        mg_basis = kernel_basis(gm1)
-        h = 1
-        for f in h1_cyclic(tuple(tuple(row) for row in dual), order):
-            h *= f
-
-    cols = []
-    for m in mg_basis:
-        vec = []
-        for orb in orbits.orbits:
-            vals = {
-                sum(mi * ei for mi, ei in zip(m, fan.rays[j])) for j in orb
-            }
-            if len(vals) != 1:
-                raise AssertionError("invariant character not constant on orbit")
-            vec.append(vals.pop())
-        cols.append(vec)
-    project, _, torsion = quotient_map(cols, r)
-    if torsion:
-        raise AssertionError("PL^G / M^G has torsion %r" % torsion)
-    gens = []
-    for i in range(r):
-        e = [1 if j == i else 0 for j in range(r)]
-        gens.append(tuple(mat_vec([list(p) for p in project], e)))
-    antican = tuple(mat_vec([list(p) for p in project], [1] * r))
-    return len(project), gens, antican, h
-
-
 def alpha(fan) -> Fraction:
     """X-value of the effective cone at the anticanonical class.
 
@@ -258,14 +205,14 @@ def alpha(fan) -> Fraction:
     measure is normalized by the Picard lattice).  For split fans h = 1
     and the lattice is the Picard lattice itself.
     """
-    k, gens, antican, h = effective_cone_data(fan)
-    cone = PolyCone(k, gens)
-    if not cone.contains_interior(antican):
+    pd = picard_data(fan)
+    cone = PolyCone(pd.rank_K, pd.eff_generators_G)
+    if not cone.contains_interior(pd.anticanonical_G):
         raise ValueError(
             "anticanonical class is not interior to the effective cone; "
             "alpha undefined"
         )
-    return xfunction(cone).evaluate([Fraction(x) for x in antican]) / h
+    return xfunction(cone).evaluate([Fraction(x) for x in pd.anticanonical_G]) / pd.h
 
 
 def _quotient_cone(c: PolyCone, gammas):

@@ -19,12 +19,26 @@ NAMES = (
 )
 
 
+def _int_array(value, depth, key):
+    """value as nested lists of ints, `depth` levels deep, or ValueError."""
+    if depth == 0:
+        if type(value) is not int:
+            raise ValueError("%s: expected an integer, got %r" % (key, value))
+        return value
+    if not isinstance(value, (list, tuple)):
+        raise ValueError("%s: expected an array, got %r" % (key, value))
+    return [_int_array(v, depth - 1, key) for v in value]
+
+
 def fan_from_dict(data) -> Fan:
+    """Fan from its JSON object; ValueError unless every entry is an integer."""
+    if not isinstance(data, dict):
+        raise ValueError("a fan is a JSON object, got %s" % type(data).__name__)
     return Fan(
-        data["dim"],
-        data["rays"],
-        data["max_cones"],
-        data.get("galois", ()),
+        _int_array(data["dim"], 0, "dim"),
+        _int_array(data["rays"], 2, "rays"),
+        _int_array(data["max_cones"], 2, "max_cones"),
+        _int_array(data.get("galois", []), 3, "galois"),
     )
 
 
@@ -59,6 +73,3 @@ def fan_json_path(name):
 def golden_constants(name) -> dict:
     return json.loads(_read("corpus/golden/%s.constants.json" % name))
 
-
-def all_fans():
-    return {name: fan(name) for name in NAMES}

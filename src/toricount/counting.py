@@ -17,8 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 from itertools import product as iter_product
 
+from .arith import euler_phi_table, factor, iroot, mobius_table
 from .heights import TorusPoint, anticanonical_height
 from .linalg import solve_exact
 from .picard import picard_data
@@ -30,7 +33,7 @@ SIEVE_CAP = 2_000_000
 class BudgetExceededError(RuntimeError):
     def __init__(self, estimate, budget):
         super().__init__(
-            "naive scan would visit ~%s candidates (budget %d)" % (estimate, budget)
+            "counting would visit ~%s candidates (budget %d)" % (estimate, budget)
         )
         self.estimate = estimate
         self.budget = budget
@@ -51,74 +54,16 @@ class SearchBound:
         bound = Fraction(B)
         if bound < 1:
             return cls(Fraction(1, w), w, bound, 0)
-        # prod max_i <= B^{w/2}, checked in the squared form to stay exact
-        target = bound**w
-        cap = math.isqrt(int(target))
-        if Fraction(cap + 1) ** 2 <= target:
-            cap += 1
-        return cls(Fraction(1, w), w, bound, cap)
-
-    def coordinate_bound(self):
-        """ceil(B^{1/c}): numerators and denominators never exceed this."""
-        if self.bound < 1:
-            return 0
-        target = self.bound**self.weight
-        m = int(round(float(target)))
-        while Fraction(m) < target:
-            m += 1
-        while m > 1 and Fraction(m - 1) >= target:
-            m -= 1
-        return m
+        # prod max_i <= B^{w/2}, taken as the square root of B^w to stay exact
+        return cls(Fraction(1, w), w, bound, iroot(bound**w, 2))
 
 
-def _phi_sieve(n):
-    phi = list(range(n + 1))
-    for p in range(2, n + 1):
-        if phi[p] == p:  # p prime
-            for k in range(p, n + 1, p):
-                phi[k] -= phi[k] // p
-    return phi
-
-
-def _mobius_sieve(n):
-    mu = [1] * (n + 1)
-    primes = []
-    is_comp = [False] * (n + 1)
-    for i in range(2, n + 1):
-        if not is_comp[i]:
-            primes.append(i)
-            mu[i] = -1
-        for p in primes:
-            if i * p > n:
-                break
-            is_comp[i * p] = True
-            if i % p == 0:
-                mu[i * p] = 0
-                break
-            mu[i * p] = -mu[i]
-    return mu
-
-
-def _spf_sieve(n):
-    spf = list(range(n + 1))
-    for p in range(2, math.isqrt(n) + 1):
-        if spf[p] == p:
-            for k in range(p * p, n + 1, p):
-                if spf[k] == k:
-                    spf[k] = p
-    return spf
-
-
-def _factor_with_spf(n, spf):
-    out = {}
-    while n > 1:
-        p = spf[n]
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out[p] = e
-    return out
+def _sieve_length(n):
+    """n, unless a sieve of length n would pass SIEVE_CAP."""
+    if n > SIEVE_CAP:
+        # a huge n is reported as inf: str() refuses ints past 4300 digits
+        raise BudgetExceededError(n if n < 10**18 else float("inf"), SIEVE_CAP)
+    return n
 
 
 def _coords_by_max(cap):
@@ -157,70 +102,50 @@ def _anticanonical_forms(fan):
     return forms, convex
 
 
-def _nth_root_floor(x: Fraction, c: int) -> int:
-    """Largest integer m with m^c <= x."""
-    if x < 1:
-        return 0
-    m = int(round(float(x) ** (1.0 / c)))
-    m = max(m, 1)
-    while Fraction(m + 1) ** c <= x:
-        m += 1
-    while m > 1 and Fraction(m) ** c > x:
-        m -= 1
-    return m
+def _scan_plan(fan, B):
+    """(product cap, per-coordinate caps, cone forms, convexity) of the scan.
 
-
-def _axis_caps(fan, B):
-    """Per-coordinate caps max(num_i, den_i) <= B^{1/c_i}, convex case only.
-
-    For a convex phi the height dominates the pairwise form max, and with
+    Every coordinate obeys max(num_i, den_i) <= product cap.  For a convex
+    phi the height also dominates the pairwise form max, and with
     delta = m_sigma - m_tau supported on axis i alone the product formula
-    leaves H(x) >= max(num, den)(x_i^{delta_i}).  Complete by proof, much
-    tighter than the generic product cap on the surfaces.
+    leaves H(x) >= max(num, den)(x_i^{delta_i}), so max(num_i, den_i) <=
+    B^{1/delta_i}: complete by proof, and much tighter than the product
+    cap on the surfaces.  Refuses plans whose sieve would pass SIEVE_CAP.
     """
+    cap = SearchBound.for_fan(fan, B).product_cap
     forms, convex = _anticanonical_forms(fan)
     d = fan.dim
-    if not convex:
-        return None, forms, convex
-    exps = [0] * d
-    for i in range(d):
-        for ma in forms:
-            for mb in forms:
-                delta = [ma[t] - mb[t] for t in range(d)]
-                if delta[i] > 0 and all(delta[t] == 0 for t in range(d) if t != i):
-                    exps[i] = max(exps[i], delta[i])
-    bound = Fraction(B)
-    caps = [
-        _nth_root_floor(bound, e) if e > 0 else None for e in exps
-    ]
-    return caps, forms, convex
+    caps = [cap] * d
+    if convex:
+        for i in range(d):
+            e = 0
+            for ma in forms:
+                for mb in forms:
+                    delta = [ma[t] - mb[t] for t in range(d)]
+                    if delta[i] > 0 and all(delta[t] == 0 for t in range(d) if t != i):
+                        e = max(e, delta[i])
+            if e > 0:
+                caps[i] = min(cap, iroot(Fraction(B), e))
+    _sieve_length(max(caps))
+    return cap, caps, forms, convex
 
 
 def candidate_estimate(fan, B):
     """Exact number of positive-orthant candidate tuples the scan visits."""
-    sb = SearchBound.for_fan(fan, B)
-    cap = sb.product_cap
+    cap, coord_caps, _forms, _convex = _scan_plan(fan, B)
+    return _candidate_count(cap, coord_caps)
+
+
+def _candidate_count(cap, coord_caps):
+    """Tuples of reduced fractions under the product and coordinate caps."""
     if cap <= 0:
         return 0
-    axis_caps, _forms, _convex = _axis_caps(fan, B)
-    coord_caps = [
-        cap if axis_caps is None or axis_caps[i] is None else min(cap, axis_caps[i])
-        for i in range(fan.dim)
-    ]
     sieve_size = max(coord_caps)
-    if sieve_size > SIEVE_CAP:
-        raise BudgetExceededError(float("inf"), DEFAULT_BUDGET)
-    phi = _phi_sieve(sieve_size)
+    phi = euler_phi_table(sieve_size)
     # sizes[m] = number of positive reduced fractions with max(num, den) = m
-    sizes = [0] * (sieve_size + 1)
-    sizes[1] = 1
-    for m in range(2, sieve_size + 1):
-        sizes[m] = 2 * phi[m]
-    prefix = [0] * (sieve_size + 1)
-    for m in range(1, sieve_size + 1):
-        prefix[m] = prefix[m - 1] + sizes[m]
-    d = fan.dim
-    from functools import lru_cache
+    sizes = [0, 1] + [2 * phi[m] for m in range(2, sieve_size + 1)]
+    prefix = list(accumulate(sizes))
+    d = len(coord_caps)
 
     @lru_cache(maxsize=None)
     def tuples(i, P):
@@ -247,22 +172,15 @@ def enumerate_naive(fan, B, budget=DEFAULT_BUDGET, with_heights=False):
     bound = Fraction(B)
     if bound < 1:
         return []
-    sb = SearchBound.for_fan(fan, B)
-    cap = sb.product_cap
-    estimate = candidate_estimate(fan, B)
+    cap, coord_caps, forms, convex = _scan_plan(fan, B)
+    estimate = _candidate_count(cap, coord_caps)
     if estimate > budget:
         raise BudgetExceededError(estimate, budget)
 
     d = fan.dim
-    axis_caps, forms, convex = _axis_caps(fan, B)
-    coord_caps = [
-        cap if axis_caps is None or axis_caps[i] is None else min(cap, axis_caps[i])
-        for i in range(d)
-    ]
     sieve_size = max(coord_caps)
     groups = _coords_by_max(sieve_size)
-    spf = _spf_sieve(max(sieve_size, 1))
-    factor_cache = {n: _factor_with_spf(n, spf) for n in range(1, sieve_size + 1)}
+    factor_cache = {n: factor(n) for n in range(1, sieve_size + 1)}
 
     bnum, bden = bound.numerator, bound.denominator
     out = []
@@ -333,32 +251,13 @@ def enumerate_naive(fan, B, budget=DEFAULT_BUDGET, with_heights=False):
 # specialized counters
 
 
-def _isqrt_frac(x: Fraction) -> int:
-    """Largest integer m with m^2 <= x."""
-    m = math.isqrt(int(x))
-    while Fraction((m + 1) ** 2) <= x:
-        m += 1
-    while Fraction(m**2) > x:
-        m -= 1
-    return m
-
-
-def _icbrt_frac(x: Fraction) -> int:
-    m = round(float(x) ** (1.0 / 3.0))
-    while Fraction((m + 1) ** 3) <= x:
-        m += 1
-    while m > 0 and Fraction(m**3) > x:
-        m -= 1
-    return m
-
-
 def count_p1(B) -> int:
     """Coprime-pair sieve: points +-a/b with max(|a|, b)^2 <= B."""
     bound = Fraction(B)
     if bound < 1:
         return 0
-    s = _isqrt_frac(bound)
-    phi = _phi_sieve(s)
+    s = _sieve_length(iroot(bound, 2))
+    phi = euler_phi_table(s)
     coprime_pairs = 2 * sum(phi[1 : s + 1]) - 1
     return 2 * coprime_pairs
 
@@ -368,8 +267,8 @@ def count_p2(B) -> int:
     bound = Fraction(B)
     if bound < 1:
         return 0
-    m = _icbrt_frac(bound)
-    mu = _mobius_sieve(m)
+    m = _sieve_length(iroot(bound, 3))
+    mu = mobius_table(m)
     triples = sum(mu[k] * (m // k) ** 3 for k in range(1, m + 1))
     return 4 * triples
 
@@ -379,21 +278,14 @@ def count_p1xp1(B) -> int:
     bound = Fraction(B)
     if bound < 1:
         return 0
-    s = _isqrt_frac(bound)
-    phi = _phi_sieve(s)
+    s = _sieve_length(iroot(bound, 2))
+    phi = euler_phi_table(s)
     # P^1 points with height exactly m^2: 2 for m = 1, else 4*phi(m)
-    npts = [0] * (s + 1)
-    npts[1] = 2
-    for m in range(2, s + 1):
-        npts[m] = 4 * phi[m]
-    prefix = [0] * (s + 1)
-    for m in range(1, s + 1):
-        prefix[m] = prefix[m - 1] + npts[m]
+    npts = [0, 2] + [4 * phi[m] for m in range(2, s + 1)]
+    prefix = list(accumulate(npts))
     total = 0
     for m1 in range(1, s + 1):
-        if npts[m1] == 0:
-            continue
-        m2_max = _isqrt_frac(bound / (m1 * m1))
+        m2_max = iroot(bound / (m1 * m1), 2)
         total += npts[m1] * prefix[min(m2_max, s)]
     return total
 

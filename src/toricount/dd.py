@@ -7,9 +7,7 @@ needs <= 4.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .linalg import primitive_vector
+from .linalg import primitive_vector, rank
 
 
 class NotPointedError(ValueError):
@@ -18,30 +16,6 @@ class NotPointedError(ValueError):
 
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
-
-
-def _rank(vectors):
-    """Rank over Q of a list of integer vectors."""
-    if not vectors:
-        return 0
-    m = [[Fraction(x) for x in v] for v in vectors]
-    cols = len(m[0])
-    r = 0
-    for j in range(cols):
-        piv = next((i for i in range(r, len(m)) if m[i][j]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][j]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][j]:
-                f = m[i][j]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return r
 
 
 def extreme_rays(constraints, dim, allow_lineality=False):
@@ -90,7 +64,7 @@ def extreme_rays(constraints, dim, allow_lineality=False):
                     for n in minus:
                         zn = {i for i, c in enumerate(processed) if _dot(c, n) == 0}
                         common = zp & zn
-                        if _rank([processed[i] for i in common]) != target_rank:
+                        if rank([processed[i] for i in common]) != target_rank:
                             continue
                         combo = [
                             _dot(a, p) * ni - _dot(a, n) * pi

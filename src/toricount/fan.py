@@ -19,28 +19,6 @@ GALOIS_GROUP_CAP = 10000
 
 
 @dataclass(frozen=True)
-class Lattice:
-    """The cocharacter lattice N = Z^dim."""
-
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("lattice rank must be >= 1")
-
-
-@dataclass(frozen=True)
-class Cone:
-    """A simplicial cone of a fan, named by the indices of its rays."""
-
-    ray_indices: tuple
-
-    @property
-    def dim(self):
-        return len(self.ray_indices)
-
-
-@dataclass(frozen=True)
 class Fan:
     """Complete regular fan data: rays, maximal cones, optional Galois action.
 
@@ -51,13 +29,15 @@ class Fan:
     shapes.
     """
 
-    lattice: Lattice
+    dim: int
     rays: tuple
     max_cones: tuple
     galois: tuple = ()
 
     def __init__(self, dim, rays, max_cones, galois=()):
-        object.__setattr__(self, "lattice", Lattice(dim))
+        if dim < 1:
+            raise ValueError("lattice rank must be >= 1")
+        object.__setattr__(self, "dim", int(dim))
         object.__setattr__(
             self, "rays", tuple(tuple(int(x) for x in r) for r in rays)
         )
@@ -79,10 +59,6 @@ class Fan:
                 raise ValueError("bad cone index set %r" % (c,))
 
     @property
-    def dim(self):
-        return self.lattice.dim
-
-    @property
     def nrays(self):
         return len(self.rays)
 
@@ -95,9 +71,6 @@ class Fan:
         Faces of the (simplicial) maximal cones, including the zero cone ().
         """
         return _all_cones(self)
-
-    def cones_of_dim(self, j):
-        return [c for c in self.all_cones() if len(c) == j]
 
 
 @dataclass(frozen=True)
@@ -115,12 +88,6 @@ class OrbitDecomposition:
     @property
     def r(self):
         return len(self.orbits)
-
-    def orbit_of(self, ray_index):
-        for k, o in enumerate(self.orbits):
-            if ray_index in o:
-                return k
-        raise KeyError(ray_index)
 
 
 @dataclass(frozen=True)
@@ -341,9 +308,15 @@ def validate_fan(fan):
             CheckResult("face_intersection", False, "skipped: fan not regular")
         )
 
-    # completeness: every facet of a maximal cone shared by exactly two
+    # completeness: every facet of a maximal cone shared by exactly two,
+    # and every ray in some maximal cone
     if regular:
+        unused = set(range(fan.nrays)).difference(*fan.max_cones)
         bad = None
+        if not fan.max_cones:
+            bad = "the fan has no maximal cones"
+        elif unused:
+            bad = "ray %d lies in no maximal cone" % min(unused)
         from itertools import combinations
 
         facet_count = {}

@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import factor
 from .fan import MultiplicativeVector
-from .picard import PLFunction, pl_evaluate
+from .picard import PLFunction, anticanonical, pl_evaluate
 
 INFINITE_PLACE = "inf"
 
@@ -38,30 +39,6 @@ class TorusPoint:
         return len(self.coords)
 
 
-@dataclass(frozen=True)
-class HeightValue:
-    value: Fraction
-
-    def __post_init__(self):
-        if self.value <= 0:
-            raise ValueError("heights are positive")
-
-
-def _factor(n):
-    """Prime factorization of a positive integer by trial division."""
-    out = {}
-    m = n
-    p = 2
-    while p * p <= m:
-        while m % p == 0:
-            out[p] = out.get(p, 0) + 1
-            m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
-
-
 def _vp(x: Fraction, p: int) -> int:
     v = 0
     num, den = x.numerator, x.denominator
@@ -78,8 +55,8 @@ def relevant_primes(x: TorusPoint):
     """Primes where some coordinate is a non-unit (all other factors are 1)."""
     primes = set()
     for c in x.coords:
-        primes.update(_factor(abs(c.numerator)))
-        primes.update(_factor(c.denominator))
+        primes.update(factor(abs(c.numerator)))
+        primes.update(factor(c.denominator))
     return sorted(primes)
 
 
@@ -109,19 +86,17 @@ def local_height(fan, phi: PLFunction, x: TorusPoint, place) -> Fraction:
     return Fraction(p) ** e
 
 
-def global_height(fan, phi: PLFunction, x: TorusPoint) -> HeightValue:
+def global_height(fan, phi: PLFunction, x: TorusPoint) -> Fraction:
     """Product of the local heights; finitely many factors differ from 1."""
     _check(fan, phi, x)
     h = local_height(fan, phi, x, INFINITE_PLACE)
     for p in relevant_primes(x):
         h *= local_height(fan, phi, x, p)
-    return HeightValue(h)
+    return h
 
 
 def anticanonical_height(fan, x: TorusPoint) -> Fraction:
-    from .picard import anticanonical
-
-    return global_height(fan, anticanonical(fan), x).value
+    return global_height(fan, anticanonical(fan), x)
 
 
 def height_zeta_partial(fan, s, B) -> float:

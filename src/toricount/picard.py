@@ -106,6 +106,10 @@ class PicardData:
     h1_GM: tuple  # invariant factors of H^1(G, M)
     h1_GPic: tuple  # invariant factors of H^1(G, Pic)
     projection: tuple  # Z^n -> Pic (rows)
+    # the same divisor classes in PL^G / M^G, a lattice of rank rank_K and
+    # index h in the Picard lattice over the ground field
+    eff_generators_G: tuple
+    anticanonical_G: tuple
 
     @property
     def h(self):
@@ -306,15 +310,6 @@ def picard_data(fan):
     n = fan.nrays
     gen, order = _require_cyclic(fan)
 
-    if gen is None:
-        t = d
-        h1_gm = ()
-    else:
-        dual = _dual_action(gen)
-        gm1 = [[dual[i][j] - (1 if i == j else 0) for j in range(d)] for i in range(d)]
-        t = d - rank(gm1)
-        h1_gm = h1_cyclic(tuple(tuple(row) for row in dual), order)
-
     project, lift = picard_quotient(fan)
     rank_split = n - d
     assert len(project) == rank_split
@@ -326,10 +321,19 @@ def picard_data(fan):
     antican = tuple(mat_vec([list(p) for p in project], [1] * n))
 
     if gen is None:
+        # PL^G = Z^n and M^G = M, so PL^G / M^G is Pic itself
+        t = d
+        h1_gm = ()
         h1_gpic = ()
+        eff_g, antican_g = tuple(eff), antican
     else:
+        dual = _dual_action(gen)
+        gm1 = [[dual[i][j] - (1 if i == j else 0) for j in range(d)] for i in range(d)]
+        t = d - rank(gm1)
+        h1_gm = h1_cyclic(tuple(tuple(row) for row in dual), order)
         hat = _induced_pic_action(fan, project, lift, gen)
         h1_gpic = h1_cyclic(hat, order)
+        eff_g, antican_g = _invariant_effective_cone(fan, orbits, kernel_basis(gm1))
 
     return PicardData(
         rank_split=rank_split,
@@ -341,7 +345,35 @@ def picard_data(fan):
         h1_GM=h1_gm,
         h1_GPic=h1_gpic,
         projection=project,
+        eff_generators_G=eff_g,
+        anticanonical_G=antican_g,
     )
+
+
+def _invariant_effective_cone(fan, orbits, mg_basis):
+    """Orbit-sum divisors and -K in PL^G / M^G, from a basis of M^G.
+
+    PL^G has one coordinate per ray orbit and M^G embeds in it by
+    m -> (<m, e_j>)_{one j per orbit}; the quotient is free of rank r - t,
+    and its inclusion into Pic over the ground field has index
+    h = |H^1(G, M)|.
+    """
+    r = orbits.r
+    cols = []
+    for m in mg_basis:
+        vec = []
+        for orb in orbits.orbits:
+            vals = {sum(mi * ei for mi, ei in zip(m, fan.rays[j])) for j in orb}
+            if len(vals) != 1:
+                raise AssertionError("invariant character not constant on orbit")
+            vec.append(vals.pop())
+        cols.append(vec)
+    project, _, torsion = quotient_map(cols, r)
+    if torsion:
+        raise AssertionError("PL^G / M^G has torsion %r" % torsion)
+    gens = tuple(tuple(row[i] for row in project) for i in range(r))
+    antican = tuple(mat_vec(project, [1] * r))
+    return gens, antican
 
 
 def _induced_pic_action(fan, project, lift, g):

@@ -16,26 +16,17 @@ carries that provenance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
 
+from .arith import primes_upto
 from .cones import alpha
 from .localdata import point_count_fp, qsigma_split
 from .picard import picard_data
 
 MIN_CUTOFF = 100
-
-
-def _primes_upto(n):
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * len(range(p * p, n + 1, p))
-    return [p for p in range(2, n + 1) if sieve[p]]
 
 
 @dataclass(frozen=True)
@@ -110,7 +101,7 @@ def tau(fan, prime_cutoff) -> EulerProduct:
     arch = archimedean_density(fan)
     with mpmath.workprec(128):
         partial = mpmath.mpf(1)
-        for p in _primes_upto(P):
+        for p in primes_upto(P):
             f = euler_factor(fan, p)
             partial *= mpmath.mpf(f.numerator) / mpmath.mpf(f.denominator)
         # sum_{p > P} |log factor_p| <= C0/(1 - C0/P^2) * sum_{n > P} 1/n^2

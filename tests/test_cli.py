@@ -202,3 +202,115 @@ def test_localcheck(capsys):
 def test_localcheck_nonsplit_rejected(capsys):
     code, _, err = run(capsys, "localcheck", "p1-norm-one")
     assert code == 1
+
+
+P2 = {"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [2, 0]]}
+INVALID_FANS = {
+    "nonprimitive": dict(P2, rays=[[2, 0], [0, 1], [-1, -1]]),
+    "overlapping": dict(P2, max_cones=[[0, 1], [1, 2], [2, 0], [0, 1]]),
+    "no-cones": dict(P2, rays=[], max_cones=[]),
+    "unused-ray": dict(P2, rays=P2["rays"] + [[1, 1]]),
+}
+MALFORMED_FANS = {
+    "list": [1, 2, 3],
+    "float-entry": dict(P2, rays=[[1.5, 0], [0, 1], [-1, -1]]),
+    "string-entry": dict(P2, rays=[["1", 0], [0, 1], [-1, -1]]),
+    "bool-dim": dict(P2, dim=True),
+    "zero-dim": {"dim": 0, "rays": [], "max_cones": []},
+}
+COMMANDS = {
+    "validate": (),
+    "constants": (),
+    "count": ("--B-schedule", "10"),
+    "xfunction": (),
+    "localcheck": (),
+}
+
+
+def _write_fan(tmp_path, data):
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("fan_name", sorted(INVALID_FANS))
+def test_invalid_fan_refused_except_by_validate(tmp_path, capsys, command, fan_name):
+    path = _write_fan(tmp_path, INVALID_FANS[fan_name])
+    code, out, err = run(capsys, command, path, *COMMANDS[command])
+    assert "Traceback" not in err
+    if command == "validate":
+        assert code == 1 and "FAIL" in out
+    else:
+        assert code == 2 and "invalid fan" in err and not out
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("fan_name", sorted(MALFORMED_FANS))
+def test_malformed_fan_exits_2(tmp_path, capsys, command, fan_name):
+    path = _write_fan(tmp_path, MALFORMED_FANS[fan_name])
+    code, _, err = run(capsys, command, path, *COMMANDS[command])
+    assert code == 2
+    assert "Traceback" not in err and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "fan_name, schedule, expect",
+    [
+        ("p2", "-5", 2),
+        ("p2", "0", 2),
+        ("dp6", "10,-1", 2),
+        ("p2", "abc", 2),
+        ("p2", "inf", 2),
+        ("p2", "1e400", 3),
+        ("dp6", "1e400", 3),
+        ("dp6", "1e5000", 3),
+        ("p1", "1e30", 3),
+        ("p2", "1e30", 3),
+        ("p1xp1", "1e30", 3),
+    ],
+)
+def test_count_schedule_input(capsys, fan_name, schedule, expect):
+    code, _, err = run(capsys, "count", fan_name, "--B-schedule", schedule)
+    assert code == expect
+    assert "Traceback" not in err
+
+
+def test_count_schedule_parsed_exactly(capsys):
+    # a decimal B is read as the exact rational it spells, not as a float
+    code, out, _ = run(capsys, "count", "p2", "--B-schedule", "2.3", "--out", "json")
+    assert code == 0
+    assert json.loads(out)["schedule"] == ["23/10"]
+
+
+F2 = {
+    "dim": 2,
+    "rays": [[1, 0], [0, 1], [-1, 2], [0, -1]],
+    "max_cones": [[0, 1], [1, 2], [2, 3], [3, 0]],
+}
+
+
+@pytest.mark.parametrize(
+    "args, expect",
+    [
+        (("--prime", "4"), 2),
+        (("--prime", "1"), 2),
+        (("--prime", "0"), 2),
+        (("--prime", "-3"), 2),
+        (("--s", "0"), 2),
+        (("--truncation", "0"), 2),
+        (("--prime", "7", "--s", "3", "--truncation", "8"), 0),
+    ],
+)
+def test_localcheck_arguments(capsys, args, expect):
+    code, _, err = run(capsys, "localcheck", "p2", *args)
+    assert code == expect
+    assert "Traceback" not in err
+
+
+def test_localcheck_uncertifiable_tail_is_an_error(tmp_path, capsys):
+    # the second Hirzebruch surface has a ray of L1 norm 3, so s = 2 leaves
+    # a slope of 2/3 per box shell, too little to certify the tail
+    code, _, err = run(capsys, "localcheck", _write_fan(tmp_path, F2), "--s", "2")
+    assert code == 1
+    assert err.startswith("error: ") and "certify" in err

@@ -12,7 +12,6 @@ from toricount.cones import (
     descent_check,
     descent_check_double,
     dual_cone,
-    effective_cone_data,
     xfunction,
 )
 from toricount.corpus import fan
@@ -323,6 +322,12 @@ def test_alpha_hirzebruch2():
 
 
 def test_effective_cone_data_split_matches_picard(p2):
-    k, gens, antican, h = effective_cone_data(p2)
-    assert k == 1 and h == 1
+    from toricount.picard import picard_data
+
+    pd = picard_data(p2)
+    gens = pd.eff_generators_G
+    assert pd.rank_K == 1 and pd.h == 1
     assert sorted(gens) == [(1,), (1,), (1,)] or sorted(gens) == [(-1,), (-1,), (-1,)]
+    # a split fan's PL^G / M^G is its Picard lattice
+    assert gens == pd.eff_generators
+    assert pd.anticanonical_G == pd.anticanonical_class

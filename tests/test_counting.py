@@ -255,17 +255,6 @@ def test_descent_uncertifiable_tail_rejected():
         descent_check(PolyCone(2, [(1, 0), (0, 1)]), (0, 1), (1, 2))
 
 
-def test_search_bound_coordinate_bound(p2):
-    # no enumerated point's numerator or denominator exceeds ceil(B^{1/c})
-    B = 200
-    sb = SearchBound.for_fan(p2, B)
-    cb = sb.coordinate_bound()
-    assert cb == B ** sb.weight
-    for p in enumerate_naive(p2, B):
-        for c in p.coords:
-            assert abs(c.numerator) <= cb and c.denominator <= cb
-
-
 def test_count_table_short_schedule(p2):
     from toricount.counting import count_table
 

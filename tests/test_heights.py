@@ -42,12 +42,12 @@ def test_unit_coordinates_have_trivial_heights(p2):
         x = TorusPoint(coords)
         for place in (2, 5, "inf"):
             assert local_height(p2, phi, x, place) == 1
-        assert global_height(p2, phi, x).value == 1
+        assert global_height(p2, phi, x) == 1
 
 
 def test_global_height_p1_closed_form(p1):
     phi = anticanonical(p1)
-    assert global_height(p1, phi, TorusPoint([Fraction(2, 3)])).value == 9
+    assert global_height(p1, phi, TorusPoint([Fraction(2, 3)])) == 9
     rng = random.Random(2)
     for _ in range(200):
         a = rng.randint(1, 400) * rng.choice([1, -1])
@@ -55,12 +55,12 @@ def test_global_height_p1_closed_form(p1):
         x = TorusPoint([Fraction(a, b)])
         f = x.coords[0]
         expect = max(abs(f.numerator), f.denominator) ** 2
-        assert global_height(p1, phi, x).value == expect
+        assert global_height(p1, phi, x) == expect
 
 
 def test_global_height_p2_closed_form(p2):
     phi = anticanonical(p2)
-    assert global_height(p2, phi, TorusPoint([2, Fraction(1, 3)])).value == 216
+    assert global_height(p2, phi, TorusPoint([2, Fraction(1, 3)])) == 216
     rng = random.Random(3)
     for _ in range(200):
         x1 = Fraction(rng.randint(1, 60) * rng.choice([1, -1]), rng.randint(1, 60))
@@ -74,14 +74,14 @@ def test_global_height_p2_closed_form(p2):
              abs(x2.numerator) * den // x2.denominator)
         g = gcd(gcd(z[0], z[1]), z[2])
         z = tuple(v // g for v in z)
-        assert global_height(p2, phi, x).value == max(z) ** 3
+        assert global_height(p2, phi, x) == max(z) ** 3
 
 
 def test_character_heights_are_one(p1):
     # the PL function of any lattice character has global height 1
     phi = from_character(p1, [1])
     for c in (Fraction(2, 3), Fraction(-7, 5), Fraction(30)):
-        assert global_height(p1, phi, TorusPoint([c])).value == 1
+        assert global_height(p1, phi, TorusPoint([c])) == 1
 
 
 def test_product_formula(corpus):
@@ -100,7 +100,7 @@ def test_product_formula(corpus):
                     for _ in range(fan.dim)
                 ]
             )
-            assert global_height(fan, phi, x).value == 1, (name, m, x)
+            assert global_height(fan, phi, x) == 1, (name, m, x)
 
 
 def test_height_multiplicativity(p2, dp6):
@@ -117,8 +117,8 @@ def test_height_multiplicativity(p2, dp6):
                     for _ in range(fan.dim)
                 ]
             )
-            lhs = global_height(fan, f1 + f2, x).value
-            rhs = global_height(fan, f1, x).value * global_height(fan, f2, x).value
+            lhs = global_height(fan, f1 + f2, x)
+            rhs = global_height(fan, f1, x) * global_height(fan, f2, x)
             assert lhs == rhs
 
 
