@@ -13,7 +13,6 @@ from .cones import ConeRationalFunction, PolyCone, alpha, dual_cone, xfunction
 from .corpus import fan as corpus_fan
 from .counting import (
     CountReport,
-    SearchBound,
     asymptotic_report,
     count_points,
     enumerate_naive,
@@ -66,7 +65,6 @@ __all__ = [
     "archimedean_density",
     "tau",
     "theta",
-    "SearchBound",
     "CountReport",
     "enumerate_naive",
     "enumerate_specialized",

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .arith import factor
 from .cones import PolyCone, xfunction
 from .corpus import NAMES, fan_from_dict, fan_json_path
-from .counting import BudgetExceededError, asymptotic_report, count_table
+from .counting import BudgetExceededError, asymptotic_report
 from .fan import validate_fan
 from .localdata import local_integral, point_count_fp, qsigma_split
 from .picard import PLFunction, picard_data
@@ -56,11 +56,7 @@ def cmd_validate(args, fan):
 
 
 def cmd_constants(args, fan):
-    try:
-        report = theta(fan, prime_cutoff=args.cutoff)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+    report = theta(fan, prime_cutoff=args.cutoff)
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=1))
         return 0
@@ -103,27 +99,18 @@ def cmd_count(args, fan):
         schedule = _parse_schedule(args.B_schedule)
     except ValueError as exc:
         return _fail_parse(exc)
-    try:
-        th = theta(fan, prime_cutoff=args.cutoff)
-        if th.theta_lo is None:
-            print("error: counting needs a split fan", file=sys.stderr)
-            return 1
-        long_enough = len(schedule) >= 4 and max(schedule) >= 100 * min(schedule)
-        builder = asymptotic_report if long_enough else count_table
-        report = builder(
-            fan,
-            schedule,
-            (th.theta_lo, th.theta_hi),
-            strategy=args.strategy,
-            fan_id=os.path.basename(args.path),
-            budget=args.budget,
-        )
-    except BudgetExceededError as exc:
-        print("budget exceeded: %s" % exc, file=sys.stderr)
-        return 3
-    except (ValueError, KeyError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    th = theta(fan, prime_cutoff=args.cutoff)
+    if th.theta_lo is None:
+        print("error: counting needs a split fan", file=sys.stderr)
         return 1
+    report = asymptotic_report(
+        fan,
+        schedule,
+        (th.theta_lo, th.theta_hi),
+        strategy=args.strategy,
+        fan_id=os.path.basename(args.path),
+        budget=args.budget,
+    )
     if args.out == "json":
         print(json.dumps(report.to_json_dict(), indent=1))
     else:
@@ -132,12 +119,8 @@ def cmd_count(args, fan):
 
 
 def cmd_xfunction(args, fan):
-    try:
-        pd = picard_data(fan)
-        xf = xfunction(PolyCone(pd.rank_K, pd.eff_generators_G))
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+    pd = picard_data(fan)
+    xf = xfunction(PolyCone(pd.rank_K, pd.eff_generators_G))
     payload = xf.to_json_dict()
     payload["ambient_rank"] = pd.rank_K
     payload["generators"] = [list(g) for g in pd.eff_generators_G]
@@ -164,11 +147,7 @@ def cmd_localcheck(args, fan):
                     q.degree_ge_two_away_from_one()))
 
     phi = PLFunction((s,) * fan.nrays)
-    try:
-        li = local_integral(fan, p, phi, truncation=args.truncation)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+    li = local_integral(fan, p, phi, truncation=args.truncation)
     gap = li.closed_form - li.truncated
     results.append(("series vs closed form within certified tail",
                     0 <= gap <= li.tail_bound))
@@ -235,9 +214,10 @@ def build_parser():
 
 
 def main(argv=None):
-    """Parse argv, load the fan, and refuse it unless it is valid.
+    """Parse argv, load the fan, refuse it unless it is valid, run the command.
 
-    Only `validate` runs on a fan that fails a check: it reports them.
+    Only `validate` runs on a fan that fails a check: it reports them.  A
+    command's budget refusal exits 3 and its computation errors exit 1.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -249,7 +229,14 @@ def main(argv=None):
         return _fail_parse(
             "invalid fan: %s check failed: %s" % (failed[0].name, failed[0].witness)
         )
-    return args.func(args, fan)
+    try:
+        return args.func(args, fan)
+    except BudgetExceededError as exc:
+        print("budget exceeded: %s" % exc, file=sys.stderr)
+        return 3
+    except (ValueError, KeyError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ exact; floats appear only in the quadrature cross-checks.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -105,9 +104,6 @@ class ConeRationalFunction:
                 for c, forms in self.terms
             ]
         }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
     def from_json_dict(cls, data, ambient_rank=None):

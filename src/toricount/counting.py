@@ -22,8 +22,8 @@ from itertools import accumulate
 from itertools import product as iter_product
 
 from .arith import euler_phi_table, factor, iroot, mobius_table
+from .fan import cone_linear_form
 from .heights import TorusPoint, anticanonical_height
-from .linalg import solve_exact
 from .picard import picard_data
 
 DEFAULT_BUDGET = 50_000_000
@@ -39,23 +39,14 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-@dataclass(frozen=True)
-class SearchBound:
-    """Provably complete coordinate bounds for H(x) <= B."""
-
-    slope: Fraction  # c with phi(n) >= c * |n|_1
-    weight: int  # max_j |e_j|_1
-    bound: Fraction
-    product_cap: int  # prod_i max(num_i, den_i) <= product_cap
-
-    @classmethod
-    def for_fan(cls, fan, B):
-        w = max(sum(abs(x) for x in r) for r in fan.rays)
-        bound = Fraction(B)
-        if bound < 1:
-            return cls(Fraction(1, w), w, bound, 0)
-        # prod max_i <= B^{w/2}, taken as the square root of B^w to stay exact
-        return cls(Fraction(1, w), w, bound, iroot(bound**w, 2))
+def _product_cap(fan, B):
+    """The cap on prod_i max(num_i, den_i) over points of height <= B."""
+    bound = Fraction(B)
+    if bound < 1:
+        return 0
+    w = max(sum(abs(x) for x in r) for r in fan.rays)
+    # prod max_i <= B^{w/2}, taken as the square root of B^w to stay exact
+    return iroot(bound**w, 2)
 
 
 def _sieve_length(n):
@@ -88,13 +79,8 @@ def _anticanonical_forms(fan):
     of its cone forms everywhere, which gives the enumerator an exact
     integer fast path.
     """
-    forms = []
-    for cone in fan.max_cones:
-        a = [list(fan.rays[j]) for j in cone]
-        m = solve_exact(a, [1] * fan.dim)
-        if any(x.denominator != 1 for x in m):
-            raise AssertionError("non-integral cone form on a regular cone")
-        forms.append(tuple(int(x) for x in m))
+    ones = (1,) * fan.nrays
+    forms = [cone_linear_form(fan, ci, ones) for ci in range(len(fan.max_cones))]
     convex = all(
         max(sum(m[i] * r[i] for i in range(fan.dim)) for m in forms) == 1
         for r in fan.rays
@@ -112,7 +98,7 @@ def _scan_plan(fan, B):
     B^{1/delta_i}: complete by proof, and much tighter than the product
     cap on the surfaces.  Refuses plans whose sieve would pass SIEVE_CAP.
     """
-    cap = SearchBound.for_fan(fan, B).product_cap
+    cap = _product_cap(fan, B)
     forms, convex = _anticanonical_forms(fan)
     d = fan.dim
     caps = [cap] * d
@@ -321,20 +307,19 @@ def specialized_id_for(fan):
 
 
 def count_points(fan, B, strategy="auto", budget=DEFAULT_BUDGET):
-    """N(B) by the requested strategy ("auto", "naive", "specialized")."""
-    if strategy == "naive":
-        return len(enumerate_naive(fan, B, budget=budget))
-    if strategy == "specialized":
-        fid = specialized_id_for(fan)
-        if fid is None:
-            raise KeyError("fan is not registered for specialized counting")
+    """N(B) by the requested strategy ("auto", "naive", "specialized").
+
+    "auto" uses the registered sieve when the fan has one and the naive
+    scan otherwise.
+    """
+    if strategy not in ("auto", "naive", "specialized"):
+        raise ValueError("unknown strategy %r" % strategy)
+    fid = None if strategy == "naive" else specialized_id_for(fan)
+    if fid is not None:
         return enumerate_specialized(fid, B)
-    if strategy == "auto":
-        fid = specialized_id_for(fan)
-        if fid is not None:
-            return enumerate_specialized(fid, B)
-        return len(enumerate_naive(fan, B, budget=budget))
-    raise ValueError("unknown strategy %r" % strategy)
+    if strategy == "specialized":
+        raise KeyError("fan is not registered for specialized counting")
+    return len(enumerate_naive(fan, B, budget=budget))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +353,7 @@ class CountReport:
             "schedule": [str(b) for b in self.schedule],
             "counts": self.counts,
             "predicted": self.predicted,
-            "ratios": self.ratios,
+            "ratios": [None if math.isnan(r) else r for r in self.ratios],
             "k": self.k,
             "theta": {"lo": self.theta_lo, "hi": self.theta_hi},
             "regression": self.regression,
@@ -377,7 +362,12 @@ class CountReport:
 
 
 def leading_term(k, theta, B):
-    """theta / (k-1)! * B (log B)^(k-1)."""
+    """theta / (k-1)! * B (log B)^(k-1), and 0 for B <= 1 when k >= 2.
+
+    log B <= 0 there, and an odd power of it would predict a negative count.
+    """
+    if k >= 2 and B <= 1:
+        return 0.0
     return theta / math.factorial(k - 1) * B * math.log(B) ** (k - 1)
 
 
@@ -404,31 +394,6 @@ def fit_leading_coefficient(schedule, counts, k):
     return float(coef[0]), float(math.sqrt(max(cov[0, 0], 0.0))), float(coef[1])
 
 
-def count_table(
-    fan, schedule, theta_interval, strategy="auto", fan_id="", budget=DEFAULT_BUDGET
-):
-    """Plain counts-versus-prediction table, no regression, any schedule."""
-    schedule = sorted(schedule)
-    k = picard_data(fan).rank_K
-    theta_lo, theta_hi = float(theta_interval[0]), float(theta_interval[1])
-    theta_c = (theta_lo + theta_hi) / 2
-    counts = [count_points(fan, b, strategy=strategy, budget=budget) for b in schedule]
-    predicted = [leading_term(k, theta_c, float(b)) for b in schedule]
-    ratios = [n / p if p else float("nan") for n, p in zip(counts, predicted)]
-    return CountReport(
-        fan_id=fan_id,
-        strategy=strategy,
-        schedule=list(schedule),
-        counts=counts,
-        predicted=predicted,
-        ratios=ratios,
-        k=k,
-        theta_lo=theta_lo,
-        theta_hi=theta_hi,
-        provenance=["plain table; schedule too short for a regression"],
-    )
-
-
 def asymptotic_report(
     fan,
     schedule,
@@ -438,12 +403,13 @@ def asymptotic_report(
     budget=DEFAULT_BUDGET,
     counts=None,
 ):
-    """Counts along the schedule against theta/(k-1)! * B (log B)^(k-1)."""
+    """Counts along the schedule against theta/(k-1)! * B (log B)^(k-1).
+
+    Any schedule gets the table.  Schedules of at least 4 points spanning
+    two decades also get, when k >= 2, a two-term regression; shorter
+    ones are marked as a plain table.  A zero prediction has ratio nan.
+    """
     schedule = sorted(schedule)
-    if len(schedule) < 4 or Fraction(schedule[-1]) < 100 * Fraction(schedule[0]):
-        raise ValueError(
-            "schedule needs at least 4 points spanning two decades"
-        )
     k = picard_data(fan).rank_K
     theta_lo, theta_hi = float(theta_interval[0]), float(theta_interval[1])
     theta_c = (theta_lo + theta_hi) / 2
@@ -457,14 +423,22 @@ def asymptotic_report(
     predicted = [leading_term(k, theta_c, float(b)) for b in schedule]
     ratios = [n / p if p else float("nan") for n, p in zip(counts, predicted)]
     regression = {}
-    if k >= 2:
-        a, se, b2 = fit_leading_coefficient(schedule, counts, k)
-        regression = {
-            "leading": a,
-            "leading_se": se,
-            "secondary": b2,
-            "model": "N ~ a*B*log^%d(B)/%d! + b*B*log^%d(B)" % (k - 1, k - 1, k - 2),
-        }
+    if len(schedule) < 4 or Fraction(schedule[-1]) < 100 * Fraction(schedule[0]):
+        provenance = ["plain table; schedule too short for a regression"]
+    else:
+        provenance = [
+            "counts by strategy %r" % strategy,
+            "prediction uses the midpoint of the theta interval",
+        ]
+        if k >= 2:
+            a, se, b2 = fit_leading_coefficient(schedule, counts, k)
+            regression = {
+                "leading": a,
+                "leading_se": se,
+                "secondary": b2,
+                "model": "N ~ a*B*log^%d(B)/%d! + b*B*log^%d(B)"
+                % (k - 1, k - 1, k - 2),
+            }
     return CountReport(
         fan_id=fan_id,
         strategy=strategy,
@@ -476,8 +450,5 @@ def asymptotic_report(
         theta_lo=theta_lo,
         theta_hi=theta_hi,
         regression=regression,
-        provenance=[
-            "counts by strategy %r" % strategy,
-            "prediction uses the midpoint of the theta interval",
-        ],
+        provenance=provenance,
     )

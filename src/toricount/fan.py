@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import gcd
 
 from . import dd
-from .linalg import det, mat_vec, unimodular_inverse
+from .linalg import det, identity, mat_mul, mat_vec, unimodular_inverse
 
 GALOIS_GROUP_CAP = 10000
 
@@ -157,6 +157,19 @@ def _cone_dual_basis(fan, cone_idx):
     return tuple(tuple(row) for row in unimodular_inverse(cols))
 
 
+def cone_linear_form(fan, cone_idx, values):
+    """The unique m with <m, e_j> = values[j] on the rays of a maximal cone.
+
+    The dual basis rows satisfy <u_k, e_l> = delta_kl on the cone's rays
+    sigma_1..sigma_d, so m = sum_k values[sigma_k] * u_k.
+    """
+    idxs = fan.max_cones[cone_idx]
+    basis = _cone_dual_basis(fan, cone_idx)
+    return tuple(
+        sum(values[j] * u[i] for j, u in zip(idxs, basis)) for i in range(fan.dim)
+    )
+
+
 def _in_cone_additive(fan, cone_idx, v):
     return all(
         sum(u[i] * v[i] for i in range(fan.dim)) >= 0
@@ -202,18 +215,14 @@ def galois_group(fan, generators=None):
     gens = fan.galois if generators is None else tuple(
         tuple(tuple(int(x) for x in row) for row in g) for g in generators
     )
-    d = fan.dim
-    ident = tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
+    ident = tuple(map(tuple, identity(fan.dim)))
     group = {ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for g in frontier:
             for h in gens:
-                prod = tuple(
-                    tuple(sum(g[i][k] * h[k][j] for k in range(d)) for j in range(d))
-                    for i in range(d)
-                )
+                prod = tuple(map(tuple, mat_mul(g, h)))
                 if prod not in group:
                     group.add(prod)
                     nxt.append(prod)

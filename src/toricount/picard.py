@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .fan import MultiplicativeVector, galois_group, galois_orbits, locate_cone, ray_permutation
+from .fan import MultiplicativeVector, cone_linear_form, galois_group, galois_orbits, locate_cone, ray_permutation
 from .linalg import (
     det,
     identity,
@@ -64,14 +64,6 @@ def from_character(fan, m):
     return PLFunction(tuple(sum(mi * ei for mi, ei in zip(m, r)) for r in fan.rays))
 
 
-@lru_cache(maxsize=None)
-def _cone_linear_form(fan, cone_idx, values):
-    """The unique m with <m, e_j> = values[j] on the rays of a maximal cone."""
-    idxs = fan.max_cones[cone_idx]
-    a = [list(fan.rays[j]) for j in idxs]
-    return tuple(solve_exact(a, [values[j] for j in idxs]))
-
-
 def pl_evaluate(fan, phi, v):
     """Evaluate phi at v in exact arithmetic.
 
@@ -81,7 +73,7 @@ def pl_evaluate(fan, phi, v):
     instead, again as an exact rational.
     """
     ci = locate_cone(fan, v)
-    m = _cone_linear_form(fan, ci, tuple(phi.values))
+    m = cone_linear_form(fan, ci, phi.values)
     if isinstance(v, MultiplicativeVector):
         out = Fraction(1)
         for mi, q in zip(m, v.qs):
@@ -153,15 +145,11 @@ def _dual_action(g):
 def _cyclic_generator(group):
     """A generator of a cyclic matrix group, or None if not cyclic."""
     order = len(group)
-    d = len(group[0])
-    ident = tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
+    ident = identity(len(group[0]))
     for g in group:
         power = ident
         for k in range(1, order + 1):
-            power = tuple(
-                tuple(sum(power[i][t] * g[t][j] for t in range(d)) for j in range(d))
-                for i in range(d)
-            )
+            power = mat_mul(power, g)
             if power == ident:
                 if k == order:
                     return g

@@ -479,7 +479,7 @@ def test_a9_invariant_suites():
 
     # facet consistency of PL evaluation
     facet_ok = True
-    from toricount.picard import _cone_linear_form
+    from toricount.fan import cone_linear_form
 
     for f in split:
         if f.dim < 2:
@@ -495,8 +495,8 @@ def test_a9_invariant_suites():
                     sum(weights[j] * f.rays[j][i] for j in common)
                     for i in range(f.dim)
                 ]
-                m1 = _cone_linear_form(f, ci, tuple(phi.values))
-                m2 = _cone_linear_form(f, cj, tuple(phi.values))
+                m1 = cone_linear_form(f, ci, phi.values)
+                m2 = cone_linear_form(f, cj, phi.values)
                 if sum(a * b for a, b in zip(m1, v)) != sum(
                     a * b for a, b in zip(m2, v)
                 ):

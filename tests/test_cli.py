@@ -183,6 +183,51 @@ def test_count_single_point_schedule(capsys):
     assert int(rows[1].split(",")[1]) == 3364
 
 
+def _strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+
+    def refuse(name):
+        raise ValueError("%s is not valid JSON" % name)
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_count_below_one_predicts_zero(capsys):
+    # log B <= 0 for B <= 1: the prediction is 0, never negative, and the
+    # ratio against a zero prediction is undefined
+    code, out, _ = run(capsys, "count", "dp6", "--B-schedule", "1/2,1")
+    assert code == 0
+    assert out.splitlines()[1:] == ["1/2,0,0.000000,nan", "1,4,0.000000,nan"]
+    code, out, _ = run(
+        capsys, "count", "dp6", "--B-schedule", "1/2,1", "--out", "json"
+    )
+    assert code == 0
+    payload = _strict_json(out)
+    jsonschema.validate(payload, schema("count"))
+    assert payload["counts"] == [0, 4]
+    assert payload["predicted"] == [0.0, 0.0]
+    assert payload["ratios"] == [None, None]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("constants", "--cutoff", "500", "--json"),
+        ("validate", "--json"),
+        ("xfunction",),
+        # four points over two decades: a regression over rows with B <= 1
+        ("count", "--B-schedule", "1/2,1,10,60", "--out", "json"),
+    ],
+)
+def test_json_output_is_strict(capsys, argv):
+    for name in NAMES:
+        if argv[0] == "count" and not golden_constants(name)["split"]:
+            continue
+        code, out, _ = run(capsys, argv[0], name, *argv[1:])
+        assert code == 0, (name, argv)
+        _strict_json(out)
+
+
 def test_xfunction_json_schema(capsys):
     code, out, _ = run(capsys, "xfunction", "dp6")
     assert code == 0

@@ -6,6 +6,7 @@ import pytest
 from toricount.fan import (
     Fan,
     MultiplicativeVector,
+    cone_linear_form,
     galois_group,
     galois_orbits,
     locate_cone,
@@ -180,10 +181,8 @@ def test_facet_consistency_of_pl_evaluation(corpus):
                     sum(weights[j] * fan.rays[j][i] for j in common)
                     for i in range(fan.dim)
                 ]
-                from toricount.picard import _cone_linear_form
-
-                m1 = _cone_linear_form(fan, ci, tuple(phi.values))
-                m2 = _cone_linear_form(fan, cj, tuple(phi.values))
+                m1 = cone_linear_form(fan, ci, phi.values)
+                m2 = cone_linear_form(fan, cj, phi.values)
                 v1 = sum(a * b for a, b in zip(m1, v))
                 v2 = sum(a * b for a, b in zip(m2, v))
                 assert v1 == v2 == pl_evaluate(fan, phi, v)

@@ -182,9 +182,9 @@ def test_archimedean_rejects_nonpositive(p1):
 def _phi_float(fan, svals, x):
     best = None
     for ci, cone in enumerate(fan.max_cones):
-        from toricount.picard import _cone_linear_form
+        from toricount.fan import cone_linear_form
 
-        m = _cone_linear_form(fan, ci, tuple(svals))
+        m = cone_linear_form(fan, ci, svals)
         coords_ok = True
         from toricount.fan import _cone_dual_basis
 
