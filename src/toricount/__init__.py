@@ -18,7 +18,7 @@ from .counting import (
     enumerate_naive,
     enumerate_specialized,
 )
-from .fan import Fan, MultiplicativeVector, OrbitDecomposition, galois_orbits, locate_cone, validate_fan
+from .fan import Fan, OrbitDecomposition, galois_orbits, locate_cone, validate_fan
 from .heights import TorusPoint, global_height, height_zeta_partial, local_height
 from .localdata import (
     LocalDensity,
@@ -34,7 +34,6 @@ from .tamagawa import EulerProduct, ThetaReport, archimedean_density, tau, theta
 
 __all__ = [
     "Fan",
-    "MultiplicativeVector",
     "OrbitDecomposition",
     "validate_fan",
     "galois_orbits",

@@ -22,7 +22,7 @@ from .picard import PLFunction, picard_data
 from .tamagawa import theta
 
 # what reading a fan file raises on a missing, unreadable or malformed input
-_LOAD_ERRORS = (OSError, ValueError, KeyError)
+_LOAD_ERRORS = (OSError, ValueError)
 
 
 def _load_fan(path):
@@ -234,7 +234,7 @@ def main(argv=None):
     except BudgetExceededError as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)
         return 3
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

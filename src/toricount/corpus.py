@@ -31,9 +31,13 @@ def _int_array(value, depth, key):
 
 
 def fan_from_dict(data) -> Fan:
-    """Fan from its JSON object; ValueError unless every entry is an integer."""
+    """Fan from its JSON object; ValueError unless it has the required keys
+    and every entry is an integer."""
     if not isinstance(data, dict):
         raise ValueError("a fan is a JSON object, got %s" % type(data).__name__)
+    for key in ("dim", "rays", "max_cones"):
+        if key not in data:
+            raise ValueError('the fan object has no "%s" key' % key)
     return Fan(
         _int_array(data["dim"], 0, "dim"),
         _int_array(data["rays"], 2, "rays"),

@@ -7,9 +7,12 @@ satisfies phi(n) >= |n|_1 / w with w = max_j |e_j|_1, which forces
 
 for every point of height <= B (the finite places bound valuations, the
 real place bounds magnitudes, and every local factor is >= 1).  Reduced
-fractions are scanned inside that product cap and filtered by exact
-height.  Specialized closed-form counters exist for the registered fans
-where the naive cap is far too coarse.
+fractions are scanned inside that product cap and filtered by the exact
+height of heights.HeightEvaluator, one rule for nef and non-nef fans
+alike.  One scan core yields the positive-orthant survivors: counting
+adds 2^d per survivor and builds no points, enumeration expands each
+into its 2^d signed TorusPoints.  Specialized closed-form counters exist
+for the registered fans where the naive cap is far too coarse.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ from functools import lru_cache
 from itertools import accumulate
 from itertools import product as iter_product
 
-from .arith import euler_phi_table, factor, iroot, mobius_table
+from .arith import euler_phi_table, iroot, mobius_table
 from .fan import cone_linear_form
-from .heights import TorusPoint, anticanonical_height
-from .picard import picard_data
+from .heights import HeightEvaluator, TorusPoint
+from .picard import anticanonical, picard_data
 
 DEFAULT_BUDGET = 50_000_000
 SIEVE_CAP = 2_000_000
@@ -76,8 +79,7 @@ def _anticanonical_forms(fan):
     """Per-cone linear forms of phi_Sigma, plus a convexity certificate.
 
     When phi_Sigma is convex (anticanonical class nef) it equals the max
-    of its cone forms everywhere, which gives the enumerator an exact
-    integer fast path.
+    of its cone forms everywhere, which gives the scan its axis caps.
     """
     ones = (1,) * fan.nrays
     forms = [cone_linear_form(fan, ci, ones) for ci in range(len(fan.max_cones))]
@@ -89,7 +91,7 @@ def _anticanonical_forms(fan):
 
 
 def _scan_plan(fan, B):
-    """(product cap, per-coordinate caps, cone forms, convexity) of the scan.
+    """(product cap, per-coordinate caps) of the scan.
 
     Every coordinate obeys max(num_i, den_i) <= product cap.  For a convex
     phi the height also dominates the pairwise form max, and with
@@ -113,12 +115,12 @@ def _scan_plan(fan, B):
             if e > 0:
                 caps[i] = min(cap, iroot(Fraction(B), e))
     _sieve_length(max(caps))
-    return cap, caps, forms, convex
+    return cap, caps
 
 
 def candidate_estimate(fan, B):
     """Exact number of positive-orthant candidate tuples the scan visits."""
-    cap, coord_caps, _forms, _convex = _scan_plan(fan, B)
+    cap, coord_caps = _scan_plan(fan, B)
     return _candidate_count(cap, coord_caps)
 
 
@@ -145,78 +147,28 @@ def _candidate_count(cap, coord_caps):
     return tuples(0, cap)
 
 
-def enumerate_naive(fan, B, budget=DEFAULT_BUDGET, with_heights=False):
-    """Complete list of torus points with anticanonical height <= B.
+def _scan(fan, B, budget):
+    """Yield (pairs, num, den) for each positive-orthant point of height <= B.
 
-    Scans reduced fractions inside the provable product cap, filters by
-    exact height, and expands sign patterns (each coordinate's sign never
-    changes any local height).  Deterministic order.  Refuses scans whose
-    exact candidate count exceeds the budget.
+    pairs are the coordinates as reduced (a_i, b_i) with x_i = a_i / b_i,
+    num / den is the exact anticanonical height, and the order is
+    deterministic.  Refuses scans whose exact candidate count exceeds the
+    budget.
     """
     if not fan.is_split():
         raise ValueError("counting needs a split fan")
     bound = Fraction(B)
     if bound < 1:
-        return []
-    cap, coord_caps, forms, convex = _scan_plan(fan, B)
+        return
+    cap, coord_caps = _scan_plan(fan, B)
     estimate = _candidate_count(cap, coord_caps)
     if estimate > budget:
         raise BudgetExceededError(estimate, budget)
 
     d = fan.dim
-    sieve_size = max(coord_caps)
-    groups = _coords_by_max(sieve_size)
-    factor_cache = {n: factor(n) for n in range(1, sieve_size + 1)}
-
+    groups = _coords_by_max(max(coord_caps))
+    height = HeightEvaluator(fan, anticanonical(fan)).height
     bnum, bden = bound.numerator, bound.denominator
-    out = []
-    signs = list(iter_product((1, -1), repeat=d))
-
-    def eval_height_fast(pairs):
-        # finite part: integer prod p^{max over forms of <m, vp-vector>}
-        primes = set()
-        for a, b in pairs:
-            primes.update(factor_cache[a])
-            primes.update(factor_cache[b])
-        hfin = 1
-        for p in primes:
-            nbar = [
-                factor_cache[a].get(p, 0) - factor_cache[b].get(p, 0)
-                for a, b in pairs
-            ]
-            e = max(sum(m[i] * nbar[i] for i in range(d)) for m in forms)
-            hfin *= p**e
-        # real part: max over forms of prod (b/a)^{m_i}, kept as num/den
-        best_n, best_d = 0, 1
-        for m in forms:
-            num = den = 1
-            for (a, b), mi in zip(pairs, m):
-                if mi > 0:
-                    num *= b**mi
-                    den *= a**mi
-                elif mi < 0:
-                    num *= a ** (-mi)
-                    den *= b ** (-mi)
-            if num * best_d > best_n * den:
-                best_n, best_d = num, den
-        return hfin * best_n, best_d
-
-    def emit(pairs):
-        if convex:
-            hn, hd = eval_height_fast(pairs)
-            if hn * bden > bnum * hd:
-                return
-            h = Fraction(hn, hd)
-        else:
-            x = TorusPoint([Fraction(a, b) for a, b in pairs])
-            h = anticanonical_height(fan, x)
-            if h > bound:
-                return
-        for sign in signs:
-            pt = TorusPoint(
-                [Fraction(s * a, b) for s, (a, b) in zip(sign, pairs)]
-            )
-            out.append((pt, h) if with_heights else pt)
 
     def rec(i, cap_left, pairs):
         lim = min(cap_left, coord_caps[i])
@@ -224,12 +176,30 @@ def enumerate_naive(fan, B, budget=DEFAULT_BUDGET, with_heights=False):
             for pair in groups[m]:
                 pairs.append(pair)
                 if i + 1 == d:
-                    emit(pairs)
+                    hn, hd = height(pairs)
+                    if hn * bden <= bnum * hd:
+                        yield tuple(pairs), hn, hd
                 else:
-                    rec(i + 1, cap_left // m, pairs)
+                    yield from rec(i + 1, cap_left // m, pairs)
                 pairs.pop()
 
-    rec(0, cap, [])
+    yield from rec(0, cap, [])
+
+
+def enumerate_naive(fan, B, budget=DEFAULT_BUDGET, with_heights=False):
+    """Complete list of torus points with anticanonical height <= B.
+
+    Expands each point the scan keeps into its 2^d sign patterns (a sign
+    never changes any local height).  Deterministic order.  Refuses scans
+    whose exact candidate count exceeds the budget.
+    """
+    signs = list(iter_product((1, -1), repeat=fan.dim))
+    out = []
+    for pairs, hn, hd in _scan(fan, B, budget):
+        h = Fraction(hn, hd)
+        for sign in signs:
+            pt = TorusPoint([Fraction(s * a, b) for s, (a, b) in zip(sign, pairs)])
+            out.append((pt, h) if with_heights else pt)
     return out
 
 
@@ -318,8 +288,8 @@ def count_points(fan, B, strategy="auto", budget=DEFAULT_BUDGET):
     if fid is not None:
         return enumerate_specialized(fid, B)
     if strategy == "specialized":
-        raise KeyError("fan is not registered for specialized counting")
-    return len(enumerate_naive(fan, B, budget=budget))
+        raise ValueError("fan is not registered for specialized counting")
+    return 2**fan.dim * sum(1 for _ in _scan(fan, B, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +375,10 @@ def asymptotic_report(
 ):
     """Counts along the schedule against theta/(k-1)! * B (log B)^(k-1).
 
-    Any schedule gets the table.  Schedules of at least 4 points spanning
-    two decades also get, when k >= 2, a two-term regression; shorter
-    ones are marked as a plain table.  A zero prediction has ratio nan.
+    Any schedule gets the table.  Schedules with at least 4 points B > 1
+    spanning two decades also get, when k >= 2, a two-term regression
+    over those points; shorter ones are marked as a plain table.  A zero
+    prediction has ratio nan.
     """
     schedule = sorted(schedule)
     k = picard_data(fan).rank_K
@@ -423,15 +394,19 @@ def asymptotic_report(
     predicted = [leading_term(k, theta_c, float(b)) for b in schedule]
     ratios = [n / p if p else float("nan") for n, p in zip(counts, predicted)]
     regression = {}
-    if len(schedule) < 4 or Fraction(schedule[-1]) < 100 * Fraction(schedule[0]):
+    # log B <= 0 for B <= 1, where the asymptotic model means nothing
+    fit = [(b, n) for b, n in zip(schedule, counts) if b > 1]
+    if len(fit) < 4 or Fraction(fit[-1][0]) < 100 * Fraction(fit[0][0]):
         provenance = ["plain table; schedule too short for a regression"]
     else:
         provenance = [
             "counts by strategy %r" % strategy,
             "prediction uses the midpoint of the theta interval",
         ]
+        if len(fit) < len(schedule):
+            provenance.append("rows with B <= 1 are left out of the regression")
         if k >= 2:
-            a, se, b2 = fit_leading_coefficient(schedule, counts, k)
+            a, se, b2 = fit_leading_coefficient(*zip(*fit), k)
             regression = {
                 "leading": a,
                 "leading_se": se,

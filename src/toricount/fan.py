@@ -90,22 +90,6 @@ class OrbitDecomposition:
         return len(self.orbits)
 
 
-@dataclass(frozen=True)
-class MultiplicativeVector:
-    """A vector of N_R given by positive rationals q_i, standing for log q.
-
-    Cone membership for such vectors is decided by exact comparisons of
-    rational products against 1, never by floating logs.
-    """
-
-    qs: tuple
-
-    def __init__(self, qs):
-        object.__setattr__(self, "qs", tuple(Fraction(q) for q in qs))
-        if any(q <= 0 for q in self.qs):
-            raise ValueError("multiplicative coordinates must be positive")
-
-
 @dataclass
 class CheckResult:
     name: str
@@ -170,38 +154,23 @@ def cone_linear_form(fan, cone_idx, values):
     )
 
 
-def _in_cone_additive(fan, cone_idx, v):
-    return all(
-        sum(u[i] * v[i] for i in range(fan.dim)) >= 0
-        for u in _cone_dual_basis(fan, cone_idx)
-    )
+def cone_pieces(fan, values):
+    """(dual-basis rows, linear form) of each maximal cone, in cone order.
 
-
-def _in_cone_multiplicative(fan, cone_idx, mv):
-    for u in _cone_dual_basis(fan, cone_idx):
-        prod = Fraction(1)
-        for exp, q in zip(u, mv.qs):
-            if exp:
-                prod *= q ** exp
-        if prod < 1:
-            return False
-    return True
+    v lies in cone i iff <u, v> >= 0 for every row u of piece i, and there
+    the PL function with these ray values is <form, v>.
+    """
+    return [
+        (_cone_dual_basis(fan, ci), cone_linear_form(fan, ci, values))
+        for ci in range(len(fan.max_cones))
+    ]
 
 
 def locate_cone(fan, v):
-    """Index of a maximal cone containing v (smallest index on ties).
-
-    v is either a rational vector or a MultiplicativeVector whose entries
-    q_i stand for the point (log q_1, ..., log q_d); membership for the
-    latter is decided by comparing products of rational powers with 1.
-    """
-    if isinstance(v, MultiplicativeVector):
-        test = lambda ci: _in_cone_multiplicative(fan, ci, v)
-    else:
-        v = [Fraction(x) for x in v]
-        test = lambda ci: _in_cone_additive(fan, ci, v)
+    """Index of a maximal cone containing the rational vector v (smallest on ties)."""
+    v = [Fraction(x) for x in v]
     for ci in range(len(fan.max_cones)):
-        if test(ci):
+        if all(sum(a * b for a, b in zip(u, v)) >= 0 for u in _cone_dual_basis(fan, ci)):
             return ci
     raise ValueError("no maximal cone contains the vector; fan incomplete?")
 

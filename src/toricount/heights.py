@@ -8,6 +8,10 @@ is p^{phi(xbar)}; at the real place the image is (-log|x_1|, ...,
 exact multiplicative comparisons, never floating logs.  This is the sign
 pairing under which the product formula holds exactly and the
 anticanonical height on P^1 is max(|a|, |b|)^2.
+
+One rule serves every fan, nef or not: HeightEvaluator locates the cone
+of xbar_v and applies that cone's linear form, in integers only.  Local
+heights, global heights and the point counter all go through it.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import factor
-from .fan import MultiplicativeVector
+from .fan import cone_pieces
 from .picard import PLFunction, anticanonical, pl_evaluate
 
 INFINITE_PLACE = "inf"
@@ -39,60 +43,111 @@ class TorusPoint:
         return len(self.coords)
 
 
-def _vp(x: Fraction, p: int) -> int:
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+def _power_ratio(exponents, pairs):
+    """prod_i (b_i / a_i)^{e_i} as an unreduced (num, den) of positive ints."""
+    num = den = 1
+    for (a, b), e in zip(pairs, exponents):
+        if e > 0:
+            num *= b**e
+            den *= a**e
+        elif e < 0:
+            num *= a**-e
+            den *= b**-e
+    return num, den
 
 
-def relevant_primes(x: TorusPoint):
-    """Primes where some coordinate is a non-unit (all other factors are 1)."""
-    primes = set()
-    for c in x.coords:
-        primes.update(factor(abs(c.numerator)))
-        primes.update(factor(c.denominator))
-    return sorted(primes)
+class HeightEvaluator:
+    """The local heights q_v^{phi(xbar_v)} of one PL function, in integers.
+
+    Built once per (fan, phi) from each maximal cone's dual-basis rows and
+    linear form.  A point enters as positive pairs (a_i, b_i) with
+    |x_i| = a_i / b_i in lowest terms; signs never change a local height.
+    Exponents phi(xbar_p) are memoized by the valuation vector, which
+    repeats across the points of a scan far more than the points do.
+    """
+
+    def __init__(self, fan, phi):
+        if not fan.is_split():
+            raise ValueError(
+                "heights over Q need a split fan; number-field places are out of scope"
+            )
+        if len(phi.values) != fan.nrays:
+            raise ValueError("PL function has wrong length")
+        if not phi.is_integral():
+            raise ValueError("heights need integer PL values")
+        self.fan = fan
+        self.phi = phi
+        self._pieces = cone_pieces(fan, phi.values)
+        self._exponents = {}
+        self._factors = {}
+
+    def exponent(self, vbar):
+        """phi(vbar) for an integer valuation vector given as a tuple."""
+        e = self._exponents.get(vbar)
+        if e is None:
+            e = self._exponents[vbar] = int(pl_evaluate(self.fan, self.phi, vbar))
+        return e
+
+    def _factor(self, n):
+        f = self._factors.get(n)
+        if f is None:
+            f = self._factors[n] = factor(n)
+        return f
+
+    def valuation_vectors(self, pairs):
+        """{p: (v_p(x_1), ..., v_p(x_d))} over the primes where some x_i is no unit."""
+        split = [(self._factor(a), self._factor(b)) for a, b in pairs]
+        primes = set().union(*[f for fs in split for f in fs])
+        return {p: tuple([fa.get(p, 0) - fb.get(p, 0) for fa, fb in split]) for p in primes}
+
+    def real(self, pairs):
+        """exp(phi(-log|x|)) as (num, den), on the first cone that contains it.
+
+        <u, -log|x|> >= 0 reads prod (b_i / a_i)^{u_i} >= 1, decided by
+        cross-multiplying the two sides.  Cones sharing a face agree on it,
+        so the first containing cone gives the value.
+        """
+        for rows, form in self._pieces:
+            for row in rows:
+                num, den = _power_ratio(row, pairs)
+                if num < den:
+                    break
+            else:
+                return _power_ratio(form, pairs)
+        raise ValueError("no maximal cone contains the point; fan incomplete?")
+
+    def height(self, pairs):
+        """The global height prod_v q_v^{phi(xbar_v)} as an unreduced (num, den)."""
+        num, den = self.real(pairs)
+        for p, vbar in self.valuation_vectors(pairs).items():
+            e = self.exponent(vbar)
+            if e >= 0:
+                num *= p**e
+            else:
+                den *= p**-e
+        return num, den
 
 
-def _check(fan, phi, x):
-    if not fan.is_split():
-        raise ValueError(
-            "heights over Q need a split fan; number-field places are out of scope"
-        )
-    if len(phi.values) != fan.nrays:
-        raise ValueError("PL function has wrong length")
-    if not phi.is_integral():
-        raise ValueError("heights need integer PL values")
+def _pairs(fan, x):
     if x.dim != fan.dim:
         raise ValueError("point dimension does not match the fan")
+    return [(abs(c.numerator), c.denominator) for c in x.coords]
 
 
 def local_height(fan, phi: PLFunction, x: TorusPoint, place) -> Fraction:
     """The local factor q_v^{phi(xbar_v)} as an exact rational."""
-    _check(fan, phi, x)
+    evaluator = HeightEvaluator(fan, phi)
+    pairs = _pairs(fan, x)
     if place == INFINITE_PLACE:
-        qs = [Fraction(1) / abs(c) for c in x.coords]
-        return pl_evaluate(fan, phi, MultiplicativeVector(qs))
+        return Fraction(*evaluator.real(pairs))
     p = int(place)
-    xbar = [_vp(c, p) for c in x.coords]
-    e = pl_evaluate(fan, phi, xbar)
-    e = int(e)
-    return Fraction(p) ** e
+    vbar = evaluator.valuation_vectors(pairs).get(p, (0,) * fan.dim)
+    return Fraction(p) ** evaluator.exponent(vbar)
 
 
 def global_height(fan, phi: PLFunction, x: TorusPoint) -> Fraction:
     """Product of the local heights; finitely many factors differ from 1."""
-    _check(fan, phi, x)
-    h = local_height(fan, phi, x, INFINITE_PLACE)
-    for p in relevant_primes(x):
-        h *= local_height(fan, phi, x, p)
-    return h
+    return Fraction(*HeightEvaluator(fan, phi).height(_pairs(fan, x)))
 
 
 def anticanonical_height(fan, x: TorusPoint) -> Fraction:

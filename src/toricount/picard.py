@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .fan import MultiplicativeVector, cone_linear_form, galois_group, galois_orbits, locate_cone, ray_permutation
+from .fan import cone_linear_form, galois_group, galois_orbits, locate_cone, ray_permutation
 from .linalg import (
     det,
     identity,
@@ -65,23 +65,9 @@ def from_character(fan, m):
 
 
 def pl_evaluate(fan, phi, v):
-    """Evaluate phi at v in exact arithmetic.
-
-    For an additive rational vector v the value <m_sigma, v> is returned.
-    For a MultiplicativeVector with entries q_i (the point log q) the
-    multiplicative value prod q_i^{m_i} = exp(phi(log q)) is returned
-    instead, again as an exact rational.
-    """
+    """phi at the rational vector v, exactly: <m_sigma, v> on a cone sigma containing v."""
     ci = locate_cone(fan, v)
     m = cone_linear_form(fan, ci, phi.values)
-    if isinstance(v, MultiplicativeVector):
-        out = Fraction(1)
-        for mi, q in zip(m, v.qs):
-            if mi:
-                if mi.denominator != 1:
-                    raise ValueError("multiplicative evaluation needs integer slopes")
-                out *= q ** int(mi)
-        return out
     return sum(mi * Fraction(x) for mi, x in zip(m, v))
 
 

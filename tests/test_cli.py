@@ -209,14 +209,25 @@ def test_count_below_one_predicts_zero(capsys):
     assert payload["ratios"] == [None, None]
 
 
+def test_count_regression_skips_rows_below_one(capsys):
+    # 1/2 and 1 leave two rows with log B > 0: too few for a regression
+    code, out, _ = run(
+        capsys, "count", "dp6", "--B-schedule", "1/2,1,10,60", "--out", "json"
+    )
+    assert code == 0
+    payload = _strict_json(out)
+    assert payload["counts"][:2] == [0, 4]
+    assert payload["regression"] == {}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ("constants", "--cutoff", "500", "--json"),
         ("validate", "--json"),
         ("xfunction",),
-        # four points over two decades: a regression over rows with B <= 1
-        ("count", "--B-schedule", "1/2,1,10,60", "--out", "json"),
+        # rows with B <= 1 next to a regression over four B > 1 over two decades
+        ("count", "--B-schedule", "1/2,1,2,5,20,200", "--out", "json"),
     ],
 )
 def test_json_output_is_strict(capsys, argv):
@@ -276,6 +287,22 @@ def _write_fan(tmp_path, data):
     path = tmp_path / "fan.json"
     path.write_text(json.dumps(data))
     return str(path)
+
+
+@pytest.mark.parametrize("key", ["dim", "rays", "max_cones"])
+def test_fan_missing_key_message(tmp_path, capsys, key):
+    data = {k: v for k, v in P2.items() if k != key}
+    code, out, err = run(capsys, "constants", _write_fan(tmp_path, data))
+    assert code == 2 and not out
+    assert err == 'error: the fan object has no "%s" key\n' % key
+
+
+def test_count_specialized_unregistered_message(capsys):
+    code, out, err = run(
+        capsys, "count", "dp6", "--strategy", "specialized", "--B-schedule", "10"
+    )
+    assert code == 1 and not out
+    assert err == "error: fan is not registered for specialized counting\n"
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))

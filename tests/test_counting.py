@@ -17,6 +17,7 @@ from toricount.counting import (
     fit_leading_coefficient,
     specialized_id_for,
 )
+from toricount.corpus import fan
 from toricount.heights import TorusPoint, anticanonical_height
 from toricount.picard import anticanonical, pl_evaluate
 
@@ -136,29 +137,18 @@ def test_naive_completeness_random_points(p2, dp6):
 
 
 def test_naive_non_nef_fan_matches_heights():
-    # F3 is not nef, so the scan filters by the heights module, not cone forms
-    from toricount.counting import _scan_plan
+    # F3 is not nef: phi is no max of cone forms, and the scan has no axis caps
+    from toricount.counting import _anticanonical_forms
     from toricount.fan import Fan, validate_fan
 
     f3 = Fan(2, [(1, 0), (0, 1), (-1, 3), (0, -1)], [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert validate_fan(f3).ok
-    box = [
-        Fraction(a, b)
-        for a in range(-6, 7)
-        for b in range(1, 7)
-        if a and math.gcd(a, b) == 1
-    ]
-    box_heights = {
-        (x, y): anticanonical_height(f3, TorusPoint((x, y))) for x in box for y in box
-    }
+    assert not _anticanonical_forms(f3)[1]
     for B in (1, 2, 4):
-        assert not _scan_plan(f3, B)[3]
         got = enumerate_naive(f3, B, with_heights=True)
         for pt, h in got:
             assert h == anticanonical_height(f3, pt) <= B, (pt.coords, h)
-        coords = {pt.coords for pt, _h in got}
-        assert len(coords) == len(got)
-        assert {c for c, h in box_heights.items() if h <= B} <= coords, B
+        assert len({pt.coords for pt, _h in got}) == len(got)
 
 
 def test_symmetry_under_coordinate_swap(p1xp1):
@@ -199,6 +189,8 @@ def test_count_points_strategies(p2):
     )
     with pytest.raises(ValueError):
         count_points(p2, 100, strategy="bogus")
+    with pytest.raises(ValueError, match="not registered"):
+        count_points(fan("dp6"), 10, strategy="specialized")
 
 
 def test_asymptotic_report_k1(p1):
@@ -227,6 +219,21 @@ def test_asymptotic_report_k2_regression(p1xp1):
     assert rep.k == 2
     assert "leading" in rep.regression
     assert rep.regression["leading_se"] >= 0
+
+
+def test_asymptotic_report_regression_ignores_rows_below_one(p1xp1):
+    # log B <= 0 there: such rows stay in the table but not in the fit
+    long = [10**4, 10**5, 10**6, 10**7]
+    base = asymptotic_report(p1xp1, long, (1.47, 1.49), strategy="specialized")
+    rep = asymptotic_report(
+        p1xp1, [Fraction(1, 2), 1] + long, (1.47, 1.49), strategy="specialized"
+    )
+    assert rep.counts[:2] == [0, 4]
+    assert rep.regression == base.regression != {}
+    short = asymptotic_report(
+        p1xp1, [Fraction(1, 2), 1, 10, 2000], (1.47, 1.49), strategy="specialized"
+    )
+    assert short.regression == {}
 
 
 def test_asymptotic_report_insufficient_schedule(p1xp1):

@@ -5,13 +5,13 @@ import pytest
 
 from toricount.fan import (
     Fan,
-    MultiplicativeVector,
     cone_linear_form,
     galois_group,
     galois_orbits,
     locate_cone,
     validate_fan,
 )
+from toricount.heights import TorusPoint, local_height
 from toricount.picard import PLFunction, pl_evaluate
 
 
@@ -138,8 +138,11 @@ def test_group_cap():
 def test_locate_cone_examples(p2):
     assert p2.max_cones[locate_cone(p2, (2, 3))] == (0, 1)
     assert locate_cone(p2, (0, 0)) == 0  # apex: smallest index
-    mv = MultiplicativeVector((Fraction(2, 3), Fraction(3, 2)))
-    assert p2.max_cones[locate_cone(p2, mv)] == (1, 2)
+    # the real place of x = (3/2, 2/3) sits at -log|x| = (log 2/3, log 3/2),
+    # inside cone (1, 2); phi = 1 on ray 2 alone has a different form on
+    # each cone, giving 1 on (0, 1), 3/2 on (1, 2) and 2/3 on (2, 0)
+    x = TorusPoint((Fraction(3, 2), Fraction(2, 3)))
+    assert local_height(p2, PLFunction((0, 0, 1)), x, "inf") == Fraction(3, 2)
 
 
 def test_locate_cone_incomplete_fan_errors():

@@ -33,3 +33,8 @@ def test_no_private_names_imported_across_modules():
         path.name: found for path in MODULES if (found := _private_imports(path))
     }
     assert offenders == {}
+
+
+def test_public_exports_resolve():
+    missing = [name for name in toricount.__all__ if not hasattr(toricount, name)]
+    assert missing == []
