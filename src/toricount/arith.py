@@ -1,7 +1,8 @@
 """Elementary number theory: one prime sieve, its derived tables, factoring
 and exact integer roots.
 
-Every table comes from the same bytearray sieve of Eratosthenes: the
+Every table comes from the same bytearray sieve of Eratosthenes, capped
+at SIEVE_CAP entries (past it the sieve raises BudgetExceededError): the
 primes are its set flags, the smallest prime factors are filled in by
 slice assignment over the primes up to sqrt(n), and Euler phi and Moebius
 follow from the smallest prime factors by their multiplicative
@@ -14,9 +15,25 @@ from __future__ import annotations
 import math
 from itertools import compress
 
+SIEVE_CAP = 2_000_000
+
+
+class BudgetExceededError(RuntimeError):
+    """A sieve or a point scan would pass its budget of work."""
+
+    def __init__(self, estimate, budget):
+        super().__init__(
+            "would visit ~%s candidates or sieve entries (budget %d)" % (estimate, budget)
+        )
+        self.estimate = estimate
+        self.budget = budget
+
 
 def _prime_flags(n):
     """bytearray whose entry k is 1 exactly when k <= n is prime."""
+    if n > SIEVE_CAP:
+        # a huge n is reported as inf: str() refuses ints past 4300 digits
+        raise BudgetExceededError(n if n < 10**18 else float("inf"), SIEVE_CAP)
     flags = bytearray([1]) * (n + 1)
     flags[:2] = bytes(min(2, n + 1))
     for p in range(2, math.isqrt(n) + 1):

@@ -1,7 +1,7 @@
 """Command line surface: validate, constants, count, xfunction, localcheck.
 
 Exit codes: 0 success, 1 failed checks or computation error, 2 unreadable
-or malformed input, 3 enumeration budget refusal.
+or malformed input, 3 budget refusal (a sieve or a scan past its cap).
 """
 
 from __future__ import annotations
@@ -12,14 +12,14 @@ import os
 import sys
 from fractions import Fraction
 
-from .arith import factor
+from .arith import BudgetExceededError, factor
 from .cones import PolyCone, xfunction
 from .corpus import NAMES, fan_from_dict, fan_json_path
-from .counting import BudgetExceededError, asymptotic_report
+from .counting import asymptotic_report
 from .fan import validate_fan
 from .localdata import local_integral, point_count_fp, qsigma_split
 from .picard import PLFunction, picard_data
-from .tamagawa import theta
+from .tamagawa import MIN_CUTOFF, theta
 
 # what reading a fan file raises on a missing, unreadable or malformed input
 _LOAD_ERRORS = (OSError, ValueError)
@@ -56,6 +56,8 @@ def cmd_validate(args, fan):
 
 
 def cmd_constants(args, fan):
+    if args.cutoff < MIN_CUTOFF:
+        return _fail_parse("--cutoff must be >= %d, got %d" % (MIN_CUTOFF, args.cutoff))
     report = theta(fan, prime_cutoff=args.cutoff)
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=1))
@@ -85,7 +87,10 @@ def _parse_schedule(text):
         part = part.strip()
         if not part:
             continue
-        value = Fraction(part)
+        try:
+            value = Fraction(part)
+        except ZeroDivisionError:
+            raise ValueError("B has a zero denominator, got %s" % part) from None
         if value <= 0:
             raise ValueError("B must be positive, got %s" % part)
         out.append(value)
@@ -99,6 +104,10 @@ def cmd_count(args, fan):
         schedule = _parse_schedule(args.B_schedule)
     except ValueError as exc:
         return _fail_parse(exc)
+    if args.cutoff < MIN_CUTOFF:
+        return _fail_parse("--cutoff must be >= %d, got %d" % (MIN_CUTOFF, args.cutoff))
+    if args.budget < 0:
+        return _fail_parse("--budget must be >= 0, got %d" % args.budget)
     th = theta(fan, prime_cutoff=args.cutoff)
     if th.theta_lo is None:
         print("error: counting needs a split fan", file=sys.stderr)

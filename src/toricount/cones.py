@@ -45,9 +45,7 @@ class PolyCone:
         if rank([list(g) for g in gens]) != k:
             raise ValueError("cone is not full-dimensional")
         # pointedness certificate: a strictly positive functional exists
-        rays, lineality = dd.extreme_rays(
-            [list(g) for g in gens], k, allow_lineality=True
-        )
+        rays, lineality = dd.extreme_rays([list(g) for g in gens], k)
         if lineality or not rays:
             raise ValueError("cone is not pointed")
         y0 = [sum(r[i] for r in rays) for i in range(k)]

@@ -24,22 +24,12 @@ from functools import lru_cache
 from itertools import accumulate
 from itertools import product as iter_product
 
-from .arith import euler_phi_table, iroot, mobius_table
-from .fan import cone_linear_form
+from .arith import BudgetExceededError, euler_phi_table, iroot, mobius_table
+from .fan import cone_pieces
 from .heights import HeightEvaluator, TorusPoint
 from .picard import anticanonical, picard_data
 
 DEFAULT_BUDGET = 50_000_000
-SIEVE_CAP = 2_000_000
-
-
-class BudgetExceededError(RuntimeError):
-    def __init__(self, estimate, budget):
-        super().__init__(
-            "counting would visit ~%s candidates (budget %d)" % (estimate, budget)
-        )
-        self.estimate = estimate
-        self.budget = budget
 
 
 def _product_cap(fan, B):
@@ -50,14 +40,6 @@ def _product_cap(fan, B):
     w = max(sum(abs(x) for x in r) for r in fan.rays)
     # prod max_i <= B^{w/2}, taken as the square root of B^w to stay exact
     return iroot(bound**w, 2)
-
-
-def _sieve_length(n):
-    """n, unless a sieve of length n would pass SIEVE_CAP."""
-    if n > SIEVE_CAP:
-        # a huge n is reported as inf: str() refuses ints past 4300 digits
-        raise BudgetExceededError(n if n < 10**18 else float("inf"), SIEVE_CAP)
-    return n
 
 
 def _coords_by_max(cap):
@@ -81,8 +63,7 @@ def _anticanonical_forms(fan):
     When phi_Sigma is convex (anticanonical class nef) it equals the max
     of its cone forms everywhere, which gives the scan its axis caps.
     """
-    ones = (1,) * fan.nrays
-    forms = [cone_linear_form(fan, ci, ones) for ci in range(len(fan.max_cones))]
+    forms = [form for _, form in cone_pieces(fan, (1,) * fan.nrays)]
     convex = all(
         max(sum(m[i] * r[i] for i in range(fan.dim)) for m in forms) == 1
         for r in fan.rays
@@ -98,7 +79,7 @@ def _scan_plan(fan, B):
     delta = m_sigma - m_tau supported on axis i alone the product formula
     leaves H(x) >= max(num, den)(x_i^{delta_i}), so max(num_i, den_i) <=
     B^{1/delta_i}: complete by proof, and much tighter than the product
-    cap on the surfaces.  Refuses plans whose sieve would pass SIEVE_CAP.
+    cap on the surfaces.
     """
     cap = _product_cap(fan, B)
     forms, convex = _anticanonical_forms(fan)
@@ -114,7 +95,6 @@ def _scan_plan(fan, B):
                         e = max(e, delta[i])
             if e > 0:
                 caps[i] = min(cap, iroot(Fraction(B), e))
-    _sieve_length(max(caps))
     return cap, caps
 
 
@@ -125,7 +105,10 @@ def candidate_estimate(fan, B):
 
 
 def _candidate_count(cap, coord_caps):
-    """Tuples of reduced fractions under the product and coordinate caps."""
+    """Tuples of reduced fractions under the product and coordinate caps.
+
+    Its totient sieve refuses coordinate caps past arith.SIEVE_CAP.
+    """
     if cap <= 0:
         return 0
     sieve_size = max(coord_caps)
@@ -212,7 +195,7 @@ def count_p1(B) -> int:
     bound = Fraction(B)
     if bound < 1:
         return 0
-    s = _sieve_length(iroot(bound, 2))
+    s = iroot(bound, 2)
     phi = euler_phi_table(s)
     coprime_pairs = 2 * sum(phi[1 : s + 1]) - 1
     return 2 * coprime_pairs
@@ -223,7 +206,7 @@ def count_p2(B) -> int:
     bound = Fraction(B)
     if bound < 1:
         return 0
-    m = _sieve_length(iroot(bound, 3))
+    m = iroot(bound, 3)
     mu = mobius_table(m)
     triples = sum(mu[k] * (m // k) ** 3 for k in range(1, m + 1))
     return 4 * triples
@@ -234,7 +217,7 @@ def count_p1xp1(B) -> int:
     bound = Fraction(B)
     if bound < 1:
         return 0
-    s = _sieve_length(iroot(bound, 2))
+    s = iroot(bound, 2)
     phi = euler_phi_table(s)
     # P^1 points with height exactly m^2: 2 for m = 1, else 4*phi(m)
     npts = [0, 2] + [4 * phi[m] for m in range(2, s + 1)]
@@ -335,8 +318,11 @@ def leading_term(k, theta, B):
     """theta / (k-1)! * B (log B)^(k-1), and 0 for B <= 1 when k >= 2.
 
     log B <= 0 there, and an odd power of it would predict a negative count.
+    For k = 1 no logarithm is taken, so a B that underflowed to 0.0 is fine.
     """
-    if k >= 2 and B <= 1:
+    if k < 2:
+        return theta * B
+    if B <= 1:
         return 0.0
     return theta / math.factorial(k - 1) * B * math.log(B) ** (k - 1)
 

@@ -10,20 +10,16 @@ from __future__ import annotations
 from .linalg import primitive_vector, rank
 
 
-class NotPointedError(ValueError):
-    """The inequality system leaves a nonzero lineality space."""
-
-
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def extreme_rays(constraints, dim, allow_lineality=False):
+def extreme_rays(constraints, dim):
     """Extreme rays of {y in Z^dim tensor R : <a, y> >= 0 for all a}.
 
     Returns (rays, lineality): primitive integer vectors, rays sorted
-    lexicographically.  If the cone contains a line and allow_lineality is
-    False, raises NotPointedError.
+    lexicographically, and a basis of the lineality space (empty exactly
+    when the cone is pointed).
     """
     lineality = [
         [1 if i == j else 0 for j in range(dim)] for i in range(dim)
@@ -83,8 +79,4 @@ def extreme_rays(constraints, dim, allow_lineality=False):
                 deduped.append(r)
         rays = deduped
 
-    if lineality and not allow_lineality:
-        raise NotPointedError(
-            "cone contains a line, e.g. direction %r" % (lineality[0],)
-        )
     return sorted(tuple(r) for r in rays), [tuple(l) for l in lineality]

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
 from . import dd
 from .linalg import det, identity, mat_mul, mat_vec, unimodular_inverse
@@ -141,36 +142,44 @@ def _cone_dual_basis(fan, cone_idx):
     return tuple(tuple(row) for row in unimodular_inverse(cols))
 
 
-def cone_linear_form(fan, cone_idx, values):
-    """The unique m with <m, e_j> = values[j] on the rays of a maximal cone.
-
-    The dual basis rows satisfy <u_k, e_l> = delta_kl on the cone's rays
-    sigma_1..sigma_d, so m = sum_k values[sigma_k] * u_k.
-    """
-    idxs = fan.max_cones[cone_idx]
-    basis = _cone_dual_basis(fan, cone_idx)
-    return tuple(
-        sum(values[j] * u[i] for j, u in zip(idxs, basis)) for i in range(fan.dim)
-    )
+@lru_cache(maxsize=None)
+def _dual_bases(fan):
+    """_cone_dual_basis of every maximal cone, in cone order."""
+    return tuple(_cone_dual_basis(fan, ci) for ci in range(len(fan.max_cones)))
 
 
 def cone_pieces(fan, values):
     """(dual-basis rows, linear form) of each maximal cone, in cone order.
 
     v lies in cone i iff <u, v> >= 0 for every row u of piece i, and there
-    the PL function with these ray values is <form, v>.
+    the PL function with these ray values is <form, v>.  The rows satisfy
+    <u_k, e_l> = delta_kl on the cone's rays sigma_1..sigma_d, so the form
+    is sum_k values[sigma_k] * u_k.  Cached per (fan, values); the key
+    holds the type of each value, since 1, 1.0 and Fraction(1) hash alike
+    but give forms of different types.
     """
-    return [
-        (_cone_dual_basis(fan, ci), cone_linear_form(fan, ci, values))
-        for ci in range(len(fan.max_cones))
-    ]
+    values = tuple(values)
+    return _cone_pieces(fan, values, tuple(map(type, values)))
+
+
+@lru_cache(maxsize=256)
+def _cone_pieces(fan, values, types):
+    return tuple(
+        (rows, tuple(sum(values[j] * u[i] for j, u in zip(idxs, rows)) for i in range(fan.dim)))
+        for idxs, rows in zip(fan.max_cones, _dual_bases(fan))
+    )
 
 
 def locate_cone(fan, v):
-    """Index of a maximal cone containing the rational vector v (smallest on ties)."""
-    v = [Fraction(x) for x in v]
-    for ci in range(len(fan.max_cones)):
-        if all(sum(a * b for a, b in zip(u, v)) >= 0 for u in _cone_dual_basis(fan, ci)):
+    """Index of a maximal cone containing v (smallest on ties).
+
+    The entries of v must be ints or Fractions, so that the cone tests are
+    exact: a float on a wall could fail them in both cones.
+    """
+    if not all(isinstance(x, (int, Fraction)) for x in v):
+        raise TypeError("locate_cone needs int or Fraction entries, got %r" % (v,))
+    for ci, rows in enumerate(_dual_bases(fan)):
+        if all(sum(map(mul, u, v)) >= 0 for u in rows):
             return ci
     raise ValueError("no maximal cone contains the vector; fan incomplete?")
 
@@ -353,7 +362,7 @@ def validate_fan(fan):
 def _intersection_defect(fan, ci, cj):
     """None if cone ci and cone cj meet in a common face, else a witness."""
     cons = list(_cone_dual_basis(fan, ci)) + list(_cone_dual_basis(fan, cj))
-    rays, lineality = dd.extreme_rays(cons, fan.dim, allow_lineality=True)
+    rays, lineality = dd.extreme_rays(cons, fan.dim)
     if lineality:
         return "cones %d,%d intersect in a non-pointed set" % (ci, cj)
     common = set(fan.max_cones[ci]) & set(fan.max_cones[cj])

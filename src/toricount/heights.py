@@ -59,9 +59,10 @@ def _power_ratio(exponents, pairs):
 class HeightEvaluator:
     """The local heights q_v^{phi(xbar_v)} of one PL function, in integers.
 
-    Built once per (fan, phi) from each maximal cone's dual-basis rows and
-    linear form.  A point enters as positive pairs (a_i, b_i) with
-    |x_i| = a_i / b_i in lowest terms; signs never change a local height.
+    Reads each maximal cone's dual-basis rows and linear form from the
+    fan's cached cone table, so building one per point costs little.  A
+    point enters as positive pairs (a_i, b_i) with |x_i| = a_i / b_i in
+    lowest terms; signs never change a local height.
     Exponents phi(xbar_p) are memoized by the valuation vector, which
     repeats across the points of a scan far more than the points do.
     """

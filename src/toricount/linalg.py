@@ -67,7 +67,7 @@ def smith_normal_form(a):
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    d = [row[:] for row in a]
+    d = [list(row) for row in a]
     u = identity(rows)
     v = identity(cols)
 
@@ -120,11 +120,8 @@ def smith_normal_form(a):
                         swap_cols(t, j)
                         restart = True
                         break
-            if restart:
-                continue
-            if all(d[i][t] == 0 for i in range(t + 1, rows)) and all(
-                d[t][j] == 0 for j in range(t + 1, cols)
-            ):
+            if not restart:
+                # column ops leave column t alone, so both are clear
                 return
 
     t = 0
@@ -191,29 +188,17 @@ def kernel_basis(a):
 
 
 def unimodular_inverse(a):
-    """Exact inverse of a unimodular integer matrix (integer entries)."""
-    n = len(a)
-    dd = det(a)
-    if dd not in (1, -1):
-        raise ValueError("matrix is not unimodular (det %d)" % dd)
-    adj = _adjugate(a)
-    if dd == 1:
-        return adj
-    return [[-x for x in row] for row in adj]
+    """Exact inverse of a unimodular integer matrix (integer entries).
 
-
-def _adjugate(a):
+    From U*a*V = I in Smith form, the inverse is V*U.
+    """
     n = len(a)
-    if n == 1:
-        return [[1]]
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [a[r][c] for c in range(n) if c != j] for r in range(n) if r != i
-            ]
-            out[j][i] = (-1) ** (i + j) * det(minor)
-    return out
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
+    u, d, v = smith_normal_form(a)
+    if any(d[i][i] != 1 for i in range(n)):
+        raise ValueError("matrix is not unimodular")
+    return mat_mul(v, u)
 
 
 def solve_exact(a, b):

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
-from .fan import cone_linear_form, galois_group, galois_orbits, locate_cone, ray_permutation
+from .fan import cone_pieces, galois_group, galois_orbits, locate_cone, ray_permutation
 from .linalg import (
-    det,
     identity,
     invariant_factors,
     kernel_basis,
@@ -24,7 +24,7 @@ from .linalg import (
     mat_vec,
     quotient_map,
     rank,
-    solve_exact,
+    smith_normal_form,
     transpose,
     unimodular_inverse,
 )
@@ -65,10 +65,13 @@ def from_character(fan, m):
 
 
 def pl_evaluate(fan, phi, v):
-    """phi at the rational vector v, exactly: <m_sigma, v> on a cone sigma containing v."""
-    ci = locate_cone(fan, v)
-    m = cone_linear_form(fan, ci, phi.values)
-    return sum(mi * Fraction(x) for mi, x in zip(m, v))
+    """phi at v, exactly: <m_sigma, v> on the cone sigma that locate_cone finds.
+
+    v must have int or Fraction entries.  Integer v and integer values give
+    an int; Fractions stay exact.
+    """
+    form = cone_pieces(fan, phi.values)[locate_cone(fan, v)][1]
+    return sum(map(mul, form, v))
 
 
 @dataclass(frozen=True)
@@ -125,7 +128,7 @@ def picard_quotient(fan):
 
 def _dual_action(g):
     """Action on M induced by the action g on N (inverse transpose)."""
-    return transpose(unimodular_inverse([list(row) for row in g]))
+    return transpose(unimodular_inverse(g))
 
 
 def _cyclic_generator(group):
@@ -167,36 +170,30 @@ def h1_cyclic(action, order):
     gm1 = [[a[i][j] - (1 if i == j else 0) for j in range(m)] for i in range(m)]
     # coordinates of the (g-1)-image inside the kernel lattice; integral
     # because im(g-1) <= ker(Norm) and the kernel basis is a lattice basis
-    basis_cols = [[k[i] for k in ker] for i in range(m)]  # m x s
-    coords = []
-    for j in range(m):
-        target = [gm1[i][j] for i in range(m)]
-        coords.append(_solve_in_lattice(basis_cols, target))
-    mat = [[coords[j][i] for j in range(m)] for i in range(len(ker))]
+    basis_cols = transpose(ker)
+    mat = transpose([_solve_in_lattice(basis_cols, col) for col in transpose(gm1)])
     if rank(mat) != len(ker):
         raise ValueError("H^1 is infinite; the action is not of finite order")
     return tuple(f for f in invariant_factors(mat) if f != 1)
 
 
 def _solve_in_lattice(basis_cols, target):
-    """Integral coordinates of target in the lattice spanned by basis columns."""
-    rows = len(basis_cols)
-    s = len(basis_cols[0])
-    # least squares style exact solve via any s independent rows
-    from itertools import combinations
+    """Integral coordinates of target in the lattice spanned by basis columns.
 
-    for sub in combinations(range(rows), s):
-        a = [[basis_cols[i][j] for j in range(s)] for i in sub]
-        if det(a) == 0:
-            continue
-        sol = solve_exact(a, [target[i] for i in sub])
-        if all(x.denominator == 1 for x in sol) and all(
-            sum(basis_cols[i][j] * sol[j] for j in range(s)) == target[i]
-            for i in range(rows)
-        ):
-            return [int(x) for x in sol]
-        break
-    raise ValueError("vector not in lattice span")
+    With U*A*V = D in Smith form, A x = t reads D y = U t for y = V^-1 x;
+    t lies in the lattice exactly when each d_i divides (U t)_i and the
+    rows past the rank vanish.
+    """
+    u, d, v = smith_normal_form(basis_cols)
+    s = len(v)
+    y = [0] * s
+    for i, c in enumerate(mat_vec(u, target)):
+        di = d[i][i] if i < s else 0
+        if di:
+            y[i], c = divmod(c, di)
+        if c:
+            raise ValueError("vector not in lattice span")
+    return mat_vec(v, y)
 
 
 def h1_cyclic_cocycle(action, order):
@@ -240,22 +237,16 @@ def h1_cyclic_cocycle(action, order):
                         row[unk(hi, c2)] -= elements[gi][c][c2]
                 if any(row):
                     rows.append(row)
-    z1 = kernel_basis(rows) if rows else [
-        [1 if i == j else 0 for j in range(nunk)] for i in range(nunk)
-    ]
+    z1 = kernel_basis(rows) if rows else identity(nunk)
     if not z1:
         return 1
-    # principal cocycles: f_v(g) = g v - v
-    basis_cols = [[z[i] for z in z1] for i in range(nunk)]
-    coords = []
-    for j in range(m):
-        v = [1 if c == j else 0 for c in range(m)]
-        target = []
-        for gi in range(1, order):
-            gv = mat_vec(elements[gi], v)
-            target.extend(gv[c] - v[c] for c in range(m))
-        coords.append(_solve_in_lattice(basis_cols, target))
-    mat = [[coords[j][i] for j in range(m)] for i in range(len(z1))]
+    # principal cocycles f_v(g) = g v - v for the unit vectors v = e_j
+    targets = [
+        [g[c][j] - (1 if c == j else 0) for g in elements[1:] for c in range(m)]
+        for j in range(m)
+    ]
+    basis_cols = transpose(z1)
+    mat = transpose([_solve_in_lattice(basis_cols, t) for t in targets])
     if rank(mat) != len(z1):
         raise ValueError("H^1 is infinite")
     out = 1
@@ -291,8 +282,8 @@ def picard_data(fan):
     eff = []
     for orb in orbits.orbits:
         vec = [1 if j in orb else 0 for j in range(n)]
-        eff.append(tuple(mat_vec([list(p) for p in project], vec)))
-    antican = tuple(mat_vec([list(p) for p in project], [1] * n))
+        eff.append(tuple(mat_vec(project, vec)))
+    antican = tuple(mat_vec(project, [1] * n))
 
     if gen is None:
         # PL^G = Z^n and M^G = M, so PL^G / M^G is Pic itself
@@ -367,11 +358,11 @@ def _induced_pic_action(fan, project, lift, g):
     for b in range(k):
         rep = [lift[i][b] for i in range(n)]
         permuted = [rep[inv[j]] for j in range(n)]
-        cols.append(mat_vec([list(p) for p in project], permuted))
+        cols.append(mat_vec(project, permuted))
     # well-definedness: images of the M-embedding must stay in M
     for col in _embedding_columns(fan):
         permuted = [col[inv[j]] for j in range(n)]
-        if any(mat_vec([list(p) for p in project], permuted)):
+        if any(mat_vec(project, permuted)):
             raise AssertionError("permutation action does not descend to Pic")
     return tuple(tuple(cols[b][i] for b in range(k)) for i in range(k))
 

@@ -84,7 +84,8 @@ def tau(fan, prime_cutoff) -> EulerProduct:
     """Certified interval for the Tamagawa number of the split variety.
 
     Factors are exact rationals; accumulation runs at 128-bit precision;
-    the tail is bounded through |factor_p - 1| <= C0/p^2.
+    the tail is bounded through |factor_p - 1| <= C0/p^2.  The prime sieve
+    refuses a cutoff past arith.SIEVE_CAP with BudgetExceededError.
     """
     if not fan.is_split():
         raise ValueError(

@@ -340,12 +340,46 @@ def test_malformed_fan_exits_2(tmp_path, capsys, command, fan_name):
         ("p1", "1e30", 3),
         ("p2", "1e30", 3),
         ("p1xp1", "1e30", 3),
+        ("p1", "1/0", 2),
     ],
 )
 def test_count_schedule_input(capsys, fan_name, schedule, expect):
     code, _, err = run(capsys, "count", fan_name, "--B-schedule", schedule)
     assert code == expect
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, expect",
+    [
+        (("constants", "dp6", "--cutoff", "100000000000000000000"), 3),
+        (("constants", "dp6", "--cutoff", "2000001"), 3),
+        (("constants", "p2", "--cutoff", "99"), 2),
+        (("constants", "p2", "--cutoff", "-5"), 2),
+        (("constants", "p2", "--cutoff", "100"), 0),
+        (("count", "p2", "--B-schedule", "10", "--cutoff", "50"), 2),
+        (("count", "p2", "--B-schedule", "10", "--cutoff", "10000000"), 3),
+        (("count", "p2", "--B-schedule", "10", "--budget", "-1"), 2),
+        (("count", "dp6", "--B-schedule", "10", "--budget", "0"), 3),
+    ],
+)
+def test_numeric_options(capsys, argv, expect):
+    code, out, err = run(capsys, *argv)
+    assert code == expect
+    assert "Traceback" not in err
+    if expect:
+        assert not out and err.startswith(("error: ", "budget exceeded: "))
+
+
+def test_count_underflowing_bound_k1(capsys):
+    # 1e-400 is exact as a Fraction but underflows to 0.0 as a float; k = 1
+    # takes no logarithm, so the row is a zero count with a null ratio
+    code, out, err = run(capsys, "count", "p1", "--B-schedule", "1e-400", "--out", "json")
+    assert code == 0 and not err
+    payload = json.loads(out)
+    assert payload["k"] == 1
+    assert payload["counts"] == [0]
+    assert payload["ratios"] == [None]
 
 
 def test_count_schedule_parsed_exactly(capsys):

@@ -5,13 +5,13 @@ import pytest
 
 from toricount.fan import (
     Fan,
-    cone_linear_form,
+    cone_pieces,
     galois_group,
     galois_orbits,
     locate_cone,
     validate_fan,
 )
-from toricount.heights import TorusPoint, local_height
+from toricount.heights import TorusPoint, anticanonical_height, local_height
 from toricount.picard import PLFunction, pl_evaluate
 
 
@@ -151,6 +151,33 @@ def test_locate_cone_incomplete_fan_errors():
         locate_cone(bad, (1, -2))
 
 
+def test_locate_cone_refuses_floats(p2):
+    # a float on a wall could fail the cone tests of both cones
+    with pytest.raises(TypeError):
+        locate_cone(p2, (0.5, 1))
+    with pytest.raises(TypeError):
+        pl_evaluate(p2, PLFunction((1, 1, 1)), (1.0, 0))
+
+
+def test_cone_pieces_keeps_value_types_apart():
+    # P^2 under (x, y) -> (x, x + y): a fan no other test builds, so its
+    # cone table is first filled here with float and Fraction values
+    fan = Fan(2, [(1, 1), (0, 1), (-1, -2)], [(0, 1), (1, 2), (0, 2)])
+    v = (3, -5)  # 11 * (1, 1) + 8 * (-1, -2), in cone (0, 2) with form (3, -2)
+    got = pl_evaluate(fan, PLFunction((1.0, 1.0, 1.0)), v)
+    assert type(got) is float and got == 19
+    got = pl_evaluate(fan, PLFunction((Fraction(1),) * 3), v)
+    assert type(got) is Fraction and got == 19
+    got = pl_evaluate(fan, PLFunction((1, 1, 1)), v)
+    assert type(got) is int and got == 19
+    forms = [form for _, form in cone_pieces(fan, (1, 1, 1))]
+    assert forms == [(0, 1), (-3, 1), (3, -2)]
+    assert {type(c) for form in forms for c in form} == {int}
+    h = anticanonical_height(fan, TorusPoint((Fraction(2, 3), Fraction(5, 7))))
+    assert type(h) is Fraction and h >= 1
+    assert type(pl_evaluate(fan, PLFunction((1.0, 1.0, 1.0)), (1, 0))) is float
+
+
 def test_locate_cone_random_vectors(corpus):
     rng = random.Random(1234)
     for name, fan in corpus.items():
@@ -184,8 +211,8 @@ def test_facet_consistency_of_pl_evaluation(corpus):
                     sum(weights[j] * fan.rays[j][i] for j in common)
                     for i in range(fan.dim)
                 ]
-                m1 = cone_linear_form(fan, ci, phi.values)
-                m2 = cone_linear_form(fan, cj, phi.values)
+                m1 = cone_pieces(fan, phi.values)[ci][1]
+                m2 = cone_pieces(fan, phi.values)[cj][1]
                 v1 = sum(a * b for a, b in zip(m1, v))
                 v2 = sum(a * b for a, b in zip(m2, v))
                 assert v1 == v2 == pl_evaluate(fan, phi, v)

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from toricount.arith import factor, iroot
 from toricount.corpus import fan as corpus_fan
 from toricount.counting import enumerate_naive
-from toricount.fan import Fan, cone_linear_form, cone_pieces, validate_fan
+from toricount.fan import Fan, cone_pieces, validate_fan
 from toricount.heights import TorusPoint, local_height
 from toricount.picard import PLFunction, anticanonical, pl_evaluate
 
@@ -92,8 +92,7 @@ def max_form_height(fan, coords):
 
     Valid only when phi is convex (the anticanonical class is nef).
     """
-    ones = (1,) * fan.nrays
-    forms = [cone_linear_form(fan, ci, ones) for ci in range(len(fan.max_cones))]
+    forms = [m for _, m in cone_pieces(fan, (1,) * fan.nrays)]
     h = max(_real(m, coords) for m in forms)
     for p in _primes(coords):
         v = [_valuation(c, p) for c in coords]

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -65,19 +66,35 @@ def test_kernel_is_saturated_basis():
 def test_unimodular_inverse_roundtrip():
     rng = random.Random(11)
     for _ in range(50):
-        n = rng.randint(1, 4)
+        n = rng.randint(1, 20)
         # random unimodular: product of elementary matrices
         m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for _ in range(8):
+        for _ in range(2 * n + 6):
             i, j = rng.randrange(n), rng.randrange(n)
             if i != j:
                 q = rng.randint(-3, 3)
                 for t in range(n):
                     m[i][t] += q * m[j][t]
         inv = unimodular_inverse(m)
-        assert mat_mul(m, inv) == [
-            [1 if i == j else 0 for j in range(n)] for i in range(n)
-        ]
+        ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        assert mat_mul(m, inv) == ident
+        assert mat_mul(inv, m) == ident
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        [[2]],
+        [[0]],
+        [[2, 0], [0, 1]],
+        [[1, 2], [2, 4]],
+        [[1, 1, 0], [0, 1, 1], [1, 0, 1]],  # det 2
+        [[1, 0, 0], [0, 1, 0]],  # not square
+    ],
+)
+def test_unimodular_inverse_rejects_other_matrices(m):
+    with pytest.raises(ValueError):
+        unimodular_inverse(m)
 
 
 def test_solve_exact():

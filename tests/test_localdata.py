@@ -182,9 +182,9 @@ def test_archimedean_rejects_nonpositive(p1):
 def _phi_float(fan, svals, x):
     best = None
     for ci, cone in enumerate(fan.max_cones):
-        from toricount.fan import cone_linear_form
+        from toricount.fan import cone_pieces
 
-        m = cone_linear_form(fan, ci, svals)
+        m = cone_pieces(fan, svals)[ci][1]
         coords_ok = True
         from toricount.fan import _cone_dual_basis
 

@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from toricount.fan import Fan, galois_orbits
-from toricount.linalg import identity, mat_mul
+from toricount.linalg import identity, mat_mul, mat_vec, rank, solve_exact
 from toricount.picard import (
     PLFunction,
+    _solve_in_lattice,
     anticanonical,
     beta,
     from_character,
@@ -291,3 +294,104 @@ def test_pic_quotient_torsion_free(corpus):
     for name, fan in corpus.items():
         project, lift = picard_quotient(fan)
         assert len(project) == fan.nrays - fan.dim, name
+
+
+@st.composite
+def lattice_problems(draw):
+    """(A, x, k): a full-column-rank integer B, column scales k, and A = B diag(k)."""
+    s = draw(st.integers(1, 4))
+    rows = draw(st.integers(s, s + 2))
+    b = draw(
+        st.lists(
+            st.lists(st.integers(-5, 5), min_size=s, max_size=s),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+    assume(rank(b) == s)
+    k = draw(st.lists(st.integers(1, 4), min_size=s, max_size=s))
+    x = draw(st.lists(st.integers(-12, 12), min_size=s, max_size=s))
+    a = [[row[j] * k[j] for j in range(s)] for row in b]
+    return a, b, k, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_problems())
+def test_solve_in_lattice_against_scaled_basis(problem):
+    # A y = B x with A = B diag(k) and B of full column rank holds exactly
+    # when y_j = x_j / k_j, so B x lies in the lattice iff every k_j | x_j
+    a, b, k, x = problem
+    target = mat_vec(b, x)
+    if all(xj % kj == 0 for xj, kj in zip(x, k)):
+        assert _solve_in_lattice(a, target) == [xj // kj for xj, kj in zip(x, k)]
+    else:
+        with pytest.raises(ValueError):
+            _solve_in_lattice(a, target)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice_problems(), st.lists(st.integers(-5, 5), min_size=6, max_size=6))
+def test_solve_in_lattice_rejects_targets_off_the_span(problem, w):
+    a, _, _, x = problem
+    w = w[: len(a)]
+    assume(rank([row + [wi] for row, wi in zip(a, w)]) > len(a[0]))
+    target = [t + wi for t, wi in zip(mat_vec(a, x), w)]
+    with pytest.raises(ValueError):
+        _solve_in_lattice(a, target)
+
+
+def _pl_fraction_oracle(fan, phi, v):
+    """phi(v) by the Fraction route: solve for the cone coordinates of v."""
+    for cone in fan.max_cones:
+        coords = solve_exact(
+            [[fan.rays[j][i] for j in cone] for i in range(fan.dim)], list(v)
+        )
+        if all(c >= 0 for c in coords):
+            return sum(c * phi.values[j] for c, j in zip(coords, cone))
+    raise AssertionError("vector not located")
+
+
+def test_pl_evaluate_integer_vectors_give_ints(corpus):
+    rng = random.Random(5)
+    for name, fan in corpus.items():
+        for _ in range(40):
+            phi = PLFunction(tuple(rng.randint(-6, 6) for _ in range(fan.nrays)))
+            v = tuple(rng.randint(-30, 30) for _ in range(fan.dim))
+            got = pl_evaluate(fan, phi, v)
+            assert type(got) is int, (name, v)
+            assert got == _pl_fraction_oracle(fan, phi, v), (name, v)
+            # the same vector as Fractions takes the same route exactly
+            assert pl_evaluate(fan, phi, [Fraction(x, 3) for x in v]) == Fraction(got, 3)
+
+
+def _subdivided_p2(steps):
+    rays = [(1, 0), (0, 1), (-1, -1)]
+    for t in range(steps):
+        i = (3 * t) % len(rays)
+        u, v = rays[i], rays[(i + 1) % len(rays)]
+        rays.insert(i + 1, (u[0] + v[0], u[1] + v[1]))
+    n = len(rays)
+    return Fan(2, rays, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _product(a, b):
+    rays = [r + (0,) * b.dim for r in a.rays] + [(0,) * a.dim + r for r in b.rays]
+    cones = [c + tuple(a.nrays + j for j in e) for c in a.max_cones for e in b.max_cones]
+    return Fan(a.dim + b.dim, rays, cones)
+
+
+def test_picard_data_on_a_20_ray_product():
+    from toricount.fan import validate_fan
+    from toricount.picard import picard_quotient
+
+    fan = _product(_subdivided_p2(7), _subdivided_p2(7))
+    assert fan.nrays == 20 and validate_fan(fan).ok
+    project, lift = picard_quotient(fan)
+    k = fan.nrays - fan.dim
+    assert mat_mul([list(r) for r in project], [list(r) for r in lift]) == identity(k)
+    pd = picard_data(fan)
+    assert pd.rank_split == k == 16
+    assert pd.rank_K == k and pd.beta == 1
+    # characters map to the zero class
+    for m in identity(fan.dim):
+        assert mat_vec([list(r) for r in project], list(from_character(fan, m).values)) == [0] * k
