@@ -1,5 +1,5 @@
-"""Elementary number theory: one prime sieve, its derived tables, factoring
-and exact integer roots.
+"""Elementary number theory: one prime sieve, its derived tables, factoring,
+a primality test and exact integer roots.
 
 Every table comes from the same bytearray sieve of Eratosthenes, capped
 at SIEVE_CAP entries (past it the sieve raises BudgetExceededError): the
@@ -19,11 +19,18 @@ SIEVE_CAP = 2_000_000
 
 
 class BudgetExceededError(RuntimeError):
-    """A sieve or a point scan would pass its budget of work."""
+    """A computation would pass its budget of work.
 
-    def __init__(self, estimate, budget):
+    The estimate and the budget count the refused computation's own unit
+    of work, which the message names: scan candidates, torsor prefixes,
+    sieve entries, lattice terms or digits.
+    """
+
+    def __init__(self, estimate, budget, unit):
+        # str() refuses ints past 4300 digits, so huge estimates are not spelled out
+        shown = estimate if estimate < 10**18 else "over 10^18"
         super().__init__(
-            "would visit ~%s candidates or sieve entries (budget %d)" % (estimate, budget)
+            "work estimate of %s %s is over the budget of %d" % (shown, unit, budget)
         )
         self.estimate = estimate
         self.budget = budget
@@ -32,8 +39,7 @@ class BudgetExceededError(RuntimeError):
 def _prime_flags(n):
     """bytearray whose entry k is 1 exactly when k <= n is prime."""
     if n > SIEVE_CAP:
-        # a huge n is reported as inf: str() refuses ints past 4300 digits
-        raise BudgetExceededError(n if n < 10**18 else float("inf"), SIEVE_CAP)
+        raise BudgetExceededError(n, SIEVE_CAP, "sieve entries")
     flags = bytearray([1]) * (n + 1)
     flags[:2] = bytes(min(2, n + 1))
     for p in range(2, math.isqrt(n) + 1):
@@ -99,6 +105,38 @@ def factor(n):
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+# Miller-Rabin to the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+PRIMALITY_LIMIT = 3_317_044_064_679_887_385_961_981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n):
+    """Deterministic Miller-Rabin primality test for 0 <= n < PRIMALITY_LIMIT."""
+    if n >= PRIMALITY_LIMIT:
+        raise ValueError("is_prime is exact only below %d" % PRIMALITY_LIMIT)
+    if n < 2:
+        return False
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def iroot(x, k):

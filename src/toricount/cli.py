@@ -1,7 +1,8 @@
 """Command line surface: validate, constants, count, xfunction, localcheck.
 
 Exit codes: 0 success, 1 failed checks or computation error, 2 unreadable
-or malformed input, 3 budget refusal (a sieve or a scan past its cap).
+or malformed input, 3 budget refusal (a sieve, a scan, a torsor count or a
+local sum past its cap).
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ import os
 import sys
 from fractions import Fraction
 
-from .arith import BudgetExceededError, factor
+from .arith import PRIMALITY_LIMIT, BudgetExceededError, is_prime
 from .cones import PolyCone, xfunction
 from .corpus import NAMES, fan_from_dict, fan_json_path
-from .counting import asymptotic_report
+from .counting import STRATEGIES, asymptotic_report
 from .fan import validate_fan
 from .localdata import local_integral, point_count_fp, qsigma_split
 from .picard import PLFunction, picard_data
@@ -142,7 +143,9 @@ def cmd_xfunction(args, fan):
 def cmd_localcheck(args, fan):
     p = args.prime
     s = args.s
-    if p < 2 or factor(p) != {p: 1}:
+    if p >= PRIMALITY_LIMIT:
+        return _fail_parse("--prime must be below %d, got %d" % (PRIMALITY_LIMIT, p))
+    if not is_prime(p):
         return _fail_parse("--prime must be a prime, got %d" % p)
     if s < 1 or args.truncation < 1:
         return _fail_parse("--s and --truncation must be >= 1")
@@ -199,9 +202,7 @@ def build_parser():
     pn = sub.add_parser("count", help="rational point counts and asymptotics")
     pn.add_argument("path")
     pn.add_argument("--B-schedule", dest="B_schedule", required=True)
-    pn.add_argument(
-        "--strategy", choices=["auto", "naive", "specialized"], default="auto"
-    )
+    pn.add_argument("--strategy", choices=STRATEGIES, default="auto")
     pn.add_argument("--out", choices=["csv", "json"], default="csv")
     pn.add_argument("--cutoff", type=int, default=10000)
     pn.add_argument("--budget", type=int, default=50_000_000)

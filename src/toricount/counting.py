@@ -1,6 +1,26 @@
-"""Exact enumeration of bounded-height torus points and asymptotics.
+"""Exact point counts of bounded anticanonical height, and asymptotics.
 
-The naive enumerator is provably complete: the anticanonical PL function
+count_points routes strategy "auto" to the first counter that applies:
+the closed-form sieve of a registered fan (p1, p2, p1xp1), then the
+universal-torsor counter for a split fan whose anticanonical class is
+nef, then the naive scan.  "naive" always runs the scan, which stays the
+oracle of the other two; "specialized" runs a sieve or refuses.
+
+Torsor counter (Salberger, Asterisque 251; de la Breteche, J. Number
+Theory 87).  By Cox, the rational points of a smooth split toric variety
+are the integer vectors z, one coordinate per ray, with gcd 1 on every
+primitive collection (Batyrev), up to the 2^(n-d) signs of the
+Neron-Severi torus.  A torus point has every z_j nonzero, so N(B) is 2^d
+times the number of positive such z of height <= B.  That height is
+max_sigma prod_j z_j^a(sigma, j) with a(sigma, j) = 1 - <m_sigma, e_j>,
+and a nef class (convex phi_Sigma) makes every exponent >= 0, so each
+partial product caps the coordinates still to come.  The last
+coordinate is counted in closed form, by inclusion-exclusion over the
+primes of the gcds it must avoid, so the work is the number of prefixes
+of the other n - 1 coordinates.  Non-nef fans (such as F_3) have
+negative exponents and no such caps: they stay on the naive scan.
+
+Naive scan.  It is provably complete: the anticanonical PL function
 satisfies phi(n) >= |n|_1 / w with w = max_j |e_j|_1, which forces
 
     prod_i max(num_i, den_i)^2 <= B^w
@@ -11,8 +31,13 @@ fractions are scanned inside that product cap and filtered by the exact
 height of heights.HeightEvaluator, one rule for nef and non-nef fans
 alike.  One scan core yields the positive-orthant survivors: counting
 adds 2^d per survivor and builds no points, enumeration expands each
-into its 2^d signed TorusPoints.  Specialized closed-form counters exist
-for the registered fans where the naive cap is far too coarse.
+into its 2^d signed TorusPoints.
+
+Budgets.  Each counter refuses its work up front with
+BudgetExceededError when it is over the budget: the scan counts its
+candidate tuples exactly (candidate_estimate), the torsor bounds its
+prefixes by the same recursion without the gcd pruning, and the sieves
+stop at arith.SIEVE_CAP table entries.
 """
 
 from __future__ import annotations
@@ -23,9 +48,16 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from itertools import product as iter_product
+from operator import mul
 
-from .arith import BudgetExceededError, euler_phi_table, iroot, mobius_table
-from .fan import cone_pieces
+from .arith import (
+    BudgetExceededError,
+    euler_phi_table,
+    iroot,
+    mobius_table,
+    smallest_prime_factors,
+)
+from .fan import cone_pieces, primitive_collections
 from .heights import HeightEvaluator, TorusPoint
 from .picard import anticanonical, picard_data
 
@@ -146,7 +178,7 @@ def _scan(fan, B, budget):
     cap, coord_caps = _scan_plan(fan, B)
     estimate = _candidate_count(cap, coord_caps)
     if estimate > budget:
-        raise BudgetExceededError(estimate, budget)
+        raise BudgetExceededError(estimate, budget, "scan candidates")
 
     d = fan.dim
     groups = _coords_by_max(max(coord_caps))
@@ -259,19 +291,241 @@ def specialized_id_for(fan):
     return None
 
 
+# ---------------------------------------------------------------------------
+# universal torsor counter
+
+# the bound at which _torsor_plan ranks the choices of closed-form coordinate
+_PLAN_REFERENCE_B = 100
+
+
+@dataclass(frozen=True)
+class _TorsorPlan:
+    """The Cox-coordinate recursion of one nef split fan.
+
+    Positions take the rays in index order, except that the ray counted
+    in closed form comes last.  caps[i] holds the (form, exponent) pairs
+    with a positive exponent at that ray.  Each primitive collection is
+    listed once, as the positions of its other members, at the position
+    where its gcd is known: in avoids[i] when it ends at i < n - 1 (the
+    coordinate set there must avoid that gcd's primes), in closes[i] when
+    it ends at the last position and its other members end at i (their
+    gcd's primes are then excluded from the last coordinate).
+    """
+
+    caps: tuple
+    avoids: tuple
+    closes: tuple
+    nforms: int
+
+
+def _root(x, a):
+    return x if a == 1 else math.isqrt(x) if a == 2 else iroot(x, a)
+
+
+def _plan(fan, exps, last):
+    n = fan.nrays
+    order = tuple(j for j in range(n) if j != last) + (last,)
+    pos = {j: i for i, j in enumerate(order)}
+    avoids = [[] for _ in range(n - 1)]
+    closes = [[] for _ in range(n - 1)]
+    for coll in primitive_collections(fan):
+        *others, end = sorted(pos[j] for j in coll)
+        if end == n - 1:
+            closes[others[-1]].append(tuple(others))
+        else:
+            avoids[end].append(tuple(others))
+    return _TorsorPlan(
+        caps=tuple(
+            tuple((s, e[j]) for s, e in enumerate(exps) if e[j] > 0) for j in order
+        ),
+        avoids=tuple(map(tuple, avoids)),
+        closes=tuple(map(tuple, closes)),
+        nforms=len(exps),
+    )
+
+
+@lru_cache(maxsize=None)
+def _torsor_plan(fan):
+    """The torsor plan of a split fan with convex phi_Sigma, else None.
+
+    Only the choice of the closed-form coordinate changes how many
+    prefixes the count visits (the caps and gcd conditions on the other
+    coordinates do not depend on their order), so each choice is ranked
+    by its prefix bound at a small reference B and the least is kept.
+    """
+    if not fan.is_split():
+        return None
+    forms, convex = _anticanonical_forms(fan)
+    if not convex:
+        return None
+    exps = [[1 - sum(map(mul, m, r)) for r in fan.rays] for m in forms]
+    plans = [_plan(fan, exps, last) for last in range(fan.nrays)]
+    return min(plans, key=lambda p: _prefix_bound(p, _PLAN_REFERENCE_B, math.inf))
+
+
+def _next_caps(caps, i):
+    """(form, exponent a at i + 1, exponent b at i) over caps[i + 1].
+
+    Once position i holds z, position i + 1 is capped by the least
+    root(R[s] // z^b, a), with no copy of R.
+    """
+    at_i = dict(caps[i])
+    return [(s, a, at_i.get(s, 0)) for s, a in caps[i + 1]]
+
+
+def _prefix_cap(plan, top):
+    """The largest value any of the first n - 1 coordinates can take."""
+    return max(min(_root(top, a) for _, a in ci) for ci in plan.caps[:-1])
+
+
+def _prefix_bound(plan, top, limit):
+    """The (n-1)-prefixes under the height caps at B = top, gcds ignored.
+
+    The recursion of _torsor_count without its gcd pruning, and with the
+    last prefix coordinate counted rather than walked, so it bounds the
+    prefixes the count visits at a fraction of its cost.  It stops once
+    the total passes limit.
+    """
+    caps = plan.caps
+    n = len(caps)
+    # each prefix coordinate alone, the others at 1, makes this many prefixes
+    single = _prefix_cap(plan, top)
+    if n == 2 or single > limit:
+        return single
+    leaf = _next_caps(caps, n - 3)
+
+    def walk(i, R):
+        ci = caps[i]
+        total = 0
+        for z in range(1, min([_root(R[s], a) for s, a in ci]) + 1):
+            if i == n - 3:
+                total += min([_root(R[s] // z**b, a) for s, a, b in leaf])
+            else:
+                R2 = list(R)
+                for s, a in ci:
+                    R2[s] //= z**a
+                total += walk(i + 1, R2)
+            if total > limit:
+                break
+        return total
+
+    return walk(0, [top] * plan.nforms)
+
+
+def _torsor_count(plan, top):
+    """(positive Cox vectors of height <= top, (n-1)-prefixes visited).
+
+    The vectors counted have gcd 1 on every primitive collection.  R[s]
+    is what is left of top for form s once the prefix's partial product
+    is divided out, so the next coordinate z obeys z^a <= R[s].  terms
+    holds (d, mu(d)) for the squarefree products d of the primes the last
+    coordinate must avoid (rad is their product), so the last coordinate
+    contributes sum mu(d) * (L // d) for its cap L.
+    """
+    caps, avoids, closes = plan.caps, plan.avoids, plan.closes
+    n = len(caps)
+    spf = smallest_prime_factors(_prefix_cap(plan, top))
+    dmax = min(_root(top, a) for _, a in caps[-1])
+    leaf = _next_caps(caps, n - 2)
+    radicals = {}
+    zs = [0] * n
+    visits = 0
+
+    def primes_of(g):
+        ps = radicals.get(g)
+        if ps is None:
+            ps, m = [], g
+            while m > 1:
+                p = spf[m]
+                ps.append(p)
+                while m % p == 0:
+                    m //= p
+            radicals[g] = ps
+        return ps
+
+    def walk(i, R, terms, rad):
+        nonlocal visits
+        ci = caps[i]
+        L = min([_root(R[s], a) for s, a in ci])
+        G = 1
+        for c in avoids[i]:
+            G *= math.gcd(*[zs[k] for k in c])
+        total = 0
+        for z in range(1, L + 1):
+            if G > 1 and math.gcd(z, G) > 1:
+                continue
+            zs[i] = z
+            t, r = terms, rad
+            for c in closes[i]:
+                for p in primes_of(math.gcd(*[zs[k] for k in c])):
+                    if r % p:
+                        r *= p
+                        t = t + [(d * p, -mu) for d, mu in t if d * p <= dmax]
+            if i < n - 2:
+                R2 = list(R)
+                for s, a in ci:
+                    R2[s] //= z**a
+                total += walk(i + 1, R2, t, r)
+                continue
+            visits += 1
+            L2 = min([_root(R[s] // z**b, a) for s, a, b in leaf])
+            total += L2 if r == 1 else sum(mu * (L2 // d) for d, mu in t)
+        return total
+
+    return walk(0, [top] * plan.nforms, [(1, 1)], 1), visits
+
+
+def count_torsor(fan, B, budget=DEFAULT_BUDGET):
+    """N(B) from the universal torsor of a split fan with nef -K.
+
+    Refuses up front, with BudgetExceededError, a count whose prefix
+    bound is over the budget.
+    """
+    plan = _torsor_plan(fan)
+    if plan is None:
+        raise ValueError("the torsor counter needs a split fan with nef -K")
+    top = math.floor(Fraction(B))
+    if top < 1:
+        return 0
+    bound = _prefix_bound(plan, top, budget)
+    if bound > budget:
+        raise BudgetExceededError(bound, budget, "torsor prefixes")
+    return 2**fan.dim * _torsor_count(plan, top)[0]
+
+
+# ---------------------------------------------------------------------------
+# routing
+
+STRATEGIES = ("auto", "naive", "specialized")
+
+
+def counter_for(fan, strategy="auto"):
+    """The counter count_points runs: "sieve", "torsor" or "naive"."""
+    if strategy not in STRATEGIES:
+        raise ValueError("unknown strategy %r" % strategy)
+    # the sieves match rays alone, so they would count a nonsplit torus as split
+    if not fan.is_split():
+        raise ValueError("counting needs a split fan")
+    if strategy == "naive":
+        return "naive"
+    if specialized_id_for(fan) is not None:
+        return "sieve"
+    if strategy == "specialized":
+        raise ValueError("fan is not registered for specialized counting")
+    return "naive" if _torsor_plan(fan) is None else "torsor"
+
+
 def count_points(fan, B, strategy="auto", budget=DEFAULT_BUDGET):
     """N(B) by the requested strategy ("auto", "naive", "specialized").
 
-    "auto" uses the registered sieve when the fan has one and the naive
-    scan otherwise.
+    "auto" runs the registered sieve when the fan has one, the torsor
+    counter when -K is nef, and the naive scan otherwise (counter_for).
     """
-    if strategy not in ("auto", "naive", "specialized"):
-        raise ValueError("unknown strategy %r" % strategy)
-    fid = None if strategy == "naive" else specialized_id_for(fan)
-    if fid is not None:
-        return enumerate_specialized(fid, B)
-    if strategy == "specialized":
-        raise ValueError("fan is not registered for specialized counting")
+    counter = counter_for(fan, strategy)
+    if counter == "sieve":
+        return enumerate_specialized(specialized_id_for(fan), B)
+    if counter == "torsor":
+        return count_torsor(fan, B, budget)
     return 2**fan.dim * sum(1 for _ in _scan(fan, B, budget))
 
 
@@ -371,7 +625,13 @@ def asymptotic_report(
     theta_lo, theta_hi = float(theta_interval[0]), float(theta_interval[1])
     theta_c = (theta_lo + theta_hi) / 2
     if counts is None:
+        source = "counts by the %s counter (strategy %r)" % (
+            counter_for(fan, strategy),
+            strategy,
+        )
         counts = [count_points(fan, b, strategy=strategy, budget=budget) for b in schedule]
+    else:
+        source = "counts supplied by the caller"
     prev = -1
     for n in counts:
         if n < prev:
@@ -383,12 +643,9 @@ def asymptotic_report(
     # log B <= 0 for B <= 1, where the asymptotic model means nothing
     fit = [(b, n) for b, n in zip(schedule, counts) if b > 1]
     if len(fit) < 4 or Fraction(fit[-1][0]) < 100 * Fraction(fit[0][0]):
-        provenance = ["plain table; schedule too short for a regression"]
+        provenance = [source, "plain table; schedule too short for a regression"]
     else:
-        provenance = [
-            "counts by strategy %r" % strategy,
-            "prediction uses the midpoint of the theta interval",
-        ]
+        provenance = [source, "prediction uses the midpoint of the theta interval"]
         if len(fit) < len(schedule):
             provenance.append("rows with B <= 1 are left out of the regression")
         if k >= 2:

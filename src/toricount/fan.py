@@ -131,6 +131,25 @@ def _all_cones(fan):
 
 
 @lru_cache(maxsize=None)
+def primitive_collections(fan):
+    """Batyrev's primitive collections: minimal ray sets spanning no cone.
+
+    The cones of a simplicial fan form a simplicial complex, and these
+    are its minimal non-faces: at most d + 1 rays, not a cone, every
+    subset one smaller a cone.
+    """
+    from itertools import combinations
+
+    faces = set(_all_cones(fan))
+    return tuple(
+        c
+        for k in range(2, fan.dim + 2)
+        for c in combinations(range(fan.nrays), k)
+        if c not in faces and all(c[:i] + c[i + 1 :] in faces for i in range(k))
+    )
+
+
+@lru_cache(maxsize=None)
 def _cone_dual_basis(fan, cone_idx):
     """Rows u_i with: v in cone  iff  <u_i, v> >= 0 for all i.
 

@@ -13,8 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fan import OrbitDecomposition
+from .arith import BudgetExceededError
+from .fan import OrbitDecomposition, cone_pieces
 from .picard import PLFunction, pl_evaluate
+
+# local_integral's work caps: lattice terms in its box, and decimal digits
+# of the largest power of p that it builds
+LOCAL_TERMS_CAP = 1_000_000
+LOCAL_DIGITS_CAP = 20_000
 
 
 @dataclass(frozen=True)
@@ -156,7 +162,10 @@ def local_integral(fan, p, s: PLFunction, truncation=20):
     The sum runs over the box |n|_inf <= truncation and is exact; the
     closed form is Q(p^{-s_1}, ..., p^{-s_n}) / prod (1 - p^{-s_j}).  The
     difference is certified below tail_bound, a geometric estimate from
-    the linear lower slope of phi_s.
+    the linear lower slope of phi_s.  Refuses with BudgetExceededError a
+    box of more than LOCAL_TERMS_CAP terms, or a power of p of more than
+    LOCAL_DIGITS_CAP digits: phi_s is at most (r + 1) max |m_sigma|_1 on
+    the box and its next shell, and a monomial of Q reaches sum e_j s_j.
     """
     _require_split(fan)
     vals = _integer_values(s)
@@ -164,6 +173,16 @@ def local_integral(fan, p, s: PLFunction, truncation=20):
         raise ValueError("divergent: s has a value <= 0 on some ray")
     d = fan.dim
     q = qsigma_split(fan)
+    r = truncation
+    if (2 * r + 1) ** d > LOCAL_TERMS_CAP:
+        raise BudgetExceededError((2 * r + 1) ** d, LOCAL_TERMS_CAP, "lattice terms")
+    top = max(
+        (r + 1) * max(sum(map(abs, m)) for _, m in cone_pieces(fan, vals)),
+        max(sum(e * v for e, v in zip(exps, vals)) for exps, _ in q.monomials),
+    )
+    digits = top * len(str(p))
+    if digits > LOCAL_DIGITS_CAP:
+        raise BudgetExceededError(digits, LOCAL_DIGITS_CAP, "digits of a power of p")
 
     us = [Fraction(1, p**v) for v in vals]
     closed = q.evaluate(us)
@@ -173,7 +192,6 @@ def local_integral(fan, p, s: PLFunction, truncation=20):
     total = Fraction(0)
     from itertools import product
 
-    r = truncation
     for n in product(range(-r, r + 1), repeat=d):
         e = pl_evaluate(fan, s, n)
         total += Fraction(1, p ** int(e))

@@ -16,6 +16,7 @@ carries that provenance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,6 +28,8 @@ from .localdata import point_count_fp, qsigma_split
 from .picard import picard_data
 
 MIN_CUTOFF = 100
+# working precision, in bits, of the Euler product accumulation
+_PREC = 128
 
 
 @dataclass(frozen=True)
@@ -83,8 +86,10 @@ def euler_factor(fan, p) -> Fraction:
 def tau(fan, prime_cutoff) -> EulerProduct:
     """Certified interval for the Tamagawa number of the split variety.
 
-    Factors are exact rationals; accumulation runs at 128-bit precision;
-    the tail is bounded through |factor_p - 1| <= C0/p^2.  The prime sieve
+    Factors are exact rationals; accumulation runs at 128-bit precision,
+    with its rounding error bounded explicitly; the tail is bounded
+    through |factor_p - 1| <= C0/p^2; lo is rounded down and hi up to
+    floats.  The prime sieve
     refuses a cutoff past arith.SIEVE_CAP with BudgetExceededError.
     """
     if not fan.is_split():
@@ -100,17 +105,25 @@ def tau(fan, prime_cutoff) -> EulerProduct:
         raise ValueError("cutoff too small to certify the tail for this fan")
 
     arch = archimedean_density(fan)
-    with mpmath.workprec(128):
+    primes = primes_upto(P)
+    with mpmath.workprec(_PREC):
         partial = mpmath.mpf(1)
-        for p in primes_upto(P):
+        for p in primes:
             f = euler_factor(fan, p)
             partial *= mpmath.mpf(f.numerator) / mpmath.mpf(f.denominator)
         # sum_{p > P} |log factor_p| <= C0/(1 - C0/P^2) * sum_{n > P} 1/n^2
         tail = (c0 / (1 - c0 / (P * P))) * Fraction(1, P)
-        tail_mp = mpmath.mpf(tail.numerator) / mpmath.mpf(tail.denominator)
+        # rounded up, which only widens [exp(-tail), exp(tail)]
+        tail_mp = mpmath.fdiv(tail.numerator, tail.denominator, rounding="u")
         value = arch * partial
-        lo = float(value * mpmath.e ** (-tail_mp)) * (1 - 1e-15)
-        hi = float(value * mpmath.e ** (tail_mp)) * (1 + 1e-15)
+        # Each factor takes four roundings (two conversions, a division and
+        # a product), and the steps below at most six more (two for the
+        # exponential).  Each is within u = 2^-prec relative, and N of them
+        # stay within (1 + u)^N - 1 <= 2 N u while N u <= 1, so
+        # N = 4 (#primes + 2) gives err.
+        err = mpmath.mpf(8 * (len(primes) + 2)) * mpmath.mpf(2) ** -_PREC
+        lo = _float_down(value * mpmath.exp(-tail_mp) * (1 - err))
+        hi = _float_up(value * mpmath.exp(tail_mp) * (1 + err))
         return EulerProduct(
             cutoff=P,
             archimedean=arch,
@@ -119,6 +132,18 @@ def tau(fan, prime_cutoff) -> EulerProduct:
             lo=lo,
             hi=hi,
         )
+
+
+def _float_down(x):
+    """The largest float <= x, an mpf or a Fraction (both compare exactly)."""
+    f = float(x)
+    return f if f <= x else math.nextafter(f, -math.inf)
+
+
+def _float_up(x):
+    """The smallest float >= x, an mpf or a Fraction."""
+    f = float(x)
+    return f if f >= x else math.nextafter(f, math.inf)
 
 
 @dataclass
@@ -180,7 +205,7 @@ def theta(fan, prime_cutoff=10000) -> ThetaReport:
             provenance=prov,
         )
     tp = tau(fan, prime_cutoff)
-    af = float(a) * b
+    ab = a * b
     prov.append(
         "tau = 2^d*|max cones| * prod_p (1-1/p)^k Card(F_p)/p^d; this "
         "real-place normalization is the one matching the direct point "
@@ -192,7 +217,7 @@ def theta(fan, prime_cutoff=10000) -> ThetaReport:
         k=pd.rank_K,
         h=pd.h,
         tau_interval=tp,
-        theta_lo=af * tp.lo,
-        theta_hi=af * tp.hi,
+        theta_lo=_float_down(ab * Fraction(tp.lo)),
+        theta_hi=_float_up(ab * Fraction(tp.hi)),
         provenance=prov,
     )

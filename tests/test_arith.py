@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricount.arith import (
+    PRIMALITY_LIMIT,
     euler_phi_table,
     factor,
     iroot,
+    is_prime,
     mobius_table,
     primes_upto,
     smallest_prime_factors,
@@ -100,3 +102,17 @@ def test_factor_rejects_nonpositive():
     for n in (0, -6):
         with pytest.raises(ValueError):
             factor(n)
+
+
+def test_is_prime_matches_sieve():
+    primes = set(primes_upto(20000))
+    assert [n for n in range(20001) if is_prime(n)] == sorted(primes)
+
+
+def test_is_prime_strong_pseudoprimes_and_limit():
+    # the least strong pseudoprimes to the first 7, 9 and 12 prime bases
+    for n in (341550071728321, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(10**18 + 3) and is_prime(2**61 - 1) and not is_prime(10**18 + 1)
+    with pytest.raises(ValueError):
+        is_prime(PRIMALITY_LIMIT)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -406,10 +407,21 @@ F2 = {
         (("--s", "0"), 2),
         (("--truncation", "0"), 2),
         (("--prime", "7", "--s", "3", "--truncation", "8"), 0),
+        # a prime found by Miller-Rabin, not by trial division to sqrt(p)
+        (("--prime", "1000000000000000003"), 0),
+        (("--prime", "1000000000000000001"), 2),
+        # past the bound where Miller-Rabin to 13 bases is exact
+        (("--prime", "3317044064679887385961981"), 2),
+        # (2r + 1)^2 = 4 * 10^10 lattice terms, and powers 2^(s phi) of
+        # 300,000 digits and more: both over local_integral's budget
+        (("--truncation", "100000"), 3),
+        (("--s", "1000000"), 3),
     ],
 )
 def test_localcheck_arguments(capsys, args, expect):
+    start = time.perf_counter()
     code, _, err = run(capsys, "localcheck", "p2", *args)
+    assert time.perf_counter() - start < 2
     assert code == expect
     assert "Traceback" not in err
 

@@ -242,7 +242,10 @@ def test_asymptotic_report_insufficient_schedule(p1xp1):
         rep = asymptotic_report(p1xp1, sched, (1.47, 1.49))
         assert rep.counts == [count_p1xp1(b) for b in sched]
         assert rep.regression == {}
-        assert rep.provenance == ["plain table; schedule too short for a regression"]
+        assert rep.provenance == [
+            "counts by the sieve counter (strategy 'auto')",
+            "plain table; schedule too short for a regression",
+        ]
 
 
 def test_naive_dimension_three_product_fan():

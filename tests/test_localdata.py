@@ -293,3 +293,13 @@ def test_nonsplit_rejected(corpus):
         point_count_fp(fan, 5)
     with pytest.raises(ValueError):
         local_integral(fan, 2, PLFunction((2, 2)))
+
+
+def test_local_integral_work_budget(p1, p2):
+    from toricount.arith import BudgetExceededError
+
+    # (2r + 1)^d lattice terms, then the digits of the largest power of p
+    with pytest.raises(BudgetExceededError, match="lattice terms"):
+        local_integral(p2, 3, PLFunction((2, 2, 2)), truncation=10**5)
+    with pytest.raises(BudgetExceededError, match="digits"):
+        local_integral(p1, 2, PLFunction((10**6, 10**6)), truncation=2)

@@ -127,3 +127,37 @@ def test_euler_product_serialization(p1):
     d = ep.to_json_dict()
     assert set(d) == {"cutoff", "archimedean", "partial", "tail_log_bound", "lo", "hi"}
     assert d["lo"] < d["hi"]
+
+
+@pytest.mark.parametrize("cutoff", [200, 1000, 10**4])
+def test_tau_dp6_contains_reference(dp6, cutoff):
+    # tau(dp6) to 33 digits, from the zeta-factored Euler product
+    ref = mpmath.mpf("1.18372016590560220228742184208752")
+    t = tau(dp6, cutoff)
+    with mpmath.workprec(128):
+        assert mpmath.mpf(t.lo) <= ref <= mpmath.mpf(t.hi)
+
+
+def test_tau_endpoints_round_outward(dp6):
+    # lo and hi are floats rounded away from the 128-bit enclosure, not
+    # nudged by a fixed 1e-15
+    from toricount.tamagawa import _float_down, _float_up
+
+    with mpmath.workprec(128):
+        x = mpmath.mpf(1) / 3
+        assert mpmath.mpf(_float_down(x)) <= x <= mpmath.mpf(_float_up(x))
+        assert math.nextafter(_float_down(x), math.inf) == _float_up(x)
+        assert _float_down(mpmath.mpf(0.5)) == _float_up(mpmath.mpf(0.5)) == 0.5
+
+
+def test_theta_interval_rounds_outward(corpus):
+    # float(alpha) * beta * tau_hi rounded to nearest fell below the exact
+    # product on p2, hirzebruch1 and dp6
+    for fan in corpus.values():
+        if not fan.is_split():
+            continue
+        for cutoff in (100, 1000):
+            r = theta(fan, cutoff)
+            ab = r.alpha * r.beta
+            assert Fraction(r.theta_lo) <= ab * Fraction(r.tau_interval.lo)
+            assert Fraction(r.theta_hi) >= ab * Fraction(r.tau_interval.hi)

@@ -1,0 +1,125 @@
+"""The universal-torsor counter against the naive scan, its budget and routing."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from test_height_oracles import CUBE, DP7, hirzebruch, subdivided_surfaces
+
+from toricount.arith import BudgetExceededError
+from toricount.corpus import NAMES
+from toricount.corpus import fan as corpus_fan
+from toricount.counting import (
+    _anticanonical_forms,
+    _prefix_bound,
+    _torsor_count,
+    _torsor_plan,
+    asymptotic_report,
+    count_points,
+    count_torsor,
+    counter_for,
+)
+from toricount.fan import primitive_collections
+from toricount.tamagawa import theta
+
+BOUNDS = [Fraction(1, 2), Fraction(99, 100), 1, 2, Fraction(25, 2), 57, 100, 300]
+SPLIT_CORPUS = [n for n in NAMES if corpus_fan(n).is_split()]
+EXTRA = {"dp7": DP7, "cube": CUBE, "F2": hirzebruch(2)}
+F3 = hirzebruch(3)
+
+
+def _fan(name):
+    return EXTRA.get(name) or corpus_fan(name)
+
+
+@pytest.mark.parametrize("name", SPLIT_CORPUS + list(EXTRA))
+def test_torsor_matches_naive(name):
+    fan = _fan(name)
+    for B in BOUNDS:
+        assert count_torsor(fan, B) == count_points(fan, B, strategy="naive"), (name, B)
+
+
+@settings(
+    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+)
+@given(
+    fan=subdivided_surfaces(),
+    B=st.fractions(min_value=Fraction(1, 3), max_value=60, max_denominator=4),
+)
+def test_torsor_matches_naive_on_nef_subdivisions(fan, B):
+    assume(_anticanonical_forms(fan)[1])
+    assert count_torsor(fan, B) == count_points(fan, B, strategy="naive")
+
+
+def test_auto_routing():
+    assert counter_for(corpus_fan("p2")) == "sieve"
+    assert counter_for(corpus_fan("dp6")) == "torsor"
+    assert counter_for(corpus_fan("dp6"), "naive") == "naive"
+    # F_3 is not nef: its torsor exponents go negative, so auto scans
+    assert not _anticanonical_forms(F3)[1]
+    assert _torsor_plan(F3) is None
+    assert counter_for(F3) == "naive"
+    assert count_points(F3, 4) == count_points(F3, 4, strategy="naive")
+    with pytest.raises(ValueError, match="nef"):
+        count_torsor(F3, 4)
+    # the sieves match rays alone: a nonsplit P^1 was counted as the split one
+    for strategy in ("auto", "specialized", "naive"):
+        with pytest.raises(ValueError, match="split"):
+            count_points(corpus_fan("p1-norm-one"), 100, strategy=strategy)
+
+
+def test_primitive_collections():
+    # non-adjacent pairs on a polygon; the three rays of P^2 together
+    assert primitive_collections(corpus_fan("p2")) == ((0, 1, 2),)
+    assert primitive_collections(corpus_fan("p1xp1")) == ((0, 2), (1, 3))
+    assert len(primitive_collections(corpus_fan("dp6"))) == 9
+    assert primitive_collections(CUBE) == ((0, 1), (2, 3), (4, 5))
+
+
+@pytest.mark.parametrize("name", SPLIT_CORPUS + ["dp7", "cube"])
+def test_prefix_bound_covers_visits(name):
+    # the gcd-free recursion bounds the prefixes the count really visits
+    plan = _torsor_plan(_fan(name))
+    for top in (1, 2, 12, 100, 1000, 5000):
+        _count, visits = _torsor_count(plan, top)
+        assert visits <= _prefix_bound(plan, top, float("inf")), (name, top)
+
+
+def test_torsor_budget_refusal():
+    dp6 = corpus_fan("dp6")
+    with pytest.raises(BudgetExceededError):
+        count_points(dp6, 1000, budget=1000)
+    # one coordinate alone passes any budget here: refused at once
+    with pytest.raises(BudgetExceededError):
+        count_points(dp6, Fraction(10) ** 400)
+    assert count_points(dp6, Fraction(1, 2), budget=0) == 0
+
+
+def test_report_names_the_counter():
+    dp6, p2 = corpus_fan("dp6"), corpus_fan("p2")
+    theta_c = (0.09, 0.1)
+    cases = [(dp6, "auto", "torsor"), (dp6, "naive", "naive"), (p2, "auto", "sieve")]
+    for fan, strategy, counter in cases:
+        rep = asymptotic_report(fan, [10], theta_c, strategy=strategy)
+        assert rep.strategy == strategy
+        want = "counts by the %s counter (strategy %r)" % (counter, strategy)
+        assert rep.provenance[0] == want
+    rep = asymptotic_report(dp6, [10], theta_c, counts=[count_points(dp6, 10)])
+    assert rep.provenance[0] == "counts supplied by the caller"
+
+
+def test_f2_acceptance():
+    # F_2 is nef but not Fano.  Its ratio N / prediction falls toward 1
+    # from B = 10^4 on, like F_1's (at 10^3 it is 1.217, below the 1.229
+    # of 10^4), and stays further above it.
+    schedule = [10**3, 10**4, 10**5, 10**6]
+    ratios = {}
+    for name, fan in (("F1", corpus_fan("hirzebruch1")), ("F2", hirzebruch(2))):
+        th = theta(fan, prime_cutoff=10**4)
+        rep = asymptotic_report(fan, schedule, (th.theta_lo, th.theta_hi))
+        assert rep.provenance[0].startswith("counts by the torsor counter")
+        assert rep.ratios[1] > rep.ratios[2] > rep.ratios[3] > 1, rep.ratios
+        ratios[name] = rep.ratios[-1]
+    assert abs(ratios["F2"] - 1.118) < 0.001, ratios
+    assert abs(ratios["F1"] - 1.097) < 0.001, ratios
