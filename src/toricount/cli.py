@@ -20,7 +20,10 @@ from .counting import STRATEGIES, asymptotic_report
 from .fan import validate_fan
 from .localdata import local_integral, point_count_fp, qsigma_split
 from .picard import PLFunction, picard_data
-from .tamagawa import MIN_CUTOFF, theta
+from .tamagawa import theta
+
+# --cutoff is still read and checked, but tau no longer depends on it
+MIN_CUTOFF = 100
 
 # what reading a fan file raises on a missing, unreadable or malformed input
 _LOAD_ERRORS = (OSError, ValueError)
@@ -59,7 +62,7 @@ def cmd_validate(args, fan):
 def cmd_constants(args, fan):
     if args.cutoff < MIN_CUTOFF:
         return _fail_parse("--cutoff must be >= %d, got %d" % (MIN_CUTOFF, args.cutoff))
-    report = theta(fan, prime_cutoff=args.cutoff)
+    report = theta(fan)
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=1))
         return 0
@@ -71,7 +74,8 @@ def cmd_constants(args, fan):
         print("tau   : refused (nonsplit fan; see notes)")
     else:
         t = report.tau_interval
-        print("tau   = %.9f  in [%.9f, %.9f]  (cutoff %d)" % (t.center, t.lo, t.hi, t.cutoff))
+        print("tau   = %.9f  in [%.17g, %.17g]  (P0 %d, N %d)" % (
+            t.center, t.lo, t.hi, t.cutoff, t.terms))
         print("theta = %.9f  in [%.9f, %.9f]" % (
             (report.theta_lo + report.theta_hi) / 2,
             report.theta_lo,
@@ -109,7 +113,7 @@ def cmd_count(args, fan):
         return _fail_parse("--cutoff must be >= %d, got %d" % (MIN_CUTOFF, args.cutoff))
     if args.budget < 0:
         return _fail_parse("--budget must be >= 0, got %d" % args.budget)
-    th = theta(fan, prime_cutoff=args.cutoff)
+    th = theta(fan)
     if th.theta_lo is None:
         print("error: counting needs a split fan", file=sys.stderr)
         return 1
@@ -181,6 +185,13 @@ def cmd_localcheck(args, fan):
     return 0 if all(ok for _, ok in results) else 1
 
 
+_CUTOFF_HELP = (
+    "accepted for compatibility and checked to be >= %d; it no longer changes "
+    "the result: tau is the zeta-factored Euler product, whose prime bound P0 "
+    "is chosen from the fan and reported as tau.cutoff" % MIN_CUTOFF
+)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="toricount",
@@ -195,7 +206,7 @@ def build_parser():
 
     pc = sub.add_parser("constants", help="alpha, beta, tau, theta")
     pc.add_argument("path")
-    pc.add_argument("--cutoff", type=int, default=10000)
+    pc.add_argument("--cutoff", type=int, default=10000, help=_CUTOFF_HELP)
     pc.add_argument("--json", action="store_true")
     pc.set_defaults(func=cmd_constants)
 
@@ -204,7 +215,7 @@ def build_parser():
     pn.add_argument("--B-schedule", dest="B_schedule", required=True)
     pn.add_argument("--strategy", choices=STRATEGIES, default="auto")
     pn.add_argument("--out", choices=["csv", "json"], default="csv")
-    pn.add_argument("--cutoff", type=int, default=10000)
+    pn.add_argument("--cutoff", type=int, default=10000, help=_CUTOFF_HELP)
     pn.add_argument("--budget", type=int, default=50_000_000)
     pn.set_defaults(func=cmd_count)
 

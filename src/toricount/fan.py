@@ -73,6 +73,10 @@ class Fan:
         """
         return _all_cones(self)
 
+    def f_vector(self):
+        """(f_0, ..., f_d): f_i is the number of i-dimensional cones."""
+        return _f_vector(self)
+
 
 @dataclass(frozen=True)
 class OrbitDecomposition:
@@ -128,6 +132,14 @@ def _all_cones(fan):
             for sub in combinations(c, j):
                 seen.add(sub)
     return tuple(sorted(seen, key=lambda s: (len(s), s)))
+
+
+@lru_cache(maxsize=None)
+def _f_vector(fan):
+    counts = [0] * (fan.dim + 1)
+    for c in _all_cones(fan):
+        counts[len(c)] += 1
+    return tuple(counts)
 
 
 @lru_cache(maxsize=None)

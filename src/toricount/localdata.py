@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .arith import BudgetExceededError
 from .fan import OrbitDecomposition, cone_pieces
@@ -126,6 +127,25 @@ def qsigma(fan, decomposition: OrbitDecomposition) -> QSigmaPolynomial:
 def qsigma_split(fan):
     """Q for the trivial decomposition subgroup (one variable per ray)."""
     return qsigma(fan, OrbitDecomposition(tuple((j,) for j in range(fan.nrays))))
+
+
+def euler_polynomial(fan):
+    """Coefficients, low degree first, of the Euler polynomial of a split fan.
+
+    f(x) = (1 - x)^k * sum_i f_i x^i (1 - x)^(d - i), with (f_0, ..., f_d)
+    the f-vector and k = n - d, is qsigma_split(fan) on the diagonal, and
+    f(1/p) = (1 - 1/p)^k * Card(X(F_p)) / p^d.  Its x^j coefficient is
+    sum_i f_i (-1)^(j - i) C(n - i, j - i); trailing zeros are dropped.
+    """
+    _require_split(fan)
+    n, fv = fan.nrays, fan.f_vector()
+    coeffs = [
+        sum((-1) ** (j - i) * comb(n - i, j - i) * fi for i, fi in enumerate(fv[: j + 1]))
+        for j in range(n + 1)
+    ]
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 def _require_split(fan):
@@ -320,10 +340,14 @@ class LocalDensity:
 
 
 def point_count_fp(fan, p) -> LocalDensity:
-    """Card of the variety over F_p from the torus orbit decomposition."""
+    """Card of the variety over F_p from the torus orbit decomposition.
+
+    Each i-dimensional cone contributes its orbit (F_p^*)^(d - i), so the
+    count is sum_i f_i (p - 1)^(d - i) over the f-vector.
+    """
     _require_split(fan)
     d = fan.dim
-    count = sum((p - 1) ** (d - len(c)) for c in fan.all_cones())
+    count = sum(fi * (p - 1) ** (d - i) for i, fi in enumerate(fan.f_vector()))
     k = fan.nrays - d
     return LocalDensity(
         prime=p,

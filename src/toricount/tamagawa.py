@@ -2,12 +2,23 @@
 
 For a split fan over Q the per-prime factor is the exact rational
 
-    (1 - 1/p)^k * Card(X(F_p)) / p^d  =  Q(1/p, ..., 1/p),
+    (1 - 1/p)^k * Card(X(F_p)) / p^d  =  f(1/p),
+    f(x) = (1 - x)^k * sum_i f_i x^i (1 - x)^(d - i),
 
-an identity that both pins the factors and hands us the tail: Q - 1 only
-has monomials of degree >= 2, so |factor_p - 1| <= C0 / p^2 with C0 the
-sum of absolute nonconstant coefficients of Q.  The real place
-contributes 2^d * |Sigma(d)| (each orthant of T(R) integrates the
+where (f_0, ..., f_d) is the fan's f-vector (localdata.euler_polynomial).
+f(0) = 1 and f'(0) = 0, so f is a formal product
+
+    f(x) = prod_{n >= 2} (1 - x^n)^(a_n),   a_n integers,
+
+and the factors at p >= P0 regroup into zeta values with their Euler
+factors below P0 removed, zeta_{>=P0}(n) = zeta(n) prod_{p < P0} (1 - p^-n)
+(Cohen, High precision computation of Hardy-Littlewood constants, 1998):
+
+    tau = arch * prod_{p < P0} f(1/p) * prod_{2 <= n <= N} zeta_{>=P0}(n)^(-a_n) * T
+
+with a tail T whose log is of size (R/P0)^N for a bound R on the roots
+(tau's docstring derives it).  The real place contributes
+arch = 2^d * |Sigma(d)| (each orthant of T(R) integrates the
 anticanonical weight to 1 per maximal cone).  The product normalization
 is the one under which alpha * beta * tau reproduces the measured point
 counts; the end-to-end ratio tests are its arbiter, and the report
@@ -19,29 +30,42 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
+from mpmath import libmp
 
-from .arith import primes_upto
+from .arith import iroot, mobius_table, primes_upto
 from .cones import alpha
-from .localdata import point_count_fp, qsigma_split
+from .localdata import euler_polynomial
 from .picard import picard_data
 
-MIN_CUTOFF = 100
-# working precision, in bits, of the Euler product accumulation
-_PREC = 128
+# tau is certified to this many bits, relative: the tail and the zeta
+# brackets are each held below 2^-_TARGET_BITS
+_TARGET_BITS = 128
+# bits carried beyond the target against the roundings of the combination
+_GUARD_BITS = 16
+# P0 is the least power of two >= _P0_RATIO * R, so q = R/P0 <= 1/16 and
+# every zeta term gains at least 4 bits
+_P0_RATIO = 16
 
 
 @dataclass(frozen=True)
 class EulerProduct:
-    """Partial product over p <= cutoff with a certified tail interval."""
+    """The zeta-factored Euler product with its certificate.
 
-    cutoff: int
+    lo and hi are floats rounded outward from `enclosure`, the exact
+    dyadic ends of the interval computed at the working precision.
+    """
+
+    cutoff: int  # P0: the primes below it are multiplied out exactly
+    terms: int  # N: zeta_{>=P0}(n) enters for 2 <= n <= N
     archimedean: int
-    partial: float  # finite-prime partial product, accumulated at 128 bits
-    tail_log_bound: float  # |log of the omitted tail product| is below this
+    partial: float  # prod_{p < P0} f(1/p), rounded to nearest
+    tail_log_bound: float  # |log T| is below this
     lo: float
     hi: float
+    enclosure: tuple = field(repr=False)  # (lo, hi) as exact Fractions
 
     @property
     def center(self):
@@ -78,60 +102,192 @@ def archimedean_density(fan) -> int:
     return 2**fan.dim * len(fan.max_cones)
 
 
-def euler_factor(fan, p) -> Fraction:
-    """(1 - 1/p)^k * Card(F_p)/p^d, the exact per-prime factor."""
-    return point_count_fp(fan, p).euler_factor
+def root_bound(coeffs) -> int:
+    """An integer R >= 2 with |rho| <= R for every reciprocal root of f.
+
+    f = c_0 + c_1 x + ... + c_D x^D with c_0 = 1 is prod_i (1 - rho_i x),
+    so the rho_i are the roots of z^D + c_1 z^(D-1) + ... + c_D, and
+    Fujiwara's bound puts them within 2 max_j |c_j|^(1/j) (|c_D / 2| may
+    stand in the last term; |c_D| only enlarges it).  Each root is
+    rounded up to an integer.
+    """
+    top = 1
+    for j, c in enumerate(coeffs[1:], 1):
+        t = iroot(abs(c), j)
+        top = max(top, t + (t**j < abs(c)))
+    return 2 * top
 
 
-def tau(fan, prime_cutoff) -> EulerProduct:
-    """Certified interval for the Tamagawa number of the split variety.
+def factor_exponents(coeffs, N):
+    """[a_1, ..., a_N] with f(x) = prod_n (1 - x^n)^(a_n) + O(x^(N+1)), exact.
 
-    Factors are exact rationals; accumulation runs at 128-bit precision,
-    with its rounding error bounded explicitly; the tail is bounded
-    through |factor_p - 1| <= C0/p^2; lo is rounded down and hi up to
-    floats.  The prime sieve
-    refuses a cutoff past arith.SIEVE_CAP with BudgetExceededError.
+    With f = prod_i (1 - rho_i x), x f'/f = -sum_j s_j x^j for the power
+    sums s_j = sum_i rho_i^j, which Newton's identities give from the
+    coefficients: s_j = -j c_j - sum_{0 < i < j} c_i s_(j-i).  As also
+    x f'/f = -sum_n n a_n x^n / (1 - x^n), sum_{d | j} d a_d = s_j, and
+    Moebius inversion gives n a_n = sum_{d | n} mu(n/d) s_d.
+    """
+    c = list(coeffs) + [0] * (N + 1 - len(coeffs))
+    s = [0] * (N + 1)
+    for j in range(1, N + 1):
+        s[j] = -j * c[j] - sum(c[i] * s[j - i] for i in range(1, j))
+    mu = mobius_table(N)
+    return [
+        sum(mu[n // d] * s[d] for d in range(1, n + 1) if n % d == 0) // n
+        for n in range(1, N + 1)
+    ]
+
+
+def zeta_bracket(n, M, tol):
+    """Exact rationals lo <= zeta(n) <= hi for an integer n >= 2.
+
+    Euler-Maclaurin from M on, for g(x) = x^-n:
+
+        zeta(n) = sum_{m < M} m^-n + M^(1-n)/(n-1) + M^-n/2
+                  + sum_{k=1..K} B_2k/(2k)! * n(n+1)...(n+2k-2) * M^(1-n-2k) + E,
+
+    E = -int_M^inf g^(2K)(x) P_2K(x)/(2K)! dx with the periodic Bernoulli
+    function |P_2K| <= |B_2K|.  g^(2K) > 0 and g^(2K-1) rises to 0, so
+    |E| <= |B_2K|/(2K)! * |g^(2K-1)(M)|, the size of the k = K term.  K is
+    the first k whose term is at most tol, or M when none is (the terms
+    shrink while 2k < 2 pi M - n).  The partial sum is one exact integer
+    over lcm(1, ..., M-1)^n.
+    """
+    scale = math.lcm(*range(1, M)) ** n
+    total = Fraction(sum(scale // m**n for m in range(1, M)), scale)
+    total += Fraction(1, (n - 1) * M ** (n - 1)) + Fraction(1, 2 * M**n)
+    # the correction terms as (numerator, denominator), summed over one
+    # common denominator at the end
+    terms = []
+    rising = n  # n (n+1) ... (n+2k-2)
+    for k in range(1, M + 1):
+        if k > 1:
+            rising *= (n + 2 * k - 3) * (n + 2 * k - 2)
+        b = _bernoulli_ratio(k)
+        num, den = b.numerator * rising, b.denominator * M ** (n + 2 * k - 1)
+        terms.append((num, den))
+        if abs(num) * tol.denominator <= tol.numerator * den:
+            break
+    common = math.lcm(*(d for _, d in terms))
+    total += Fraction(sum(a * (common // d) for a, d in terms), common)
+    err = Fraction(abs(num), den)
+    return total - err, total + err
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_ratio(k):
+    """B_2k / (2k)!, exact."""
+    num, den = mpmath.bernfrac(2 * k)
+    return Fraction(num, den * math.factorial(2 * k))
+
+
+@lru_cache(maxsize=None)
+def _rough_zeta(n, P0):
+    """Exact rationals bracketing zeta_{>=P0}(n), fan-independent.
+
+    The bracket's half-width is at most 2^-(target + guard) * (16/P0)^n, which
+    |a_n| <= D R^n <= D (P0/16)^n turns into a contribution below
+    D 2^-(target + guard) to log tau.  Euler-Maclaurin starts at
+    M = max(32, P0/4), so its terms carry M^-n <= 4^-n (16/P0)^n and the
+    half-widths at large n come almost free; at n = 2, M = 32 still
+    reaches 2^-146, the half-width P0 = 32 asks for.
+    """
+    tol = Fraction(_P0_RATIO**n, 2 ** (_TARGET_BITS + _GUARD_BITS) * P0**n)
+    lo, hi = zeta_bracket(n, max(32, P0 // 4), tol)
+    primes = primes_upto(P0 - 1)
+    e = Fraction(math.prod(p**n - 1 for p in primes), math.prod(p**n for p in primes))
+    return lo * e, hi * e
+
+
+def _tail_log_bound(D, R, P0, N):
+    """The bound on |log T| derived in tau's docstring, exact."""
+    q = Fraction(R, P0)
+    return Fraction(4, 3) * D * (1 + Fraction(P0, N)) * q ** (N + 1) / (1 - q)
+
+
+def _interval(ctx, lo, hi):
+    """The ctx interval [lo, hi] for Fractions lo <= hi, rounded outward."""
+    return ctx.make_mpf((
+        libmp.from_rational(lo.numerator, lo.denominator, ctx.prec, libmp.round_floor),
+        libmp.from_rational(hi.numerator, hi.denominator, ctx.prec, libmp.round_ceiling),
+    ))
+
+
+def tau(fan, prime_cutoff=None) -> EulerProduct:
+    """Certified interval for the Tamagawa number of a split variety.
+
+    The zeta-factored product of the module docstring.  R = root_bound(f)
+    bounds every reciprocal root rho_i of f; P0 is the least power of two
+    >= 16 R, and N the least n with the tail bound below 2^-128.
+
+    Tail.  For p >= P0 > R, log f(1/p) = sum_n a_n log(1 - p^-n) converges
+    absolutely, so the product over p >= P0 regroups by n, and the part
+    with n > N has
+
+        |log T| <= sum_{n > N} |a_n| sum_{p >= P0} p^-n / (1 - p^-n),
+
+    since |log(1 - y)| <= y / (1 - y).  The power sums obey |s_d| <= D R^d
+    (D = deg f), so |n a_n| <= sum_{d | n} |s_d| <= n D R^n.  For n >= 2,
+    1 / (1 - P0^-n) <= 4/3 and sum_{m >= P0} m^-n <= P0^-n (1 + P0/(n-1)),
+    so with q = R/P0 the bound is
+
+        |log T| <= 4/3 D (1 + P0/N) q^(N+1) / (1 - q).
+
+    The prefix prod_{p < P0} f(1/p) is an exact Fraction, each
+    zeta_{>=P0}(n) an exact bracket (zeta_bracket times the exact product
+    over p < P0), and they combine in mpmath.iv at 128 + 16 bits plus the
+    bits of max |a_n|: rounding log zeta_{>=P0}(n) to 2^-prec costs |a_n|
+    2^-prec in log tau.  lo and hi are the interval's ends rounded outward
+    to floats.  prime_cutoff is accepted for callers that still pass one
+    and does not change the result.
     """
     if not fan.is_split():
         raise ValueError(
             "tau needs a split fan; splitting-field local data is out of scope"
         )
-    P = int(prime_cutoff)
-    if P < MIN_CUTOFF:
-        raise ValueError("prime cutoff below %d cannot certify tau" % MIN_CUTOFF)
-    q = qsigma_split(fan)
-    c0 = Fraction(q.abs_coeff_sum_nonconstant())
-    if c0 * 2 >= P * P:
-        raise ValueError("cutoff too small to certify the tail for this fan")
+    coeffs = euler_polynomial(fan)
+    D = len(coeffs) - 1
+    R = root_bound(coeffs)
+    P0 = 1 << (_P0_RATIO * R - 1).bit_length()
+    # q^N is about 2^-128 at N = 128 / log2(P0/R); search up from below it
+    limit = Fraction(1, 2**_TARGET_BITS)
+    N = max(2, int(_TARGET_BITS / math.log2(P0 / R)) - 2)
+    while _tail_log_bound(D, R, P0, N) > limit:
+        N += 1
+    tail = _tail_log_bound(D, R, P0, N)
+    exps = factor_exponents(coeffs, N)
 
+    primes = primes_upto(P0 - 1)
+    prefix = Fraction(
+        math.prod(sum(c * p ** (D - j) for j, c in enumerate(coeffs)) for p in primes),
+        math.prod(p**D for p in primes),
+    )
     arch = archimedean_density(fan)
-    primes = primes_upto(P)
-    with mpmath.workprec(_PREC):
-        partial = mpmath.mpf(1)
-        for p in primes:
-            f = euler_factor(fan, p)
-            partial *= mpmath.mpf(f.numerator) / mpmath.mpf(f.denominator)
-        # sum_{p > P} |log factor_p| <= C0/(1 - C0/P^2) * sum_{n > P} 1/n^2
-        tail = (c0 / (1 - c0 / (P * P))) * Fraction(1, P)
-        # rounded up, which only widens [exp(-tail), exp(tail)]
-        tail_mp = mpmath.fdiv(tail.numerator, tail.denominator, rounding="u")
-        value = arch * partial
-        # Each factor takes four roundings (two conversions, a division and
-        # a product), and the steps below at most six more (two for the
-        # exponential).  Each is within u = 2^-prec relative, and N of them
-        # stay within (1 + u)^N - 1 <= 2 N u while N u <= 1, so
-        # N = 4 (#primes + 2) gives err.
-        err = mpmath.mpf(8 * (len(primes) + 2)) * mpmath.mpf(2) ** -_PREC
-        lo = _float_down(value * mpmath.exp(-tail_mp) * (1 - err))
-        hi = _float_up(value * mpmath.exp(tail_mp) * (1 + err))
-        return EulerProduct(
-            cutoff=P,
-            archimedean=arch,
-            partial=float(partial),
-            tail_log_bound=float(tail_mp),
-            lo=lo,
-            hi=hi,
-        )
+
+    ctx = mpmath.iv
+    saved = ctx.prec
+    ctx.prec = (
+        _TARGET_BITS + _GUARD_BITS + max(map(abs, exps)).bit_length() + N.bit_length()
+    )
+    try:
+        log_sum = _interval(ctx, -tail, tail)
+        for n, a in enumerate(exps, 1):
+            if a:
+                log_sum -= a * ctx.log(_interval(ctx, *_rough_zeta(n, P0)))
+        value = arch * _interval(ctx, prefix, prefix) * ctx.exp(log_sum)
+        ends = tuple(Fraction(*libmp.to_rational(e)) for e in value._mpi_)
+    finally:
+        ctx.prec = saved
+    return EulerProduct(
+        cutoff=P0,
+        terms=N,
+        archimedean=arch,
+        partial=float(prefix),
+        tail_log_bound=_float_up(tail),
+        lo=_float_down(ends[0]),
+        hi=_float_up(ends[1]),
+        enclosure=ends,
+    )
 
 
 def _float_down(x):
@@ -175,8 +331,12 @@ class ThetaReport:
         }
 
 
-def theta(fan, prime_cutoff=10000) -> ThetaReport:
-    """Assemble the leading constant; nonsplit fans get alpha and beta only."""
+def theta(fan, prime_cutoff=None) -> ThetaReport:
+    """Assemble the leading constant; nonsplit fans get alpha and beta only.
+
+    prime_cutoff is accepted for callers that still pass one and does not
+    change the result.
+    """
     pd = picard_data(fan)
     a = alpha(fan)
     b = pd.beta
@@ -204,12 +364,18 @@ def theta(fan, prime_cutoff=10000) -> ThetaReport:
             theta_hi=None,
             provenance=prov,
         )
-    tp = tau(fan, prime_cutoff)
+    tp = tau(fan)
     ab = a * b
     prov.append(
         "tau = 2^d*|max cones| * prod_p (1-1/p)^k Card(F_p)/p^d; this "
         "real-place normalization is the one matching the direct point "
         "counts (another common convention divides it out)"
+    )
+    prov.append(
+        "tau certified by the zeta-factored Euler product (Cohen 1998): "
+        "exact factors below P0 = %d, zeta_{>=P0}(n)^(-a_n) for n <= N = %d "
+        "by Euler-Maclaurin, |log tail| <= %.3g, combined in interval "
+        "arithmetic" % (tp.cutoff, tp.terms, tp.tail_log_bound)
     )
     return ThetaReport(
         alpha=a,

@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 import mpmath
+from oracles.truncated_tau import truncated_tau
 
 from toricount.cones import (
     PolyCone,
@@ -253,7 +254,7 @@ def test_a5_p1_end_to_end():
     B = 10**6
     n = count_p1(B)
     ratio = n * Z2 / (2 * B)
-    th = theta(fan("p1"), prime_cutoff=10**4)
+    th = theta(fan("p1"))
     slope = n / B
     tol = 0.01 * slope
     interval_ok = th.theta_lo - tol <= slope <= th.theta_hi + tol
@@ -367,11 +368,14 @@ def test_a8_dp6_property_acceptance():
         if hand != naive:
             hand_ok = False
 
-    # constants: exact alpha, beta, certified tau with nested cutoffs
+    # constants: exact alpha, beta, truncated products with nested cutoffs
+    # and the zeta-factored tau inside the last of them
     a = alpha(dp6)
     pd = picard_data(dp6)
-    t1, t2, t3 = tau(dp6, 200), tau(dp6, 1000), tau(dp6, 5000)
+    t1, t2, t3 = (truncated_tau(dp6, P) for P in (200, 1000, 5000))
     nested = (t1.lo <= t2.center <= t1.hi) and (t2.lo <= t3.center <= t2.hi)
+    t = tau(dp6)
+    nested = nested and t3.lo <= t.lo <= t.hi <= t3.hi
     constants_ok = a == Fraction(1, 12) and pd.beta == 1 and nested
 
     # regression: leading coefficient with error bars, no pass/fail bound
@@ -380,7 +384,7 @@ def test_a8_dp6_property_acceptance():
     rep = asymptotic_report(
         dp6,
         schedule,
-        (t3.lo * float(a), t3.hi * float(a)),
+        (t.lo * float(a), t.hi * float(a)),
         counts=counts,
         fan_id="dp6",
     )

@@ -93,8 +93,9 @@ def test_constants_json_schema_and_goldens(capsys):
         assert payload["k"] == golden["k"]
         assert payload["h"] == golden["h"]
         if golden["split"]:
-            # the wider 500-cutoff interval must contain the golden center
-            assert payload["tau"]["lo"] <= golden["tau"]["center"] <= payload["tau"]["hi"]
+            # the certified interval lies inside the wider golden one
+            assert golden["tau"]["lo"] <= payload["tau"]["lo"]
+            assert payload["tau"]["hi"] <= golden["tau"]["hi"]
         else:
             assert payload["tau"] is None
 
@@ -353,13 +354,14 @@ def test_count_schedule_input(capsys, fan_name, schedule, expect):
 @pytest.mark.parametrize(
     "argv, expect",
     [
-        (("constants", "dp6", "--cutoff", "100000000000000000000"), 3),
-        (("constants", "dp6", "--cutoff", "2000001"), 3),
+        # a cutoff is still read, but no longer sieves primes up to it
+        (("constants", "dp6", "--cutoff", "100000000000000000000"), 0),
+        (("constants", "dp6", "--cutoff", "2000001"), 0),
         (("constants", "p2", "--cutoff", "99"), 2),
         (("constants", "p2", "--cutoff", "-5"), 2),
         (("constants", "p2", "--cutoff", "100"), 0),
         (("count", "p2", "--B-schedule", "10", "--cutoff", "50"), 2),
-        (("count", "p2", "--B-schedule", "10", "--cutoff", "10000000"), 3),
+        (("count", "p2", "--B-schedule", "10", "--cutoff", "10000000"), 0),
         (("count", "p2", "--B-schedule", "10", "--budget", "-1"), 2),
         (("count", "dp6", "--B-schedule", "10", "--budget", "0"), 3),
     ],
@@ -370,6 +372,29 @@ def test_numeric_options(capsys, argv, expect):
     assert "Traceback" not in err
     if expect:
         assert not out and err.startswith(("error: ", "budget exceeded: "))
+
+
+@pytest.mark.parametrize(
+    "command", [("constants", "--json"), ("count", "--B-schedule", "10", "--out", "json")]
+)
+def test_cutoff_does_not_change_the_result(capsys, command):
+    outs = []
+    for cutoff in ("100", "150000", "100000000000000000000"):
+        code, out, _ = run(capsys, command[0], "dp6", *command[1:], "--cutoff", cutoff)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+    theta = json.loads(outs[0])["theta"]
+    assert 0 < theta["hi"] - theta["lo"] <= 1e-15 * theta["lo"]
+
+
+def test_torsor_budget_refusal_is_quick(capsys):
+    # dp6 at 10^6 has a prefix bound of 51.3M against the default 5*10^7
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", "dp6", "--B-schedule", "1e6")
+    assert time.perf_counter() - start < 2
+    assert code == 3 and not out
+    assert err.startswith("budget exceeded: ") and "torsor prefixes" in err
 
 
 def test_count_underflowing_bound_k1(capsys):

@@ -50,11 +50,11 @@ CUBE = Fan(
 
 
 @st.composite
-def subdivided_surfaces(draw):
+def subdivided_surfaces(draw, max_blowups=4):
     """Star subdivisions of P^2 or F_0: by Oda, every smooth complete surface
     arises from one of the minimal ones this way."""
     rays = list(draw(st.sampled_from([P2_RAYS, F0_RAYS])))
-    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+    for _ in range(draw(st.integers(min_value=0, max_value=max_blowups))):
         i = draw(st.integers(min_value=0, max_value=len(rays) - 1))
         u, v = rays[i], rays[(i + 1) % len(rays)]
         rays.insert(i + 1, (u[0] + v[0], u[1] + v[1]))

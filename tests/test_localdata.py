@@ -4,10 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from test_height_oracles import CUBE, DP7, subdivided_surfaces
 
+from toricount.arith import primes_upto
 from toricount.fan import Fan, OrbitDecomposition, galois_group, galois_orbits
 from toricount.localdata import (
     archimedean_transform,
+    euler_polynomial,
     local_integral,
     point_count_fp,
     qsigma,
@@ -285,6 +289,35 @@ def test_euler_factor_equals_q_diagonal(corpus):
             assert point_count_fp(fan, p).euler_factor == q.evaluate(
                 [Fraction(1, p)] * fan.nrays
             ), name
+
+
+def _diagonal(fan):
+    coeffs = qsigma_split(fan).diagonal_coeffs()
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def test_euler_polynomial_is_the_q_diagonal(corpus):
+    for name, fan in list(corpus.items()) + [("dp7", DP7), ("cube", CUBE)]:
+        if fan.is_split():
+            assert euler_polynomial(fan) == _diagonal(fan), name
+
+
+@settings(max_examples=25, deadline=None)
+@given(subdivided_surfaces(max_blowups=6))
+def test_euler_polynomial_is_the_q_diagonal_on_surfaces(fan):
+    assert euler_polynomial(fan) == _diagonal(fan)
+
+
+def test_point_count_from_the_f_vector(corpus):
+    # the f-vector count against the sum of one torus orbit per cone
+    for name, fan in list(corpus.items()) + [("dp7", DP7), ("cube", CUBE)]:
+        if not fan.is_split():
+            continue
+        for p in primes_upto(50):
+            orbits = sum((p - 1) ** (fan.dim - len(c)) for c in fan.all_cones())
+            assert point_count_fp(fan, p).point_count == orbits, (name, p)
 
 
 def test_nonsplit_rejected(corpus):

@@ -13,6 +13,7 @@ from toricount.corpus import fan as corpus_fan
 from toricount.counting import (
     _anticanonical_forms,
     _prefix_bound,
+    _root,
     _torsor_count,
     _torsor_plan,
     asymptotic_report,
@@ -84,6 +85,43 @@ def test_prefix_bound_covers_visits(name):
     for top in (1, 2, 12, 100, 1000, 5000):
         _count, visits = _torsor_count(plan, top)
         assert visits <= _prefix_bound(plan, top, float("inf")), (name, top)
+
+
+def _index_order_walk(plan, top):
+    """The prefix bound walked in index order, one leaf term per z."""
+    caps, n = plan.caps, len(plan.caps)
+    if n == 2:
+        return min(_root(top, a) for _, a in caps[0])
+    at_i = dict(caps[n - 3])
+    leaf = [(s, a, at_i.get(s, 0)) for s, a in caps[n - 2]]
+
+    def walk(i, R):
+        total = 0
+        for z in range(1, min(_root(R[s], a) for s, a in caps[i]) + 1):
+            if i == n - 3:
+                total += min(_root(R[s] // z**b, a) for s, a, b in leaf)
+            else:
+                R2 = list(R)
+                for s, a in caps[i]:
+                    R2[s] //= z**a
+                total += walk(i + 1, R2)
+        return total
+
+    return walk(0, [top] * plan.nforms)
+
+
+@pytest.mark.parametrize("name", SPLIT_CORPUS + ["dp7", "cube"])
+def test_prefix_bound_equals_the_index_order_walk(name):
+    # the blocks and the walk order change the cost of the bound, not its value
+    plan = _torsor_plan(_fan(name))
+    if plan is None:
+        return
+    for top in (100, 10**3, 10**4):
+        bound = _prefix_bound(plan, top, float("inf"))
+        assert bound == _index_order_walk(plan, top), (name, top)
+        # a budget refuses exactly when the whole bound is over it
+        for budget in (bound - 1, bound):
+            assert (_prefix_bound(plan, top, budget) > budget) == (bound > budget)
 
 
 def test_torsor_budget_refusal():
