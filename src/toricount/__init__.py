@@ -9,27 +9,13 @@ bounded height exactly and compares the measured growth against the
 prediction.
 """
 
-from .cones import ConeRationalFunction, PolyCone, alpha, dual_cone, xfunction
+from .cones import ConeRationalFunction, PolyCone, alpha, xfunction
 from .corpus import fan as corpus_fan
-from .counting import (
-    CountReport,
-    asymptotic_report,
-    count_points,
-    enumerate_naive,
-    enumerate_specialized,
-)
+from .counting import CountReport, asymptotic_report, count_points, enumerate_naive
 from .fan import Fan, OrbitDecomposition, galois_orbits, locate_cone, validate_fan
-from .heights import TorusPoint, global_height, height_zeta_partial, local_height
-from .localdata import (
-    LocalDensity,
-    QSigmaPolynomial,
-    archimedean_transform,
-    local_integral,
-    point_count_fp,
-    qsigma,
-    unramified_character_transform,
-)
-from .picard import PLFunction, PicardData, beta, picard_data, pl_evaluate
+from .heights import TorusPoint, global_height, local_height
+from .localdata import LocalDensity, QSigmaPolynomial, local_integral, point_count_fp, qsigma
+from .picard import PLFunction, PicardData, picard_data, pl_evaluate
 from .tamagawa import EulerProduct, ThetaReport, archimedean_density, tau, theta
 
 __all__ = [
@@ -42,23 +28,18 @@ __all__ = [
     "PicardData",
     "pl_evaluate",
     "picard_data",
-    "beta",
     "PolyCone",
     "ConeRationalFunction",
-    "dual_cone",
     "xfunction",
     "alpha",
     "QSigmaPolynomial",
     "LocalDensity",
     "qsigma",
     "local_integral",
-    "unramified_character_transform",
-    "archimedean_transform",
     "point_count_fp",
     "TorusPoint",
     "local_height",
     "global_height",
-    "height_zeta_partial",
     "EulerProduct",
     "ThetaReport",
     "archimedean_density",
@@ -66,7 +47,6 @@ __all__ = [
     "theta",
     "CountReport",
     "enumerate_naive",
-    "enumerate_specialized",
     "count_points",
     "asymptotic_report",
     "corpus_fan",

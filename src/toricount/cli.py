@@ -156,18 +156,16 @@ def cmd_localcheck(args, fan):
     if not fan.is_split():
         print("error: localcheck needs a split fan", file=sys.stderr)
         return 1
-    results = []
-
+    # local_integral refuses over its caps before any work, Q included
+    li = local_integral(fan, p, PLFunction((s,) * fan.nrays), truncation=args.truncation)
     q = qsigma_split(fan)
-    results.append(("Q - 1 only has monomials of degree >= 2",
-                    q.degree_ge_two_away_from_one()))
+    results = [("Q - 1 only has monomials of degree >= 2", q.degree_ge_two_away_from_one())]
 
-    phi = PLFunction((s,) * fan.nrays)
-    li = local_integral(fan, p, phi, truncation=args.truncation)
     gap = li.closed_form - li.truncated
     results.append(("series vs closed form within certified tail",
                     0 <= gap <= li.tail_bound))
 
+    # the closed form is the cone sum, so this checks Q against it
     pd = picard_data(fan)
     d, k = fan.dim, pd.rank_split
     u = Fraction(1, p**s)

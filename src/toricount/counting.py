@@ -268,16 +268,6 @@ SPECIALIZED = {
 }
 
 
-def enumerate_specialized(fan_id, B) -> int:
-    """Exact N(B) for a registered fan id."""
-    if fan_id not in SPECIALIZED:
-        raise KeyError(
-            "no specialized enumerator for %r (have %s)"
-            % (fan_id, sorted(SPECIALIZED))
-        )
-    return SPECIALIZED[fan_id](B)
-
-
 def specialized_id_for(fan):
     """Registered id of the fan, matched on exact ray and cone sets."""
     rays = set(fan.rays)
@@ -582,7 +572,7 @@ def count_points(fan, B, strategy="auto", budget=DEFAULT_BUDGET):
     """
     counter = counter_for(fan, strategy)
     if counter == "sieve":
-        return enumerate_specialized(specialized_id_for(fan), B)
+        return SPECIALIZED[specialized_id_for(fan)](B)
     if counter == "torsor":
         return count_torsor(fan, B, budget)
     return 2**fan.dim * sum(1 for _ in _scan(fan, B, budget))
@@ -643,24 +633,31 @@ def leading_term(k, theta, B):
 def fit_leading_coefficient(schedule, counts, k):
     """Two-term least squares N ~ a*B log^{k-1}B/(k-1)! + b*B log^{k-2}B.
 
-    Returns (a, standard error of a, b).  Needs k >= 2.
+    Returns (a, standard error of a, b).  Needs k >= 2.  The design
+    matrix is built in floats; its 2x2 normal equations, the residuals
+    and the variance of a are then exact in Fractions.
     """
-    import numpy as np
-
     if k < 2:
         raise ValueError("use ratio tables for k = 1")
-    bs = np.array([float(b) for b in schedule])
-    ls = np.log(bs)
-    x1 = bs * ls ** (k - 1) / math.factorial(k - 1)
-    x2 = bs * ls ** (k - 2)
-    X = np.column_stack([x1, x2])
-    y = np.array([float(n) for n in counts])
-    coef, _res, _rank, _sv = np.linalg.lstsq(X, y, rcond=None)
-    resid = y - X @ coef
-    dof = max(len(schedule) - 2, 1)
-    sigma2 = float(resid @ resid) / dof
-    cov = sigma2 * np.linalg.inv(X.T @ X)
-    return float(coef[0]), float(math.sqrt(max(cov[0, 0], 0.0))), float(coef[1])
+    xs = []
+    for b in schedule:
+        bf = float(b)
+        lb = math.log(bf)
+        x1 = bf * lb ** (k - 1) / math.factorial(k - 1)
+        xs.append((Fraction(x1), Fraction(bf * lb ** (k - 2))))
+    ys = [Fraction(n) for n in counts]
+    s11 = sum(x1 * x1 for x1, _ in xs)
+    s12 = sum(x1 * x2 for x1, x2 in xs)
+    s22 = sum(x2 * x2 for _, x2 in xs)
+    t1 = sum(x1 * y for (x1, _), y in zip(xs, ys))
+    t2 = sum(x2 * y for (_, x2), y in zip(xs, ys))
+    det = s11 * s22 - s12 * s12
+    a = (s22 * t1 - s12 * t2) / det
+    b = (s11 * t2 - s12 * t1) / det
+    rss = sum((y - a * x1 - b * x2) ** 2 for (x1, x2), y in zip(xs, ys))
+    dof = max(len(xs) - 2, 1)
+    # var(a) = sigma^2 * [(X^T X)^-1]_00, and [(X^T X)^-1]_00 = s22 / det
+    return float(a), math.sqrt(rss / dof * s22 / det), float(b)
 
 
 def asymptotic_report(
@@ -694,7 +691,7 @@ def asymptotic_report(
     prev = -1
     for n in counts:
         if n < prev:
-            raise AssertionError("N(B) must be nondecreasing")
+            raise ValueError("N(B) must be nondecreasing")
         prev = n
     predicted = [leading_term(k, theta_c, float(b)) for b in schedule]
     ratios = [n / p if p else float("nan") for n, p in zip(counts, predicted)]

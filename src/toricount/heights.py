@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import factor
+from .arith import factor, is_prime
 from .fan import cone_pieces
 from .picard import PLFunction, anticanonical, pl_evaluate
 
@@ -136,14 +136,19 @@ def _pairs(fan, x):
 
 
 def local_height(fan, phi: PLFunction, x: TorusPoint, place) -> Fraction:
-    """The local factor q_v^{phi(xbar_v)} as an exact rational."""
+    """The local factor q_v^{phi(xbar_v)} as an exact rational.
+
+    place is INFINITE_PLACE or a prime p (an int); any other value is no
+    place of Q and raises ValueError.
+    """
+    if place != INFINITE_PLACE and not (isinstance(place, int) and is_prime(place)):
+        raise ValueError("a place is %r or a prime, got %r" % (INFINITE_PLACE, place))
     evaluator = HeightEvaluator(fan, phi)
     pairs = _pairs(fan, x)
     if place == INFINITE_PLACE:
         return Fraction(*evaluator.real(pairs))
-    p = int(place)
-    vbar = evaluator.valuation_vectors(pairs).get(p, (0,) * fan.dim)
-    return Fraction(p) ** evaluator.exponent(vbar)
+    vbar = evaluator.valuation_vectors(pairs).get(place, (0,) * fan.dim)
+    return Fraction(place) ** evaluator.exponent(vbar)
 
 
 def global_height(fan, phi: PLFunction, x: TorusPoint) -> Fraction:
@@ -153,19 +158,3 @@ def global_height(fan, phi: PLFunction, x: TorusPoint) -> Fraction:
 
 def anticanonical_height(fan, x: TorusPoint) -> Fraction:
     return global_height(fan, anticanonical(fan), x)
-
-
-def height_zeta_partial(fan, s, B) -> float:
-    """Sum of H(x)^{-s} over the anticanonical heights H(x) <= B.
-
-    The summands come from exact heights; only the final accumulation is
-    floating point.  Monotone nondecreasing in B.
-    """
-    if s <= 1:
-        raise ValueError("the partial zeta sum is only tracked for s > 1")
-    from .counting import enumerate_naive
-
-    total = 0.0
-    for _x, h in enumerate_naive(fan, B, with_heights=True):
-        total += float(h) ** (-float(s))
-    return total

@@ -7,7 +7,6 @@ regularity checks and cyclic group cohomology.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -199,24 +198,6 @@ def unimodular_inverse(a):
     if any(d[i][i] != 1 for i in range(n)):
         raise ValueError("matrix is not unimodular")
     return mat_mul(v, u)
-
-
-def solve_exact(a, b):
-    """Solve a x = b over the rationals (a square nonsingular); Fractions."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k]), None)
-        if piv is None:
-            raise ValueError("singular system")
-        m[k], m[piv] = m[piv], m[k]
-        pk = m[k][k]
-        m[k] = [x / pk for x in m[k]]
-        for i in range(n):
-            if i != k and m[i][k]:
-                f = m[i][k]
-                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-    return [m[i][n] for i in range(n)]
 
 
 def primitive_vector(v):

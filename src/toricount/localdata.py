@@ -1,4 +1,4 @@
-"""Local machinery: Q polynomials, local integrals, transforms, densities.
+"""Local machinery: Q polynomials, local integrals, densities.
 
 The Q polynomial of a fan (for a decomposition subgroup acting with given
 ray orbits) clears the geometric-series denominators out of the sum of
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from .arith import BudgetExceededError
 from .fan import OrbitDecomposition, cone_pieces
@@ -45,21 +45,10 @@ class QSigmaPolynomial:
             total = total + term
         return total
 
-    def diagonal_coeffs(self):
-        """Coefficients of Q(u, ..., u) as a dense list, low degree first."""
-        deg = max((sum(e) for e, _ in self.monomials), default=0)
-        out = [0] * (deg + 1)
-        for exps, coeff in self.monomials:
-            out[sum(exps)] += coeff
-        return out
-
     def degree_ge_two_away_from_one(self):
         return all(
             sum(e) >= 2 for e, c in self.monomials if c and any(e)
         )
-
-    def abs_coeff_sum_nonconstant(self):
-        return sum(abs(c) for e, c in self.monomials if any(e))
 
 
 def _poly_mul(a, b):
@@ -180,34 +169,35 @@ def local_integral(fan, p, s: PLFunction, truncation=20):
     """Lattice sum of p^{-phi_s(n)} against its closed form.
 
     The sum runs over the box |n|_inf <= truncation and is exact; the
-    closed form is Q(p^{-s_1}, ..., p^{-s_n}) / prod (1 - p^{-s_j}).  The
+    closed form is the cone sum sum_sigma prod_{j in sigma} u_j / (1 - u_j)
+    with u_j = p^{-s_j}, which qsigma clears to Q(u) / prod (1 - u_j).  The
     difference is certified below tail_bound, a geometric estimate from
-    the linear lower slope of phi_s.  Refuses with BudgetExceededError a
-    box of more than LOCAL_TERMS_CAP terms, or a power of p of more than
-    LOCAL_DIGITS_CAP digits: phi_s is at most (r + 1) max |m_sigma|_1 on
-    the box and its next shell, and a monomial of Q reaches sum e_j s_j.
+    the linear lower slope of phi_s.  Refuses with BudgetExceededError,
+    before any other work, a box of more than LOCAL_TERMS_CAP terms, or a
+    power of p of more than LOCAL_DIGITS_CAP digits: phi_s is at most
+    (r + 1) max |m_sigma|_1 on the box and its next shell, and p^{sum s_j}
+    bounds the common denominator of the cone sum.
     """
     _require_split(fan)
     vals = _integer_values(s)
     if any(v <= 0 for v in vals):
         raise ValueError("divergent: s has a value <= 0 on some ray")
     d = fan.dim
-    q = qsigma_split(fan)
     r = truncation
     if (2 * r + 1) ** d > LOCAL_TERMS_CAP:
         raise BudgetExceededError((2 * r + 1) ** d, LOCAL_TERMS_CAP, "lattice terms")
     top = max(
         (r + 1) * max(sum(map(abs, m)) for _, m in cone_pieces(fan, vals)),
-        max(sum(e * v for e, v in zip(exps, vals)) for exps, _ in q.monomials),
+        sum(vals),
     )
     digits = top * len(str(p))
     if digits > LOCAL_DIGITS_CAP:
         raise BudgetExceededError(digits, LOCAL_DIGITS_CAP, "digits of a power of p")
 
-    us = [Fraction(1, p**v) for v in vals]
-    closed = q.evaluate(us)
-    for u in us:
-        closed /= 1 - u
+    # u / (1 - u) = 1 / (p^v - 1) for u = p^-v; the zero cone contributes 1
+    closed = sum(
+        Fraction(1, prod(p ** vals[j] - 1 for j in cone)) for cone in fan.all_cones()
+    )
 
     total = Fraction(0)
     from itertools import product
@@ -235,94 +225,6 @@ def local_integral(fan, p, s: PLFunction, truncation=20):
         raise ValueError("tail ratio not contracting; raise the truncation")
     tail = Fraction(shell_count(r + 1)) * x ** (r + 1) / (1 - ratio * x)
     return LocalIntegral(p, r, total, closed, tail)
-
-
-def unramified_character_transform(fan, p, s: PLFunction, theta):
-    """Closed form of the character-twisted local sum.
-
-    theta lists one unit-modulus value per ray (per orbit in the split
-    case); rational theta (such as +-1) keeps the arithmetic exact,
-    anything else returns a complex value.
-    """
-    _require_split(fan)
-    vals = _integer_values(s)
-    if any(v <= 0 for v in vals):
-        raise ValueError("divergent: s has a value <= 0 on some ray")
-    if len(theta) != fan.nrays:
-        raise ValueError("need one theta per ray")
-    exact = all(isinstance(t, (int, Fraction)) for t in theta)
-    for t in theta:
-        mod2 = t * t if exact else (t * t.conjugate()).real
-        if exact and mod2 != 1:
-            raise ValueError("theta values must have modulus 1")
-        if not exact and abs(mod2 - 1) > 1e-9:
-            raise ValueError("theta values must have modulus 1")
-    q = qsigma_split(fan)
-    if exact:
-        us = [Fraction(t) * Fraction(1, p**v) for t, v in zip(theta, vals)]
-        value = q.evaluate(us)
-        for u in us:
-            value /= 1 - u
-        return value
-    us = [complex(t) * float(p) ** (-v) for t, v in zip(theta, vals)]
-    value = complex(q.evaluate(us))
-    for u in us:
-        value /= 1 - u
-    return value
-
-
-@dataclass(frozen=True)
-class ComplexRational:
-    """Exact complex number with rational real and imaginary parts."""
-
-    real: Fraction
-    imag: Fraction
-
-    def __complex__(self):
-        return float(self.real) + 1j * float(self.imag)
-
-    def __add__(self, other):
-        return ComplexRational(self.real + other.real, self.imag + other.imag)
-
-    def __mul__(self, other):
-        return ComplexRational(
-            self.real * other.real - self.imag * other.imag,
-            self.real * other.imag + self.imag * other.real,
-        )
-
-    def reciprocal(self):
-        n = self.real**2 + self.imag**2
-        if n == 0:
-            raise ZeroDivisionError
-        return ComplexRational(self.real / n, -self.imag / n)
-
-    def is_zero(self):
-        return self.real == 0 and self.imag == 0
-
-
-def archimedean_transform(fan, s: PLFunction, y):
-    """Sum over maximal cones of 1 / prod (s_j + i <e_j, y>), exact.
-
-    This is the complex-place Fourier transform of exp(-phi_s); the
-    quadrature oracle in the tests pins the sign conventions.
-    """
-    y = [Fraction(v) for v in y]
-    svals = [Fraction(v) for v in s.values]
-    if any(v <= 0 for v in svals):
-        raise ValueError("s must be positive on every ray")
-    total = ComplexRational(Fraction(0), Fraction(0))
-    for ci, cone in enumerate(fan.max_cones):
-        denom = ComplexRational(Fraction(1), Fraction(0))
-        for j in cone:
-            pairing = sum(e * yy for e, yy in zip(fan.rays[j], y))
-            factor = ComplexRational(svals[j], pairing)
-            if factor.is_zero():
-                raise ZeroDivisionError(
-                    "factor for ray %d vanishes on cone %d" % (j, ci)
-                )
-            denom = denom * factor
-        total = total + denom.reciprocal()
-    return total
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ The Picard group over the splitting field is realized as the quotient of
 the value lattice Z^n (one coordinate per ray) by the dual lattice M,
 embedded via m -> (<m, e_j>)_j.  Smith normal form certifies the quotient
 is torsion free; that is asserted, not assumed.  H^1 of cyclic actions is
-computed from the 2-periodic resolution, with an independent cocycle
-route used as a cross-check oracle.
+computed from the 2-periodic resolution; the tests check it against an
+independent cocycle route.
 """
 
 from __future__ import annotations
@@ -49,19 +49,6 @@ class PLFunction:
 def anticanonical(fan):
     """The PL function with value 1 at every ray; its class is -K."""
     return PLFunction((1,) * fan.nrays)
-
-
-def is_galois_invariant(fan, phi):
-    """True if phi is constant on each ray orbit of the Galois action."""
-    for orb in galois_orbits(fan).orbits:
-        if len({phi.values[j] for j in orb}) != 1:
-            return False
-    return True
-
-
-def from_character(fan, m):
-    """The (globally linear) PL function j -> <m, e_j> of a lattice vector m."""
-    return PLFunction(tuple(sum(mi * ei for mi, ei in zip(m, r)) for r in fan.rays))
 
 
 def pl_evaluate(fan, phi, v):
@@ -196,65 +183,6 @@ def _solve_in_lattice(basis_cols, target):
     return mat_vec(v, y)
 
 
-def h1_cyclic_cocycle(action, order):
-    """|H^1| by the bar-resolution route: crossed homs modulo principal ones.
-
-    Materializes the whole cyclic group and solves the cocycle condition
-    f(gh) = f(g) + g f(h) as one integer linear system; independent of the
-    periodic-resolution formula, used as its oracle.
-    """
-    m = len(action)
-    a = [list(row) for row in action]
-    elements = [identity(m)]
-    for _ in range(order - 1):
-        elements.append(mat_mul(elements[-1], a))
-    if mat_mul(elements[-1], a) != identity(m):
-        raise ValueError("matrix order does not divide the given group order")
-    index = {tuple(tuple(r) for r in g): i for i, g in enumerate(elements)}
-
-    def elt_index(g):
-        return index[tuple(tuple(r) for r in g)]
-
-    # unknowns: f(g) for g != 1, stacked; f(1) = 0 is forced
-    nunk = (order - 1) * m
-
-    def unk(gi, coord):
-        return (gi - 1) * m + coord  # gi >= 1
-
-    rows = []
-    for gi in range(order):
-        for hi in range(order):
-            prod = mat_mul(elements[gi], elements[hi])
-            pi = elt_index(prod)
-            for c in range(m):
-                row = [0] * nunk
-                if pi >= 1:
-                    row[unk(pi, c)] += 1
-                if gi >= 1:
-                    row[unk(gi, c)] -= 1
-                if hi >= 1:
-                    for c2 in range(m):
-                        row[unk(hi, c2)] -= elements[gi][c][c2]
-                if any(row):
-                    rows.append(row)
-    z1 = kernel_basis(rows) if rows else identity(nunk)
-    if not z1:
-        return 1
-    # principal cocycles f_v(g) = g v - v for the unit vectors v = e_j
-    targets = [
-        [g[c][j] - (1 if c == j else 0) for g in elements[1:] for c in range(m)]
-        for j in range(m)
-    ]
-    basis_cols = transpose(z1)
-    mat = transpose([_solve_in_lattice(basis_cols, t) for t in targets])
-    if rank(mat) != len(z1):
-        raise ValueError("H^1 is infinite")
-    out = 1
-    for f in invariant_factors(mat):
-        out *= f
-    return out
-
-
 def _require_cyclic(fan):
     group = galois_group(fan)
     if len(group) == 1:
@@ -365,8 +293,3 @@ def _induced_pic_action(fan, project, lift, g):
         if any(mat_vec(project, permuted)):
             raise AssertionError("permutation action does not descend to Pic")
     return tuple(tuple(cols[b][i] for b in range(k)) for i in range(k))
-
-
-def beta(fan):
-    """Order of H^1(G, Pic over the splitting field); 1 for split fans."""
-    return picard_data(fan).beta

@@ -16,6 +16,8 @@ from fractions import Fraction
 
 import mpmath
 
+from oracles.exact import abs_coeff_sum_nonconstant
+
 from toricount.arith import primes_upto
 from toricount.localdata import point_count_fp, qsigma_split
 from toricount.tamagawa import _float_down, _float_up, archimedean_density
@@ -70,7 +72,7 @@ def truncated_tau(fan, prime_cutoff) -> TruncatedProduct:
     P = int(prime_cutoff)
     if P < MIN_CUTOFF:
         raise ValueError("prime cutoff below %d cannot certify tau" % MIN_CUTOFF)
-    c0 = Fraction(qsigma_split(fan).abs_coeff_sum_nonconstant())
+    c0 = Fraction(abs_coeff_sum_nonconstant(qsigma_split(fan).monomials))
     if c0 * 2 >= P * P:
         raise ValueError("cutoff too small to certify the tail for this fan")
 

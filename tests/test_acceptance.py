@@ -10,15 +10,12 @@ import time
 from fractions import Fraction
 
 import mpmath
+from oracles.archimedean import archimedean_transform
+from oracles.descent import descent_check, descent_check_double
+from oracles.exact import from_character, h1_cyclic_cocycle
 from oracles.truncated_tau import truncated_tau
 
-from toricount.cones import (
-    PolyCone,
-    alpha,
-    descent_check,
-    descent_check_double,
-    xfunction,
-)
+from toricount.cones import PolyCone, alpha, xfunction
 from toricount.corpus import fan
 from toricount.counting import (
     asymptotic_report,
@@ -31,18 +28,8 @@ from toricount.counting import (
 from toricount.fan import galois_group, galois_orbits
 from toricount.heights import TorusPoint, global_height
 from toricount.linalg import identity, mat_mul, mat_vec, quotient_map
-from toricount.localdata import (
-    archimedean_transform,
-    local_integral,
-    qsigma,
-)
-from toricount.picard import (
-    PLFunction,
-    from_character,
-    h1_cyclic,
-    h1_cyclic_cocycle,
-    picard_data,
-)
+from toricount.localdata import local_integral, qsigma
+from toricount.picard import PLFunction, h1_cyclic, picard_data
 from toricount.tamagawa import tau, theta
 
 Z2 = float(mpmath.zeta(2))

@@ -257,6 +257,44 @@ def test_localcheck(capsys):
         assert "PASS" in out and "FAIL" not in out
 
 
+def test_localcheck_refuses_before_any_work(tmp_path, capsys):
+    # dp6 x dp6 has 12 rays and a box of 41^4 terms: the cap refuses it
+    # before the Q polynomial or any term is built
+    from test_tamagawa import product_fan
+
+    from toricount.corpus import fan
+
+    path = _write_fan(tmp_path, fan_to_dict(product_fan(fan("dp6"), fan("dp6"))))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "localcheck", path, "--prime", "3", "--truncation", "20")
+    assert time.perf_counter() - start < 0.5
+    assert code == 3 and not out
+    assert "lattice terms" in err
+
+
+def test_localcheck_diagonal_line_checks_q(monkeypatch, capsys):
+    # the closed form is the cone sum, so a Q with one coefficient changed
+    # must fail the diagonal factorization, which compares the two
+    import dataclasses
+
+    import toricount.cli
+    import toricount.localdata
+
+    real = toricount.localdata.qsigma_split
+
+    def doctored(fan):
+        q = real(fan)
+        exps, coeff = q.monomials[-1]
+        return dataclasses.replace(q, monomials=q.monomials[:-1] + ((exps, coeff + 7),))
+
+    monkeypatch.setattr(toricount.localdata, "qsigma_split", doctored)
+    monkeypatch.setattr(toricount.cli, "qsigma_split", doctored)
+    code, out, _ = run(capsys, "localcheck", "dp6", "--prime", "3")
+    assert code == 1
+    (line,) = [l for l in out.splitlines() if "diagonal factorization" in l]
+    assert line.split()[-1] == "FAIL"
+
+
 def test_localcheck_nonsplit_rejected(capsys):
     code, _, err = run(capsys, "localcheck", "p1-norm-one")
     assert code == 1

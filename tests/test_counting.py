@@ -13,7 +13,6 @@ from toricount.counting import (
     count_p2,
     count_points,
     enumerate_naive,
-    enumerate_specialized,
     fit_leading_coefficient,
     specialized_id_for,
 )
@@ -50,12 +49,10 @@ def test_naive_deterministic_and_deduplicated(p2):
             assert c.denominator > 0
 
 
-def test_specialized_examples():
-    assert enumerate_specialized("p1", 4) == 6
-    assert enumerate_specialized("p1", 10**4) == count_p1(10**4)
-    assert enumerate_specialized("p2", 8) == 28
-    with pytest.raises(KeyError):
-        enumerate_specialized("dp6", 10)
+def test_specialized_examples(p1, p2):
+    assert count_points(p1, 4, strategy="specialized") == 6
+    assert count_points(p1, 10**4, strategy="specialized") == count_p1(10**4)
+    assert count_points(p2, 8, strategy="specialized") == 28
 
 
 def test_specialized_id_detection(corpus):
@@ -287,7 +284,9 @@ def test_fast_height_path_matches_heights_module(dp6, p2):
 
 
 def test_descent_uncertifiable_tail_rejected():
-    from toricount.cones import PolyCone, descent_check
+    from oracles.descent import descent_check
+
+    from toricount.cones import PolyCone
 
     with pytest.raises(ValueError, match="certify"):
         descent_check(PolyCone(2, [(1, 0), (0, 1)]), (0, 1), (1, 2))
@@ -310,6 +309,36 @@ def test_asymptotic_report_p2_to_1e9():
         fan_id="p2",
     )
     assert abs(rep.ratios[-1] - 1) < 0.02
+
+
+def test_asymptotic_report_rejects_decreasing_counts(p1xp1):
+    with pytest.raises(ValueError, match="nondecreasing"):
+        asymptotic_report(p1xp1, [10, 20], (1.0, 2.0), counts=[5, 3])
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        [10**3, 10**4, 10**5, 10**6],
+        [10**7, 10**8, 10**9, 10**10, 10**11],
+        [2, 5, 20, 200],
+    ],
+)
+def test_fit_leading_coefficient_matches_lstsq(schedule):
+    # the exact normal equations against floating least squares on real counts
+    import numpy as np
+
+    counts = [count_p1xp1(b) for b in schedule]
+    a, se, b = fit_leading_coefficient(schedule, counts, 2)
+    bs = np.array(schedule, dtype=float)
+    X = np.column_stack([bs * np.log(bs), bs])
+    y = np.array(counts, dtype=float)
+    coef = np.linalg.lstsq(X, y, rcond=None)[0]
+    resid = y - X @ coef
+    var = resid @ resid / (len(schedule) - 2) * np.linalg.inv(X.T @ X)[0, 0]
+    assert a == pytest.approx(coef[0], rel=1e-9)
+    assert b == pytest.approx(coef[1], rel=1e-9)
+    assert se == pytest.approx(math.sqrt(var), rel=1e-6)
 
 
 def test_fit_leading_coefficient_recovers_synthetic():

@@ -2,16 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles.exact import from_character
 
 from toricount.fan import Fan
-from toricount.heights import (
-    TorusPoint,
-    anticanonical_height,
-    global_height,
-    height_zeta_partial,
-    local_height,
-)
-from toricount.picard import PLFunction, anticanonical, from_character
+from toricount.heights import TorusPoint, anticanonical_height, global_height, local_height
+from toricount.picard import PLFunction, anticanonical
 
 
 def test_local_height_p1_examples(p1):
@@ -21,6 +16,13 @@ def test_local_height_p1_examples(p1):
     assert local_height(p1, phi, x, 3) == 3
     assert local_height(p1, phi, x, 5) == 1
     assert local_height(p1, phi, x, "inf") == Fraction(3, 2)
+
+
+@pytest.mark.parametrize("place", [4, 1, 0, -2, 2.5, "infinity"])
+def test_local_height_rejects_non_places(p1, place):
+    # neither "inf" nor a prime: at 4 a power of 2 would pass for a place
+    with pytest.raises(ValueError, match="place"):
+        local_height(p1, PLFunction((1, 1)), TorusPoint([4]), place)
 
 
 def test_zero_pl_gives_one_everywhere(corpus):
@@ -187,11 +189,3 @@ def test_nonsplit_rejected():
 def test_zero_coordinate_rejected():
     with pytest.raises(ValueError):
         TorusPoint([Fraction(0), Fraction(1)])
-
-
-def test_height_zeta_partial(p1):
-    assert height_zeta_partial(p1, 2, 1) == 2.0
-    assert height_zeta_partial(p1, 2, Fraction(1, 2)) == 0.0
-    sums = [height_zeta_partial(p1, 2, b) for b in (10, 100, 1000)]
-    assert sums[0] < sums[1] < sums[2]
-    assert sums[1] - sums[0] > sums[2] - sums[1]  # Cauchy flattening

@@ -1,4 +1,4 @@
-"""Package modules talk to each other through public names only."""
+"""Package modules talk to each other through public names only, and need no numpy or scipy."""
 
 import ast
 import pathlib
@@ -24,6 +24,22 @@ def _private_imports(path):
     return out
 
 
+def _numeric_imports(path):
+    """(line, module) for each import of numpy or scipy, local imports included."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        for name in names:
+            if name.split(".")[0] in ("numpy", "scipy"):
+                out.append((node.lineno, name))
+    return out
+
+
 def test_modules_found():
     assert len(MODULES) > 5
 
@@ -31,6 +47,14 @@ def test_modules_found():
 def test_no_private_names_imported_across_modules():
     offenders = {
         path.name: found for path in MODULES if (found := _private_imports(path))
+    }
+    assert offenders == {}
+
+
+def test_package_imports_neither_numpy_nor_scipy():
+    # the runtime dependencies are mpmath alone; the tests bring the rest
+    offenders = {
+        path.name: found for path in MODULES if (found := _numeric_imports(path))
     }
     assert offenders == {}
 

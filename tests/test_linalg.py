@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.exact import solve_exact
 
 from toricount.linalg import (
     det,
@@ -13,7 +14,6 @@ from toricount.linalg import (
     primitive_vector,
     quotient_map,
     smith_normal_form,
-    solve_exact,
     unimodular_inverse,
 )
 

@@ -1,22 +1,21 @@
-import cmath
 import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from oracles.archimedean import archimedean_transform
+from oracles.exact import abs_coeff_sum_nonconstant, diagonal_coeffs, solve_exact
 from test_height_oracles import CUBE, DP7, subdivided_surfaces
 
 from toricount.arith import primes_upto
 from toricount.fan import Fan, OrbitDecomposition, galois_group, galois_orbits
 from toricount.localdata import (
-    archimedean_transform,
     euler_polynomial,
     local_integral,
     point_count_fp,
     qsigma,
     qsigma_split,
-    unramified_character_transform,
 )
 from toricount.picard import PLFunction, picard_data
 
@@ -123,36 +122,6 @@ def test_diagonal_factorization(corpus):
             assert li.closed_form == rhs, (name, p)
 
 
-def test_character_transform_trivial_theta(p2):
-    li = local_integral(p2, 3, PLFunction((2, 2, 2)), truncation=6)
-    tv = unramified_character_transform(p2, 3, PLFunction((2, 2, 2)), [1, 1, 1])
-    assert tv == li.closed_form
-
-
-def test_character_transform_twisted_p1(p1):
-    # theta = (e^{i a}, e^{-i a}) comes from the character n -> e^{i a n}
-    p, s, r = 2, 2, 60
-    for a in (0.7, 2.1):
-        theta = [cmath.exp(1j * a), cmath.exp(-1j * a)]
-        val = unramified_character_transform(p1, p, PLFunction((s, s)), theta)
-        brute = 1 + sum(
-            p ** (-s * n) * (cmath.exp(1j * a * n) + cmath.exp(-1j * a * n))
-            for n in range(1, r + 1)
-        )
-        tail = 2 * p ** (-s * (r + 1)) / (1 - p**-s)
-        assert abs(val - brute) <= tail + 1e-12
-
-
-def test_character_transform_minus_one(p1):
-    p = 2
-    val = unramified_character_transform(p1, p, PLFunction((2, 2)), [-1, -1])
-    expect = (1 - Fraction(1, p**4)) / (1 + Fraction(1, p**2)) ** 2
-    assert val == expect
-    # against the twisted truncated sum
-    brute = 1 + sum(Fraction((-1) ** n * 2, p ** (2 * n)) for n in range(1, 80))
-    assert abs(Fraction(val) - brute) < Fraction(1, 10**40)
-
-
 def test_archimedean_examples(p1, p2):
     at = archimedean_transform(p1, PLFunction((1, 1)), (0,))
     assert (at.real, at.imag) == (2, 0)
@@ -248,8 +217,6 @@ def test_point_count_examples(p1, p2, dp6):
 def test_point_count_polynomial_structure(corpus):
     # interpolate Card(F_p) as a polynomial in q = p - 1 (the variable of
     # the orbit decomposition): constant term |Sigma(d)|, leading coeff 1
-    from toricount.linalg import solve_exact
-
     primes = [2, 3, 5, 7, 11, 13, 17]
     for name, fan in corpus.items():
         if not fan.is_split():
@@ -274,7 +241,7 @@ def test_density_o_p2_structure(corpus):
         if not fan.is_split():
             continue
         q = qsigma_split(fan)
-        c0 = q.abs_coeff_sum_nonconstant()
+        c0 = abs_coeff_sum_nonconstant(q.monomials)
         for p in (2, 3, 5, 7):
             f = point_count_fp(fan, p).euler_factor
             assert abs(f - 1) <= Fraction(c0, p**2), (name, p)
@@ -292,7 +259,7 @@ def test_euler_factor_equals_q_diagonal(corpus):
 
 
 def _diagonal(fan):
-    coeffs = qsigma_split(fan).diagonal_coeffs()
+    coeffs = diagonal_coeffs(qsigma_split(fan).monomials)
     while coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)

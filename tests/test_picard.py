@@ -4,17 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles.exact import from_character, h1_cyclic_cocycle, solve_exact
 
 from toricount.fan import Fan, galois_orbits
-from toricount.linalg import identity, mat_mul, mat_vec, rank, solve_exact
+from toricount.linalg import identity, mat_mul, mat_vec, rank
 from toricount.picard import (
     PLFunction,
     _solve_in_lattice,
     anticanonical,
-    beta,
-    from_character,
     h1_cyclic,
-    h1_cyclic_cocycle,
     picard_data,
     pl_evaluate,
 )
@@ -82,7 +80,7 @@ def test_three_cycle():
     )
     pd = picard_data(fan)
     assert pd.h == 3
-    assert beta(fan) == 1
+    assert pd.beta == 1
 
 
 def test_exactness_bookkeeping(corpus):
@@ -95,7 +93,7 @@ def test_exactness_bookkeeping(corpus):
 def test_beta_split_is_one(corpus):
     for name, fan in corpus.items():
         if fan.is_split():
-            assert beta(fan) == 1, name
+            assert picard_data(fan).beta == 1, name
 
 
 def _random_finite_order_matrix(rng, size, order):
@@ -269,16 +267,6 @@ def test_noncyclic_rejected():
         picard_data(fan)
     # orbit computation still works for the non-cyclic action
     assert galois_orbits(fan).orbits == ((0, 2), (1, 3))
-
-
-def test_galois_invariant_pl_functions_constant_on_orbits(corpus):
-    from toricount.picard import is_galois_invariant
-
-    for name, fan in corpus.items():
-        assert is_galois_invariant(fan, anticanonical(fan)), name
-    swap = corpus["p1xp1-swap"]
-    assert not is_galois_invariant(swap, PLFunction((1, 2, 1, 2)))
-    assert is_galois_invariant(swap, PLFunction((2, 2, 5, 5)))
 
 
 def test_pl_evaluate_vanishes_at_apex(corpus):
