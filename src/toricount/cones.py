@@ -8,8 +8,7 @@ transform of the indicator of the dual cone,
 with the Haar measure normalized so the dual lattice has covolume 1.  For
 polyhedral L this is a rational function: triangulate L* and sum
 |det W| / prod_j <w_j, s> over the simplicial pieces.  Everything here is
-exact at rational points; ConeRationalFunction.evaluate also takes complex
-points, in floating point, for the quadrature cross-checks in tests/oracles/.
+exact: ConeRationalFunction.evaluate takes rational points only.
 """
 
 from __future__ import annotations
@@ -66,11 +65,12 @@ class ConeRationalFunction:
     terms: tuple  # ((Fraction, (form, ...)), ...)
 
     def evaluate(self, s):
-        """Exact value at a rational interior point, complex allowed."""
-        rational = all(isinstance(x, (int, Fraction)) for x in s)
-        total = Fraction(0) if rational else 0j
+        """Exact value at a rational point where no form vanishes."""
+        if not all(isinstance(x, (int, Fraction)) for x in s):
+            raise TypeError("evaluate needs int or Fraction entries, got %r" % (tuple(s),))
+        total = Fraction(0)
         for coeff, forms in self.terms:
-            denom = Fraction(1) if rational else complex(1)
+            denom = 1
             for w in forms:
                 value = sum(wi * si for wi, si in zip(w, s))
                 if value == 0:
@@ -78,7 +78,7 @@ class ConeRationalFunction:
                         "form %r vanishes at %r" % (w, tuple(s))
                     )
                 denom *= value
-            total += coeff / denom if rational else complex(coeff) / denom
+            total += coeff / denom
         return total
 
     def to_json_dict(self):

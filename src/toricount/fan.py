@@ -3,6 +3,16 @@
 A fan is given by its primitive ray generators and the ray-index sets of
 its maximal cones; faces are derived on demand and never stored.  All
 types are immutable values, safe to share between workers.
+
+validate_fan reads one facet table, each (d-1)-subset of a maximal cone
+mapped to its owners, by exact dot products with the cones' dual bases.
+For regular cones, completeness asks that every ray be used and every
+facet have two owners; face_intersection that those lie on opposite
+sides of it (separation) and that the ray sum of cone 0 lie in no other
+cone (degree one).  Then radial projection onto S^(d-1) is a covering off
+the codimension-2 faces, of constant degree, set to 1 by that point: the
+cones tile R^d face to face.  A fan passes all three, and a failure of
+either face_intersection test always shows two overlapping cones.
 """
 
 from __future__ import annotations
@@ -10,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import gcd
 from operator import mul
 
-from . import dd
 from .linalg import det, identity, mat_mul, mat_vec, unimodular_inverse
 
 GALOIS_GROUP_CAP = 10000
@@ -124,8 +134,6 @@ class ValidationReport:
 
 @lru_cache(maxsize=None)
 def _all_cones(fan):
-    from itertools import combinations
-
     seen = {()}
     for c in fan.max_cones:
         for j in range(1, len(c) + 1):
@@ -150,8 +158,6 @@ def primitive_collections(fan):
     are its minimal non-faces: at most d + 1 rays, not a cone, every
     subset one smaller a cone.
     """
-    from itertools import combinations
-
     faces = set(_all_cones(fan))
     return tuple(
         c
@@ -309,54 +315,15 @@ def validate_fan(fan):
     regular = bad is None
     checks.append(CheckResult("regularity", regular, bad or ""))
 
-    # face intersections (needs regularity for the H-descriptions)
+    # face_intersection and completeness, both from one facet table
     if regular:
-        bad = None
-        for ci in range(len(fan.max_cones)):
-            for cj in range(ci + 1, len(fan.max_cones)):
-                w = _intersection_defect(fan, ci, cj)
-                if w:
-                    bad = w
-                    break
-            if bad:
-                break
+        facets = _facet_table(fan)
+        bad = _overlap(fan, facets)
         checks.append(CheckResult("face_intersection", bad is None, bad or ""))
+        checks.append(CheckResult("completeness", *_completeness(fan, facets)))
     else:
-        checks.append(
-            CheckResult("face_intersection", False, "skipped: fan not regular")
-        )
-
-    # completeness: every facet of a maximal cone shared by exactly two,
-    # and every ray in some maximal cone
-    if regular:
-        unused = set(range(fan.nrays)).difference(*fan.max_cones)
-        bad = None
-        if not fan.max_cones:
-            bad = "the fan has no maximal cones"
-        elif unused:
-            bad = "ray %d lies in no maximal cone" % min(unused)
-        from itertools import combinations
-
-        facet_count = {}
-        for c in fan.max_cones:
-            for f in combinations(c, fan.dim - 1):
-                facet_count[f] = 0
-        for f in facet_count:
-            fs = set(f)
-            for c in fan.max_cones:
-                if fs <= set(c):
-                    facet_count[f] += 1
-        for f, cnt in sorted(facet_count.items()):
-            if cnt != 2:
-                bad = "facet %r lies in %d maximal cones; witness %r" % (
-                    f,
-                    cnt,
-                    _uncovered_witness(fan, f),
-                )
-                break
-        checks.append(CheckResult("completeness", bad is None, bad or ""))
-    else:
-        checks.append(CheckResult("completeness", False, "skipped: fan not regular"))
+        for name in ("face_intersection", "completeness"):
+            checks.append(CheckResult(name, False, "skipped: fan not regular"))
 
     # Galois compatibility
     bad = None
@@ -390,34 +357,59 @@ def validate_fan(fan):
     return ValidationReport(checks)
 
 
-def _intersection_defect(fan, ci, cj):
-    """None if cone ci and cone cj meet in a common face, else a witness."""
-    cons = list(_cone_dual_basis(fan, ci)) + list(_cone_dual_basis(fan, cj))
-    rays, lineality = dd.extreme_rays(cons, fan.dim)
-    if lineality:
-        return "cones %d,%d intersect in a non-pointed set" % (ci, cj)
-    common = set(fan.max_cones[ci]) & set(fan.max_cones[cj])
-    allowed = {fan.rays[j] for j in common}
-    for r in rays:
-        if tuple(r) not in allowed:
-            return "cones %d,%d share ray %r outside their common face" % (
-                ci,
-                cj,
-                r,
-            )
-    if len(rays) == fan.dim and ci != cj:
-        # full-dimensional intersection would mean overlapping interiors
-        return "cones %d,%d have overlapping interiors" % (ci, cj)
+def _facet_table(fan):
+    """Each (d-1)-subset of a maximal cone -> its owners (cone, opposite
+    ray, the dual row dual to that ray: the cone's inward facet normal)."""
+    table = {}
+    for ci, (cone, rows) in enumerate(zip(fan.max_cones, _dual_bases(fan))):
+        for k, j in enumerate(cone):
+            table.setdefault(cone[:k] + cone[k + 1 :], []).append((ci, j, rows[k]))
+    return table
+
+
+def _overlap(fan, facets):
+    """A witness that two maximal cones have overlapping interiors, or None.
+
+    Two unimodular cones on one facet have equal or opposite inward
+    normals, so one test per pair decides the sides they lie on.
+    """
+    for facet, owners in facets.items():
+        for (ci, j, _), (cj, _, u) in combinations(owners, 2):
+            if sum(map(mul, fan.rays[j], u)) > 0:
+                return "cones %d,%d have overlapping interiors across facet %r" % (ci, cj, facet)
+    if fan.max_cones:
+        p = [sum(fan.rays[j][i] for j in fan.max_cones[0]) for i in range(fan.dim)]
+        for cj, rows in enumerate(_dual_bases(fan)[1:], 1):
+            if all(sum(map(mul, u, p)) >= 0 for u in rows):
+                return "cones 0,%d have overlapping interiors at %s" % (cj, _fmt(p))
     return None
 
 
-def _uncovered_witness(fan, facet):
-    """A rational vector just outside a deficient facet, if one exists."""
-    owners = [c for c in fan.max_cones if set(facet) <= set(c)]
-    if not owners:
-        return None
-    owner = owners[0]
-    other = next(j for j in owner if j not in facet)
+def _completeness(fan, facets):
+    """(passed, witness): every ray used and every facet owned exactly twice."""
+    for facet, owners in sorted(facets.items()):
+        if len(owners) == 1:
+            bad = "facet %r lies in 1 maximal cone" % (facet,)
+            w = _uncovered_witness(fan, facet, owners[0][1])
+            return False, bad if w is None else "%s; witness %s" % (bad, _fmt(w))
+        if len(owners) > 2:
+            return False, "facet %r lies in %d maximal cones" % (facet, len(owners))
+    if not fan.max_cones:
+        return False, "the fan has no maximal cones"
+    unused = set(range(fan.nrays)).difference(*fan.max_cones)
+    if unused:
+        return False, "ray %d lies in no maximal cone" % min(unused)
+    return True, ""
+
+
+def _fmt(v):
+    """A vector of ints or Fractions as (1, -1/2)."""
+    return "(%s)" % ", ".join(map(str, v))
+
+
+def _uncovered_witness(fan, facet, other):
+    """A rational vector just across a facet from the ray `other` of its
+    only owner, in no maximal cone, if one is found."""
     step = Fraction(1, 2)
     base = [sum(fan.rays[j][i] for j in facet) for i in range(fan.dim)]
     for _ in range(64):

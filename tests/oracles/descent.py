@@ -51,6 +51,17 @@ def _contour_tail_constant(xf, s, gamma):
     return per_term, worst_q
 
 
+def _complex_value(xf, point):
+    """X at a complex point, in floating point: the sum of its terms."""
+    total = 0j
+    for coeff, forms in xf.terms:
+        denom = complex(1)
+        for w in forms:
+            denom *= sum(wi * si for wi, si in zip(w, point))
+        total += complex(coeff) / denom
+    return total
+
+
 def descent_check(c: PolyCone, gamma, s, tol=1e-8):
     """|numeric contour integral - exact X of the quotient cone|.
 
@@ -96,7 +107,7 @@ def descent_check(c: PolyCone, gamma, s, tol=1e-8):
 
     def integrand(y):
         point = [sv + 1j * y * gv for sv, gv in zip(sf, gf)]
-        return xf.evaluate(point).real
+        return _complex_value(xf, point).real
 
     # the real part is even in y; log-spaced breakpoints keep the adaptive
     # rule from overlooking the central peak on the huge certified interval
@@ -130,7 +141,7 @@ def descent_check_double(c: PolyCone, gamma1, gamma2, s):
         point = [
             sv + 1j * (y1 * a + y2 * b) for sv, a, b in zip(sf, g1, g2)
         ]
-        return xf.evaluate(point)
+        return _complex_value(xf, point)
 
     # the full double integral is real by conjugate symmetry, so only the
     # real part needs integrating; it is also even in (y1, y2) -> (-y1, -y2),

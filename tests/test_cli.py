@@ -357,6 +357,29 @@ def test_invalid_fan_refused_except_by_validate(tmp_path, capsys, command, fan_n
         assert code == 2 and "invalid fan" in err and not out
 
 
+WITNESS_FANS = dict(
+    INVALID_FANS,
+    **{
+        "missing-cone": dict(P2, max_cones=[[0, 1], [1, 2]]),
+        "wound": dict(P2, rays=P2["rays"] * 2, max_cones=[[i, (i + 1) % 6] for i in range(6)]),
+    },
+)
+
+
+@pytest.mark.parametrize("fan_name", sorted(WITNESS_FANS))
+def test_witnesses_print_plain_numbers(tmp_path, capsys, fan_name):
+    path = _write_fan(tmp_path, WITNESS_FANS[fan_name])
+    _, out, _ = run(capsys, "validate", path, "--json")
+    witnesses = [c["witness"] for c in json.loads(out)["checks"]]
+    code, _, err = run(capsys, "constants", path)
+    assert code == 2 and err.startswith("error: invalid fan: ")
+    assert not any("Fraction(" in w for w in witnesses + [err])
+    if fan_name == "missing-cone":
+        assert err.endswith(
+            "completeness check failed: facet (0,) lies in 1 maximal cone; witness (1, -1/2)\n"
+        )
+
+
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 @pytest.mark.parametrize("fan_name", sorted(MALFORMED_FANS))
 def test_malformed_fan_exits_2(tmp_path, capsys, command, fan_name):

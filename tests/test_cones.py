@@ -75,6 +75,14 @@ def test_xfunction_orthant():
         assert xf.evaluate(s) == expect
 
 
+def test_evaluate_is_exact_only():
+    xf = xfunction(orthant(2))
+    assert xf.evaluate([2, 3]) == Fraction(1, 6)
+    for s in ([2.0, 3], [2 + 1j, 3]):
+        with pytest.raises(TypeError):
+            xf.evaluate(s)
+
+
 def test_xfunction_homogeneity():
     c = PolyCone(3, [(1, 0, 0), (1, 2, 0), (0, 1, 1), (1, 1, 3)])
     xf = xfunction(c)

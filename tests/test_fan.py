@@ -2,7 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles.fan_intersection import facet_counts_complete, pairwise_face_intersection
+from test_height_oracles import CUBE, DP7, F0_RAYS, P2_RAYS, surface
+from test_tamagawa import product_fan
 
+from toricount import dd
 from toricount.fan import (
     Fan,
     cone_pieces,
@@ -77,18 +83,158 @@ def test_bad_galois_matrix_fails(p2):
     assert not check(validate_fan(bad), "galois").passed
 
 
-def test_validation_order_independent(p2):
+def shuffled(fan, rng):
+    """The same fan with its rays and its cones listed in a seeded order."""
+    perm = list(range(fan.nrays))
+    rng.shuffle(perm)
+    new_rays = [None] * fan.nrays
+    for old, new in enumerate(perm):
+        new_rays[new] = fan.rays[old]
+    cones = [tuple(perm[j] for j in c) for c in fan.max_cones]
+    rng.shuffle(cones)
+    return Fan(fan.dim, new_rays, cones, fan.galois)
+
+
+P1 = Fan(1, [(1,), (-1,)], [(0,), (1,)])
+P3 = Fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+EQUATOR = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]
+# Complete pseudomanifolds whose cones wind twice around the origin: every
+# facet has two owners on opposite sides, yet every cone is covered twice.
+WOUND_FANS = {
+    "d1": Fan(1, [(1,), (1,)], [(0,), (1,)]),
+    "d2": Fan(2, P2_RAYS * 2, [(i, (i + 1) % 6) for i in range(6)]),
+    "d3": Fan(
+        3,
+        EQUATOR * 2 + [(0, 0, 1), (0, 0, -1)],
+        [(i, (i + 1) % 8, pole) for i in range(8) for pole in (8, 9)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WOUND_FANS))
+def test_wound_fan_fails_face_intersection(name):
+    fan = WOUND_FANS[name]
+    report = validate_fan(fan)
+    assert check(report, "regularity").passed
+    assert check(report, "completeness").passed
+    c = check(report, "face_intersection")
+    assert not c.passed and "overlapping interiors" in c.witness
+    assert pairwise_face_intersection(fan) is not None
+
+
+def test_spiral_fails_completeness_in_every_order():
+    # 1.5 turns of F_0's cones: its first and last cones each own a facet
+    # alone; face_intersection sees the overlap only from the doubled half
+    rays = F0_RAYS + F0_RAYS[:3]
+    cones = [(i, i + 1) for i in range(6)]
+    for k in range(6):
+        report = validate_fan(Fan(2, rays, cones[k:] + cones[:k]))
+        assert not check(report, "completeness").passed
+        assert check(report, "face_intersection").passed == (k in (2, 3))
+
+
+def test_validation_runs_no_double_description(monkeypatch, corpus):
+    def refuse(*args):
+        raise AssertionError("validate_fan ran a double description")
+
+    monkeypatch.setattr(dd, "extreme_rays", refuse)
+    assert validate_fan(product_fan(DP7, DP7)).ok
+    for name, fan in corpus.items():
+        assert validate_fan(fan).ok, name
+    for fan in WOUND_FANS.values():
+        assert not validate_fan(fan).ok
+
+
+def test_validation_order_independent(corpus):
     rng = random.Random(0)
-    for _ in range(10):
-        perm = list(range(p2.nrays))
-        rng.shuffle(perm)
-        new_rays = [None] * p2.nrays
-        for old, new in enumerate(perm):
-            new_rays[new] = p2.rays[old]
-        cones = [tuple(perm[j] for j in c) for c in p2.max_cones]
-        rng.shuffle(cones)
-        shuffled = Fan(2, new_rays, cones)
-        assert validate_fan(shuffled).ok
+    fans = dict(corpus, dp7xdp7=shuffled(product_fan(DP7, DP7), rng), **WOUND_FANS)
+    for name, fan in fans.items():
+        want = [c.passed for c in validate_fan(fan).checks]
+        for _ in range(10):
+            assert [c.passed for c in validate_fan(shuffled(fan, rng)).checks] == want, name
+
+
+def star_subdivide(fan, face):
+    """Blow up the orbit of `face`: a new ray at the sum of its rays, and
+    each maximal cone through it split into len(face) cones."""
+    v = tuple(map(sum, zip(*(fan.rays[j] for j in face))))
+    new = fan.nrays
+    cones = []
+    for c in fan.max_cones:
+        if set(face) <= set(c):
+            cones.extend(tuple(new if i == j else i for i in c) for j in face)
+        else:
+            cones.append(c)
+    return Fan(fan.dim, fan.rays + (v,), cones)
+
+
+@st.composite
+def blowups(draw, base, max_rays):
+    """Star subdivisions of `base` at faces of dimension >= 2, up to max_rays rays."""
+    fan = base
+    for _ in range(draw(st.integers(min_value=0, max_value=max_rays - base.nrays))):
+        cone = draw(st.sampled_from(fan.max_cones))
+        face = draw(st.lists(st.sampled_from(cone), min_size=2, max_size=fan.dim, unique=True))
+        fan = star_subdivide(fan, sorted(face))
+    return fan
+
+
+SURFACES = st.sampled_from([surface(P2_RAYS), surface(F0_RAYS)])
+SMOOTH_FANS = st.one_of(
+    st.just(P1),
+    SURFACES.flatmap(lambda base: blowups(base, 11)),
+    st.sampled_from([P3, CUBE]).flatmap(lambda base: blowups(base, 9)),
+    st.tuples(st.just(P1), SURFACES.flatmap(lambda base: blowups(base, 6))).map(
+        lambda ab: product_fan(*ab)
+    ),
+    st.tuples(SURFACES.flatmap(lambda base: blowups(base, 5)), SURFACES).map(
+        lambda ab: product_fan(*ab)
+    ),
+    st.sampled_from([P3, CUBE]).flatmap(lambda base: blowups(base, 7)).map(
+        lambda a: product_fan(a, P1)
+    ),
+)
+
+
+@st.composite
+def perturbed(draw, fans):
+    """A smooth fan after up to three edits of its rays and cones."""
+    fan = draw(fans)
+    rays, cones = list(fan.rays), list(fan.max_cones)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        edit = draw(st.sampled_from(["drop", "duplicate", "repoint", "swap", "negate", "add"]))
+        i = draw(st.integers(min_value=0, max_value=len(cones) - 1))
+        j, k = draw(st.lists(st.integers(0, len(rays) - 1), min_size=2, max_size=2))
+        if edit == "drop" and len(cones) > 1:
+            del cones[i]
+        elif edit == "duplicate":
+            cones.append(cones[i])
+        elif edit == "repoint" and j not in cones[i]:
+            old = draw(st.sampled_from(cones[i]))
+            cones[i] = tuple(j if t == old else t for t in cones[i])
+        elif edit == "swap":
+            rays[j], rays[k] = rays[k], rays[j]
+        elif edit == "negate":
+            rays[j] = tuple(-x for x in rays[j])
+        elif edit == "add":
+            cones.append(draw(st.lists(st.sampled_from(range(len(rays))), min_size=fan.dim, max_size=fan.dim, unique=True)))
+    return Fan(fan.dim, rays, cones)
+
+
+@settings(max_examples=250, deadline=None)
+@given(perturbed(SMOOTH_FANS))
+def test_validation_matches_pairwise_oracle(fan):
+    report = validate_fan(fan)
+    passed = {c.name: c.passed for c in report.checks}
+    if not passed["regularity"]:
+        assert not report.ok
+        return
+    pairwise = pairwise_face_intersection(fan) is None
+    assert passed["completeness"] == facet_counts_complete(fan)
+    # a failure always exhibits an overlap; a pass is exact given completeness
+    if not passed["face_intersection"] or passed["completeness"]:
+        assert passed["face_intersection"] == pairwise
+    assert report.ok == (passed["primitivity"] and pairwise and passed["completeness"])
 
 
 def test_galois_matrices_preserve_fan(corpus):
