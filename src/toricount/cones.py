@@ -6,15 +6,17 @@ transform of the indicator of the dual cone,
     X_L(s) = integral over L* of exp(-<s, y>) dy,
 
 with the Haar measure normalized so the dual lattice has covolume 1.  For
-polyhedral L this is a rational function: triangulate L* and sum
-|det W| / prod_j <w_j, s> over the simplicial pieces.  Everything here is
-exact: ConeRationalFunction.evaluate takes rational points only.
+polyhedral L this is a rational function: triangulate L* (one facet table
+holds the boundary) and sum |det W| / prod_j <w_j, s> over the pieces.
+Everything here is exact: ConeRationalFunction.evaluate takes rational
+points only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from . import dd
 from .linalg import det, kernel_basis, primitive_vector, rank
@@ -124,6 +126,10 @@ def triangulate(generators, k, order="lex"):
     Deterministic: generators are processed in sorted order ("lex") or
     reverse sorted order ("revlex", the pulling variant used by the
     independence tests).  Returns a list of k-tuples of generators.
+
+    The boundary is one table: facet -> [vertex off it, inward normal,
+    solved on first use].  Placing pops a facet met twice (now interior);
+    g's new facets contain g, so a snapshot walk sees the boundary before g.
     """
     gens = sorted(set(tuple(g) for g in generators))
     if order == "revlex":
@@ -131,8 +137,7 @@ def triangulate(generators, k, order="lex"):
     elif order != "lex":
         raise ValueError("unknown order %r" % order)
 
-    seed = []
-    rest = []
+    seed, rest = [], []
     for g in gens:
         if len(seed) < k and rank([list(x) for x in seed + [g]]) > len(seed):
             seed.append(g)
@@ -140,27 +145,22 @@ def triangulate(generators, k, order="lex"):
             rest.append(g)
     if len(seed) < k:
         raise ValueError("generators do not span")
-    simplices = [tuple(seed)]
+    boundary = {}
+    simplices = []
 
-    from itertools import combinations
+    def place(simplex):
+        simplices.append(simplex)
+        for f, other in zip(combinations(simplex, k - 1), reversed(simplex)):
+            if boundary.pop(frozenset(f), None) is None:
+                boundary[frozenset(f)] = [other, None]
 
+    place(tuple(seed))
     for g in rest:
-        facet_count = {}
-        for s in simplices:
-            for f in combinations(s, k - 1):
-                key = frozenset(f)
-                facet_count.setdefault(key, []).append(s)
-        new = []
-        for key, owners in facet_count.items():
-            if len(owners) != 1:
-                continue
-            s = owners[0]
-            facet = tuple(key)
-            other = next(x for x in s if x not in key)
-            u = _facet_normal(facet, other, k)
-            if sum(ui * gi for ui, gi in zip(u, g)) < 0:
-                new.append(tuple(facet) + (g,))
-        simplices.extend(new)
+        for facet, entry in list(boundary.items()):
+            if entry[1] is None:
+                entry[1] = _facet_normal(tuple(facet), entry[0], k)
+            if sum(ui * gi for ui, gi in zip(entry[1], g)) < 0:
+                place(tuple(facet) + (g,))
     return simplices
 
 

@@ -193,9 +193,11 @@ def cone_pieces(fan, values):
     <u_k, e_l> = delta_kl on the cone's rays sigma_1..sigma_d, so the form
     is sum_k values[sigma_k] * u_k.  Cached per (fan, values); the key
     holds the type of each value, since 1, 1.0 and Fraction(1) hash alike
-    but give forms of different types.
+    but give forms of different types.  Refuses values of the wrong length.
     """
     values = tuple(values)
+    if len(values) != fan.nrays:
+        raise ValueError("%d PL values for %d rays" % (len(values), fan.nrays))
     return _cone_pieces(fan, values, tuple(map(type, values)))
 
 
@@ -211,8 +213,11 @@ def locate_cone(fan, v):
     """Index of a maximal cone containing v (smallest on ties).
 
     The entries of v must be ints or Fractions, so that the cone tests are
-    exact: a float on a wall could fail them in both cones.
+    exact: a float on a wall could fail them in both cones.  Refuses a
+    vector whose length is not the fan's dimension.
     """
+    if len(v) != fan.dim:
+        raise ValueError("vector of length %d in a fan of dimension %d" % (len(v), fan.dim))
     if not all(isinstance(x, (int, Fraction)) for x in v):
         raise TypeError("locate_cone needs int or Fraction entries, got %r" % (v,))
     for ci, rows in enumerate(_dual_bases(fan)):

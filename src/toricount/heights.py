@@ -72,13 +72,9 @@ class HeightEvaluator:
             raise ValueError(
                 "heights over Q need a split fan; number-field places are out of scope"
             )
-        if len(phi.values) != fan.nrays:
-            raise ValueError("PL function has wrong length")
-        if not phi.is_integral():
-            raise ValueError("heights need integer PL values")
         self.fan = fan
-        self.phi = phi
-        self._pieces = cone_pieces(fan, phi.values)
+        self.phi = PLFunction(phi.integer_values())
+        self._pieces = cone_pieces(fan, self.phi.values)
         self._exponents = {}
         self._factors = {}
 

@@ -2,16 +2,19 @@
 
 The Q polynomial of a fan (for a decomposition subgroup acting with given
 ray orbits) clears the geometric-series denominators out of the sum of
-R_sigma terms over invariant cones.  Its constant term is 1 and every
-other monomial has total degree >= 2, which is what makes the Euler
-products downstream converge; that property is asserted after
-construction, not assumed.
+R_sigma terms over invariant cones.  Each invariant cone's term is
+expanded straight into signed monomials, so Q is built by one pass of
+additions over the cones.  Its constant term is 1 and every other
+monomial has total degree >= 2, which is what makes the Euler products
+downstream converge; that property is asserted after construction, not
+assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import comb, prod
 
 from .arith import BudgetExceededError
@@ -51,17 +54,6 @@ class QSigmaPolynomial:
         )
 
 
-def _poly_mul(a, b):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            out[key] = out.get(key, 0) + ca * cb
-            if out[key] == 0:
-                del out[key]
-    return out
-
-
 def qsigma(fan, decomposition: OrbitDecomposition) -> QSigmaPolynomial:
     """Clear denominators out of the R_sigma sum over invariant cones.
 
@@ -70,6 +62,11 @@ def qsigma(fan, decomposition: OrbitDecomposition) -> QSigmaPolynomial:
 
         sum_sigma prod_{j in sigma} u_j^{d_j} / (1 - u_j^{d_j})
             = Q / prod_j (1 - u_j^{d_j}).
+
+    With x_k = u_k^{d_k}, sigma contributes prod_{k in sigma} x_k
+    prod_{k not in sigma} (1 - x_k) = sum_{T >= sigma} (-1)^|T - sigma| x^T
+    to Q, one signed monomial per set T of orbits containing sigma's;
+    those are added directly, with no polynomial products.
     """
     n = fan.nrays
     flat = sorted(j for orb in decomposition.orbits for j in orb)
@@ -82,31 +79,18 @@ def qsigma(fan, decomposition: OrbitDecomposition) -> QSigmaPolynomial:
     l = decomposition.r
     lengths = decomposition.lengths
 
-    invariant_cones = []
+    poly = {}
     for cone in fan.all_cones():
         touched = {orbit_of[j] for j in cone}
-        if sum(lengths[k] for k in touched) == len(cone):
-            invariant_cones.append(frozenset(touched))
-    if frozenset() not in invariant_cones:
-        raise ValueError("missing zero cone; fan structure inconsistent")
+        if sum(lengths[k] for k in touched) != len(cone):
+            continue
+        free = l - len(touched)
+        for key in product(*[(d,) if k in touched else (0, d) for k, d in enumerate(lengths)]):
+            # the zero exponents are the free orbits left out of T
+            poly[key] = poly.get(key, 0) + (-1) ** (free - key.count(0))
 
-    zero = tuple([0] * l)
-    poly = {}
-    for touched in invariant_cones:
-        term = {zero: 1}
-        for k in range(l):
-            ek = tuple(lengths[k] if i == k else 0 for i in range(l))
-            if k in touched:
-                term = _poly_mul(term, {ek: 1})
-            else:
-                term = _poly_mul(term, {zero: 1, ek: -1})
-        for key, c in term.items():
-            poly[key] = poly.get(key, 0) + c
-            if poly[key] == 0:
-                del poly[key]
-
-    q = QSigmaPolynomial(l, tuple(lengths), tuple(sorted(poly.items())))
-    if q.coeff_dict().get(zero, 0) != 1:
+    q = QSigmaPolynomial(l, tuple(lengths), tuple(sorted((e, c) for e, c in poly.items() if c)))
+    if q.coeff_dict().get((0,) * l, 0) != 1:
         raise ValueError("Q(0) != 1; orbit data inconsistent with the fan")
     if not q.degree_ge_two_away_from_one():
         raise ValueError("Q - 1 has a monomial of degree < 2; orbit data bad")
@@ -142,18 +126,6 @@ def _require_split(fan):
         raise ValueError("operation needs a split fan (no Galois action)")
 
 
-def _integer_values(phi):
-    vals = []
-    for v in phi.values:
-        f = Fraction(v)
-        if f.denominator != 1:
-            raise ValueError(
-                "exact local sums need integer values on the rays, got %r" % (v,)
-            )
-        vals.append(int(f))
-    return vals
-
-
 @dataclass(frozen=True)
 class LocalIntegral:
     """Truncated lattice sum with a certified tail, plus the closed form."""
@@ -179,7 +151,7 @@ def local_integral(fan, p, s: PLFunction, truncation=20):
     bounds the common denominator of the cone sum.
     """
     _require_split(fan)
-    vals = _integer_values(s)
+    vals = s.integer_values()
     if any(v <= 0 for v in vals):
         raise ValueError("divergent: s has a value <= 0 on some ray")
     d = fan.dim
@@ -200,8 +172,6 @@ def local_integral(fan, p, s: PLFunction, truncation=20):
     )
 
     total = Fraction(0)
-    from itertools import product
-
     for n in product(range(-r, r + 1), repeat=d):
         e = pl_evaluate(fan, s, n)
         total += Fraction(1, p ** int(e))

@@ -42,8 +42,11 @@ class PLFunction:
     def __add__(self, other):
         return PLFunction(tuple(a + b for a, b in zip(self.values, other.values)))
 
-    def is_integral(self):
-        return all(isinstance(v, int) or (isinstance(v, Fraction) and v.denominator == 1) for v in self.values)
+    def integer_values(self):
+        """The values as ints; each must be an int or an integral Fraction."""
+        if not all(isinstance(v, (int, Fraction)) and v.denominator == 1 for v in self.values):
+            raise ValueError("exact sums and heights need integer PL values, got %r" % (self.values,))
+        return tuple(map(int, self.values))
 
 
 def anticanonical(fan):
@@ -73,7 +76,6 @@ class PicardData:
     anticanonical_class: tuple
     h1_GM: tuple  # invariant factors of H^1(G, M)
     h1_GPic: tuple  # invariant factors of H^1(G, Pic)
-    projection: tuple  # Z^n -> Pic (rows)
     # the same divisor classes in PL^G / M^G, a lattice of rank rank_K and
     # index h in the Picard lattice over the ground field
     eff_generators_G: tuple
@@ -237,7 +239,6 @@ def picard_data(fan):
         anticanonical_class=antican,
         h1_GM=h1_gm,
         h1_GPic=h1_gpic,
-        projection=project,
         eff_generators_G=eff_g,
         anticanonical_G=antican_g,
     )

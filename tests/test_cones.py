@@ -4,12 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from oracles.census_triangulation import census_triangulate
 from oracles.descent import descent_check, descent_check_double
 from oracles.exact import solve_exact
+from test_height_oracles import subdivided_surfaces
 
-from toricount.cones import ConeRationalFunction, PolyCone, alpha, xfunction
+from toricount.cones import ConeRationalFunction, PolyCone, alpha, triangulate, xfunction
 from toricount.corpus import fan
 from toricount.linalg import mat_vec, quotient_map, unimodular_inverse
+from toricount.picard import picard_data
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -123,8 +128,6 @@ def test_triangulation_independence():
 def test_triangulation_covers_dual_cone_once():
     # random interior points of the dual cone land in exactly one piece,
     # strictly, or on a shared wall of at least one piece
-    from toricount.cones import triangulate
-
     rng = random.Random(23)
     for trial in range(25):
         k = rng.choice([2, 3, 4])
@@ -336,3 +339,38 @@ def test_effective_cone_data_split_matches_picard(p2):
     # a split fan's PL^G / M^G is its Picard lattice
     assert gens == pd.eff_generators
     assert pd.anticanonical_G == pd.anticanonical_class
+
+
+@st.composite
+def pointed_cones(draw):
+    """Cones on 2 to 7 generators in Z^2..Z^4 with a positive last entry, so
+    pointed; generators need not be extreme or primitive."""
+    k = draw(st.integers(min_value=2, max_value=4))
+    entry, last = st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=4)
+    gens = draw(st.lists(st.tuples(*[entry] * (k - 1), last), min_size=k, max_size=k + 3))
+    try:
+        return PolyCone(k, gens)
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pointed_cones())
+def test_triangulate_matches_census_oracle_on_random_cones(c):
+    k = c.ambient_rank
+    for gens in (c.generators, c.dual_generators()):
+        for order in ("lex", "revlex"):
+            assert triangulate(gens, k, order) == census_triangulate(gens, k, order)
+
+
+@settings(max_examples=20, deadline=None)
+@given(subdivided_surfaces(max_blowups=8))
+def test_triangulate_matches_census_oracle_on_surface_effective_cones(surface):
+    # the dual of the effective cone is what alpha triangulates
+    assume(surface.nrays <= 11)
+    pd = picard_data(surface)
+    c = PolyCone(pd.rank_K, pd.eff_generators_G)
+    for order in ("lex", "revlex"):
+        assert triangulate(c.dual_generators(), c.ambient_rank, order) == census_triangulate(
+            c.dual_generators(), c.ambient_rank, order
+        )

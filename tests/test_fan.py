@@ -17,7 +17,8 @@ from toricount.fan import (
     locate_cone,
     validate_fan,
 )
-from toricount.heights import TorusPoint, anticanonical_height, local_height
+from toricount.heights import HeightEvaluator, TorusPoint, anticanonical_height, local_height
+from toricount.localdata import local_integral
 from toricount.picard import PLFunction, pl_evaluate
 
 
@@ -303,6 +304,28 @@ def test_locate_cone_refuses_floats(p2):
         locate_cone(p2, (0.5, 1))
     with pytest.raises(TypeError):
         pl_evaluate(p2, PLFunction((1, 1, 1)), (1.0, 0))
+
+
+def test_wrong_lengths_refused_at_every_entry_point(p2):
+    # a short vector was located by its first entries, and surplus PL
+    # values were ignored
+    for v in ((-1,), (1, 1, 1)):
+        message = "vector of length %d in a fan of dimension 2" % len(v)
+        for call in (lambda: locate_cone(p2, v), lambda: pl_evaluate(p2, PLFunction((1, 1, 1)), v)):
+            with pytest.raises(ValueError, match=message):
+                call()
+    x = TorusPoint((Fraction(2), Fraction(3, 4)))
+    for values in ((1, 1), (1, 1, 1, 1)):
+        phi = PLFunction(values)
+        for call in (
+            lambda: cone_pieces(p2, values),
+            lambda: pl_evaluate(p2, phi, (1, 1)),
+            lambda: local_integral(p2, 2, phi),
+            lambda: HeightEvaluator(p2, phi),
+            lambda: local_height(p2, phi, x, 2),
+        ):
+            with pytest.raises(ValueError, match="%d PL values for 3 rays" % len(values)):
+                call()
 
 
 def test_cone_pieces_keeps_value_types_apart():

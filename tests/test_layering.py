@@ -1,4 +1,5 @@
-"""Package modules talk to each other through public names only, and need no numpy or scipy."""
+"""Package modules talk to each other through public names only, import only at
+module level, and need no numpy or scipy."""
 
 import ast
 import pathlib
@@ -40,6 +41,17 @@ def _numeric_imports(path):
     return out
 
 
+def _nested_imports(path):
+    """(line, module) for each import below the module's top level."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    top = {id(node) for node in tree.body}
+    return [
+        (node.lineno, getattr(node, "module", None) or node.names[0].name)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+    ]
+
+
 def test_modules_found():
     assert len(MODULES) > 5
 
@@ -55,6 +67,13 @@ def test_package_imports_neither_numpy_nor_scipy():
     # the runtime dependencies are mpmath alone; the tests bring the rest
     offenders = {
         path.name: found for path in MODULES if (found := _numeric_imports(path))
+    }
+    assert offenders == {}
+
+
+def test_package_imports_only_at_module_level():
+    offenders = {
+        path.name: found for path in MODULES if (found := _nested_imports(path))
     }
     assert offenders == {}
 

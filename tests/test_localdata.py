@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles.archimedean import archimedean_transform
 from oracles.exact import abs_coeff_sum_nonconstant, diagonal_coeffs, solve_exact
+from oracles.product_qsigma import product_qsigma
 from test_height_oracles import CUBE, DP7, subdivided_surfaces
 
 from toricount.arith import primes_upto
-from toricount.fan import Fan, OrbitDecomposition, galois_group, galois_orbits
+from toricount.fan import Fan, OrbitDecomposition, galois_group, galois_orbits, validate_fan
 from toricount.localdata import (
     euler_polynomial,
     local_integral,
@@ -72,6 +74,55 @@ def test_degree_ge_two_for_all_corpus_fans_and_subgroups(corpus):
         for orb in all_cyclic_subgroup_orbits(fan):
             q = qsigma(fan, orb)
             assert q.degree_ge_two_away_from_one(), (name, orb.orbits)
+
+
+# counter-clockwise rays and a rotation that maps the fan to itself
+ROTATIONS = (
+    ([(1, 0), (0, 1), (-1, -1)], [[0, -1], [1, -1]]),
+    ([(1, 0), (0, 1), (-1, 0), (0, -1)], [[0, -1], [1, 0]]),
+    ([(1, 0), (0, 1), (-1, 0), (0, -1)], [[-1, 0], [0, -1]]),
+    ([(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)], [[1, -1], [1, 0]]),
+)
+
+
+@st.composite
+def rotated_surfaces(draw, max_rays=10):
+    """P^2, F_0 or dp6 with a rotation as its Galois action, after blowing up
+    whole orbits of torus-fixed points, so the rotation stays a symmetry."""
+    rays, g = draw(st.sampled_from(ROTATIONS))
+    rays = list(rays)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        image = tuple(sum(a * b for a, b in zip(row, rays[0])) for row in g)
+        shift = rays.index(image)
+        if len(rays) + len(rays) // shift > max_rays:
+            break
+        i = draw(st.integers(min_value=0, max_value=shift - 1))
+        for j in reversed(range(i, len(rays), shift)):
+            u, v = rays[j], rays[(j + 1) % len(rays)]
+            rays.insert(j + 1, (u[0] + v[0], u[1] + v[1]))
+    n = len(rays)
+    return Fan(2, rays, [(i, (i + 1) % n) for i in range(n)], galois=[g])
+
+
+def swapped_square(fan):
+    """X x X with the factor swap as its Galois action."""
+    d, n = fan.dim, fan.nrays
+    rays = [r + (0,) * d for r in fan.rays] + [(0,) * d + r for r in fan.rays]
+    cones = [a + tuple(n + j for j in b) for a in fan.max_cones for b in fan.max_cones]
+    swap = [[int(j == (i + d) % (2 * d)) for j in range(2 * d)] for i in range(2 * d)]
+    return Fan(2 * d, rays, cones, galois=[swap])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(rotated_surfaces(), subdivided_surfaces(max_blowups=1).map(swapped_square)))
+def test_qsigma_matches_product_oracle(fan):
+    assert validate_fan(fan).ok
+    decompositions = [
+        OrbitDecomposition(tuple((j,) for j in range(fan.nrays))),
+        galois_orbits(fan),
+    ] + [galois_orbits(fan, generators=[g]) for g in galois_group(fan)]
+    for orb in decompositions:
+        assert qsigma(fan, orb) == product_qsigma(fan, orb), orb.orbits
 
 
 def test_qsigma_rejects_bad_partition(p2):

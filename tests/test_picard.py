@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from oracles.exact import from_character, h1_cyclic_cocycle, solve_exact
 
 from toricount.fan import Fan, galois_orbits
+from toricount.heights import HeightEvaluator, TorusPoint, global_height
 from toricount.linalg import identity, mat_mul, mat_vec, rank
+from toricount.localdata import local_integral
 from toricount.picard import (
     PLFunction,
     _solve_in_lattice,
@@ -383,3 +385,18 @@ def test_picard_data_on_a_20_ray_product():
     # characters map to the zero class
     for m in identity(fan.dim):
         assert mat_vec([list(r) for r in project], list(from_character(fan, m).values)) == [0] * k
+
+
+def test_one_integrality_rule_for_local_sums_and_heights(p2):
+    x = TorusPoint((Fraction(2), Fraction(3, 4)))
+    for values in ((2.0, 2.0, 2.0), (Fraction(1, 2),) * 3, (2, 2, 2.5)):
+        phi = PLFunction(values)
+        calls = (phi.integer_values, lambda: local_integral(p2, 2, phi), lambda: HeightEvaluator(p2, phi))
+        for call in calls:
+            with pytest.raises(ValueError, match="need integer PL values"):
+                call()
+    # integral Fractions are ints to both callers
+    phi, ints = PLFunction((Fraction(2),) * 3), PLFunction((2, 2, 2))
+    assert phi.integer_values() == (2, 2, 2)
+    assert local_integral(p2, 2, phi) == local_integral(p2, 2, ints)
+    assert global_height(p2, phi, x) == global_height(p2, ints, x)
