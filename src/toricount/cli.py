@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .arith import PRIMALITY_LIMIT, BudgetExceededError, is_prime
 from .cones import PolyCone, xfunction
@@ -156,9 +157,9 @@ def cmd_localcheck(args, fan):
     if not fan.is_split():
         print("error: localcheck needs a split fan", file=sys.stderr)
         return 1
-    # local_integral refuses over its caps before any work, Q included
-    li = local_integral(fan, p, PLFunction((s,) * fan.nrays), truncation=args.truncation)
+    # Q, then local_integral, each refuse over their caps before any work
     q = qsigma_split(fan)
+    li = local_integral(fan, p, PLFunction((s,) * fan.nrays), truncation=args.truncation)
     results = [("Q - 1 only has monomials of degree >= 2", q.degree_ge_two_away_from_one())]
 
     gap = li.closed_form - li.truncated
@@ -232,13 +233,19 @@ def build_parser():
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser():
+    """The parser, built once per process: parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
     """Parse argv, load the fan, refuse it unless it is valid, run the command.
 
     Only `validate` runs on a fan that fails a check: it reports them.  A
     command's budget refusal exits 3 and its computation errors exit 1.
     """
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         fan = _load_fan(args.path)
         failed = [] if args.func is cmd_validate else validate_fan(fan).failed()

@@ -37,7 +37,8 @@ Budgets.  Each counter refuses its work up front with
 BudgetExceededError when it is over the budget: the scan counts its
 candidate tuples exactly (candidate_estimate), the torsor bounds its
 prefixes by the same recursion without the gcd pruning, and the sieves
-stop at arith.SIEVE_CAP table entries.
+stop at arith.SIEVE_CAP table entries.  All three grow with B, so a
+schedule is checked once, at its largest B, before anything is counted.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from itertools import product as iter_product
 from operator import mul
 
 from .arith import (
+    SIEVE_CAP,
     BudgetExceededError,
     euler_phi_table,
     iroot,
@@ -162,24 +164,29 @@ def _candidate_count(cap, coord_caps):
     return tuples(0, cap)
 
 
-def _scan(fan, B, budget):
+def _check_scan(fan, B, budget):
+    """Refuse a nonsplit fan, or a scan whose exact candidate count exceeds the budget."""
+    if not fan.is_split():
+        raise ValueError("counting needs a split fan")
+    if Fraction(B) < 1:
+        return
+    estimate = candidate_estimate(fan, B)
+    if estimate > budget:
+        raise BudgetExceededError(estimate, budget, "scan candidates")
+
+
+def _scan(fan, B):
     """Yield (pairs, num, den) for each positive-orthant point of height <= B.
 
     pairs are the coordinates as reduced (a_i, b_i) with x_i = a_i / b_i,
     num / den is the exact anticanonical height, and the order is
-    deterministic.  Refuses scans whose exact candidate count exceeds the
-    budget.
+    deterministic.  The callers check the fan and the budget first
+    (_check_scan).
     """
-    if not fan.is_split():
-        raise ValueError("counting needs a split fan")
     bound = Fraction(B)
     if bound < 1:
         return
     cap, coord_caps = _scan_plan(fan, B)
-    estimate = _candidate_count(cap, coord_caps)
-    if estimate > budget:
-        raise BudgetExceededError(estimate, budget, "scan candidates")
-
     d = fan.dim
     groups = _coords_by_max(max(coord_caps))
     height = HeightEvaluator(fan, anticanonical(fan)).height
@@ -208,9 +215,10 @@ def enumerate_naive(fan, B, budget=DEFAULT_BUDGET, with_heights=False):
     never changes any local height).  Deterministic order.  Refuses scans
     whose exact candidate count exceeds the budget.
     """
+    _check_scan(fan, B, budget)
     signs = list(iter_product((1, -1), repeat=fan.dim))
     out = []
-    for pairs, hn, hd in _scan(fan, B, budget):
+    for pairs, hn, hd in _scan(fan, B):
         h = Fraction(hn, hd)
         for sign in signs:
             pt = TorusPoint([Fraction(s * a, b) for s, (a, b) in zip(sign, pairs)])
@@ -266,6 +274,8 @@ SPECIALIZED = {
     "p2": count_p2,
     "p1xp1": count_p1xp1,
 }
+# each sieve's table runs to the root of this degree of B
+_SIEVE_ROOT = {"p1": 2, "p2": 3, "p1xp1": 2}
 
 
 def specialized_id_for(fan):
@@ -524,6 +534,28 @@ def _torsor_count(plan, top):
     return walk(0, [top] * plan.nforms, [(1, 1)], 1), visits
 
 
+def _check_torsor(plan, B, budget):
+    """Refuse a torsor count over the budget.
+
+    Its prefix bound must be within the budget, and the table of smallest
+    prime factors up to _prefix_cap within arith.SIEVE_CAP.
+    """
+    top = math.floor(Fraction(B))
+    if top < 1:
+        return
+    bound = _prefix_bound(plan, top, budget)
+    if bound > budget:
+        raise BudgetExceededError(bound, budget, "torsor prefixes")
+    entries = _prefix_cap(plan, top)
+    if entries > SIEVE_CAP:
+        raise BudgetExceededError(entries, SIEVE_CAP, "sieve entries")
+
+
+def _count_torsor(fan, plan, B):
+    top = math.floor(Fraction(B))
+    return 2**fan.dim * _torsor_count(plan, top)[0] if top >= 1 else 0
+
+
 def count_torsor(fan, B, budget=DEFAULT_BUDGET):
     """N(B) from the universal torsor of a split fan with nef -K.
 
@@ -533,13 +565,8 @@ def count_torsor(fan, B, budget=DEFAULT_BUDGET):
     plan = _torsor_plan(fan)
     if plan is None:
         raise ValueError("the torsor counter needs a split fan with nef -K")
-    top = math.floor(Fraction(B))
-    if top < 1:
-        return 0
-    bound = _prefix_bound(plan, top, budget)
-    if bound > budget:
-        raise BudgetExceededError(bound, budget, "torsor prefixes")
-    return 2**fan.dim * _torsor_count(plan, top)[0]
+    _check_torsor(plan, B, budget)
+    return _count_torsor(fan, plan, B)
 
 
 # ---------------------------------------------------------------------------
@@ -564,18 +591,38 @@ def counter_for(fan, strategy="auto"):
     return "naive" if _torsor_plan(fan) is None else "torsor"
 
 
+def _schedule_counter(fan, strategy, top, budget):
+    """The routed counter as a function of B <= top, refused up front at top.
+
+    The work of every counter grows with B (a sieve's table, the torsor's
+    prefix bound and sieve, the scan's candidates and its totient sieve),
+    so the one check at top covers every smaller B, and the function
+    returned checks nothing.
+    """
+    counter = counter_for(fan, strategy)
+    if counter == "sieve":
+        sid = specialized_id_for(fan)
+        bound = Fraction(top)
+        entries = iroot(bound, _SIEVE_ROOT[sid]) if bound > 0 else 0
+        if entries > SIEVE_CAP:
+            raise BudgetExceededError(entries, SIEVE_CAP, "sieve entries")
+        return SPECIALIZED[sid]
+    if counter == "torsor":
+        plan = _torsor_plan(fan)
+        _check_torsor(plan, top, budget)
+        return lambda B: _count_torsor(fan, plan, B)
+    _check_scan(fan, top, budget)
+    return lambda B: 2**fan.dim * sum(1 for _ in _scan(fan, B))
+
+
 def count_points(fan, B, strategy="auto", budget=DEFAULT_BUDGET):
     """N(B) by the requested strategy ("auto", "naive", "specialized").
 
     "auto" runs the registered sieve when the fan has one, the torsor
     counter when -K is nef, and the naive scan otherwise (counter_for).
+    Refuses up front, with BudgetExceededError, a count over the budget.
     """
-    counter = counter_for(fan, strategy)
-    if counter == "sieve":
-        return SPECIALIZED[specialized_id_for(fan)](B)
-    if counter == "torsor":
-        return count_torsor(fan, B, budget)
-    return 2**fan.dim * sum(1 for _ in _scan(fan, B, budget))
+    return _schedule_counter(fan, strategy, B, budget)(B)
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +732,8 @@ def asymptotic_report(
             counter_for(fan, strategy),
             strategy,
         )
-        counts = [count_points(fan, b, strategy=strategy, budget=budget) for b in schedule]
+        count = _schedule_counter(fan, strategy, max(schedule, default=0), budget)
+        counts = [count(b) for b in schedule]
     else:
         source = "counts supplied by the caller"
     prev = -1

@@ -25,6 +25,9 @@ from .picard import PLFunction, pl_evaluate
 # of the largest power of p that it builds
 LOCAL_TERMS_CAP = 1_000_000
 LOCAL_DIGITS_CAP = 20_000
+# qsigma's work cap: Q has at most 2^(orbits) monomials (65,536 at 16 rays,
+# about a second to build)
+QSIGMA_MONOMIALS_CAP = 2**16
 
 
 @dataclass(frozen=True)
@@ -66,12 +69,16 @@ def qsigma(fan, decomposition: OrbitDecomposition) -> QSigmaPolynomial:
     With x_k = u_k^{d_k}, sigma contributes prod_{k in sigma} x_k
     prod_{k not in sigma} (1 - x_k) = sum_{T >= sigma} (-1)^|T - sigma| x^T
     to Q, one signed monomial per set T of orbits containing sigma's;
-    those are added directly, with no polynomial products.
+    those are added directly, with no polynomial products.  Q has at most
+    2^l monomials for l orbits, so past QSIGMA_MONOMIALS_CAP it is refused
+    with BudgetExceededError before any work.
     """
     n = fan.nrays
     flat = sorted(j for orb in decomposition.orbits for j in orb)
     if flat != list(range(n)):
         raise ValueError("orbit decomposition is not a partition of the rays")
+    if 2**decomposition.r > QSIGMA_MONOMIALS_CAP:
+        raise BudgetExceededError(2**decomposition.r, QSIGMA_MONOMIALS_CAP, "Q monomials")
     orbit_of = {}
     for k, orb in enumerate(decomposition.orbits):
         for j in orb:

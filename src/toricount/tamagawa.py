@@ -23,6 +23,12 @@ anticanonical weight to 1 per maximal cone).  The product normalization
 is the one under which alpha * beta * tau reproduces the measured point
 counts; the end-to-end ratio tests are its arbiter, and the report
 carries that provenance.
+
+The certificate is exact arithmetic throughout: the prefix, the zeta
+brackets and the tail bound are Fractions, and the logarithms and the
+exponential that join them are integer fixed-point brackets with
+directed rounding (tau's docstring), so no floating point enters the
+enclosure before its ends are rounded outward to floats.
 """
 
 from __future__ import annotations
@@ -31,9 +37,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-
-import mpmath
-from mpmath import libmp
 
 from .arith import iroot, mobius_table, primes_upto
 from .cones import alpha
@@ -48,6 +51,9 @@ _GUARD_BITS = 16
 # P0 is the least power of two >= _P0_RATIO * R, so q = R/P0 <= 1/16 and
 # every zeta term gains at least 4 bits
 _P0_RATIO = 16
+# a unit of each fixed-point log bracket is 2^-_SCALE_BITS of the tolerance
+# it serves, so the roundings of the combination stay far below it
+_SCALE_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -55,7 +61,7 @@ class EulerProduct:
     """The zeta-factored Euler product with its certificate.
 
     lo and hi are floats rounded outward from `enclosure`, the exact
-    dyadic ends of the interval computed at the working precision.
+    rational ends of the certified interval.
     """
 
     cutoff: int  # P0: the primes below it are multiplied out exactly
@@ -174,11 +180,30 @@ def zeta_bracket(n, M, tol):
     return total - err, total + err
 
 
-@lru_cache(maxsize=None)
 def _bernoulli_ratio(k):
-    """B_2k / (2k)!, exact."""
-    num, den = mpmath.bernfrac(2 * k)
-    return Fraction(num, den * math.factorial(2 * k))
+    """B_2k / (2k)!, exact, from the tangent number E_(2k-1):
+
+        B_2k = (-1)^(k-1) 2k E_(2k-1) / (4^k (4^k - 1)).
+    """
+    return Fraction(
+        (-1) ** (k - 1) * _zigzag_row(2 * k - 1)[-1],
+        math.factorial(2 * k - 1) * 4**k * (4**k - 1),
+    )
+
+
+@lru_cache(maxsize=None)
+def _zigzag_row(n):
+    """Row n of the Seidel-Entringer triangle; it ends in the zigzag number E_n.
+
+    Each row is the running sums, from 0, of the previous row reversed,
+    so the numbers come from integer additions alone.
+    """
+    if n == 0:
+        return (1,)
+    row = [0]
+    for x in reversed(_zigzag_row(n - 1)):
+        row.append(row[-1] + x)
+    return tuple(row)
 
 
 @lru_cache(maxsize=None)
@@ -205,12 +230,84 @@ def _tail_log_bound(D, R, P0, N):
     return Fraction(4, 3) * D * (1 + Fraction(P0, N)) * q ** (N + 1) / (1 - q)
 
 
-def _interval(ctx, lo, hi):
-    """The ctx interval [lo, hi] for Fractions lo <= hi, rounded outward."""
-    return ctx.make_mpf((
-        libmp.from_rational(lo.numerator, lo.denominator, ctx.prec, libmp.round_floor),
-        libmp.from_rational(hi.numerator, hi.denominator, ctx.prec, libmp.round_ceiling),
-    ))
+def _log_bits(n, P0):
+    """The fixed-point precision of _log_zeta(n, P0), in bits.
+
+    A unit of 2^-bits is 2^-_SCALE_BITS of _rough_zeta's tolerance
+    2^-(target + guard) (16/P0)^n; P0 is a power of two, so the
+    precision is an integer.
+    """
+    return _TARGET_BITS + _GUARD_BITS + n * (P0.bit_length() - 5) + _SCALE_BITS
+
+
+@lru_cache(maxsize=None)
+def _log_zeta(n, P0):
+    """Integers lo <= hi with lo 2^-b <= log zeta_{>=P0}(n) <= hi 2^-b, b = _log_bits.
+
+    The bracket is log(1 + x) at the ends of x = zeta_{>=P0}(n) - 1 from
+    _rough_zeta.  Its half-width stays below _rough_zeta's tolerance, as
+    tau's derivation needs: zeta_bracket's error is at most the
+    tolerance, the product over p < P0 scales it by at most 1 - 2^-n <=
+    3/4, log(1 + x) has slope at most 1, and each end adds a few units
+    of 2^-b, each 2^-_SCALE_BITS of the tolerance.
+    """
+    lo, hi = _rough_zeta(n, P0)
+    bits = _log_bits(n, P0)
+    # zeta_{>=P0}(n) > 1, so an end of the bracket below 1 may be raised to it
+    ends = _log1p_bound(max(lo - 1, Fraction(0)), bits, False), _log1p_bound(hi - 1, bits, True)
+    assert ends[1] - ends[0] <= 2 << _SCALE_BITS
+    return ends
+
+
+def _log1p_bound(x, bits, up):
+    """An integer L with L 2^-bits <= log(1 + x), or >= when up, for a Fraction 0 <= x <= 1/2.
+
+    x is first rounded toward the bound to a multiple of 2^-bits, as
+    log(1 + x) rises with x.  The series x - x^2/2 + x^3/3 - ...
+    alternates with decreasing terms, so a partial sum that ends on a
+    minus term is a lower bound and one that ends on a plus term an upper
+    bound.  Each term is rounded toward the bound, and the sum ends on the
+    first term below 2^-bits: of the right sign, it bounds the terms left
+    out; of the wrong sign, it rounds to 0, and the sum ends in effect on
+    the term before it.
+    """
+    num = x.numerator << bits
+    X = -(-num // x.denominator) if up else num // x.denominator
+    total, power, j = 0, 1, 0
+    while True:
+        j += 1
+        power *= X
+        den = j << (bits * (j - 1))  # x^j / j = power / den in units of 2^-bits
+        term = power if j % 2 else -power
+        total += -(-term // den) if up else term // den
+        if power < den:
+            return total
+
+
+def _exp_bound(x, bits, up):
+    """An integer E with E 2^-bits <= exp(x), or >= when up, for a Fraction |x| <= 1.
+
+    For x >= 0, x is rounded toward the bound to s, a multiple of 2^-bits,
+    and the Taylor terms s^j / j! are built each from the last, rounded
+    toward the bound.  Their partial sum is a lower bound.  The upper
+    bound stops at the first term t_K rounded up to one unit (K >= 1) and
+    adds 2 t_K, since for s <= 1 the terms left out sum to at most
+    s^K / K! (K + 1) / K.  For x < 0, exp(x) = 1 / exp(-x) with the
+    rounding flipped.
+    """
+    one = 1 << bits
+    if x < 0:
+        inv = _exp_bound(-x, bits, not up)
+        return -(-one * one // inv) if up else one * one // inv
+    num = x.numerator << bits
+    X = -(-num // x.denominator) if up else num // x.denominator
+    # rounded up, the terms settle at one unit; rounded down, at zero
+    total, term, j, last = 0, one, 0, int(up)
+    while term > last:
+        total += term
+        j += 1
+        term = -(-term * X // (j << bits)) if up else term * X // (j << bits)
+    return total + 2 * term if up else total
 
 
 def tau(fan, prime_cutoff=None) -> EulerProduct:
@@ -233,13 +330,16 @@ def tau(fan, prime_cutoff=None) -> EulerProduct:
 
         |log T| <= 4/3 D (1 + P0/N) q^(N+1) / (1 - q).
 
-    The prefix prod_{p < P0} f(1/p) is an exact Fraction, each
-    zeta_{>=P0}(n) an exact bracket (zeta_bracket times the exact product
-    over p < P0), and they combine in mpmath.iv at 128 + 16 bits plus the
-    bits of max |a_n|: rounding log zeta_{>=P0}(n) to 2^-prec costs |a_n|
-    2^-prec in log tau.  lo and hi are the interval's ends rounded outward
-    to floats.  prime_cutoff is accepted for callers that still pass one
-    and does not change the result.
+    Combination.  The prefix prod_{p < P0} f(1/p) is an exact Fraction.
+    Each log zeta_{>=P0}(n) is an integer bracket at 2^-_log_bits(n, P0)
+    (_log_zeta) of half-width at most 2^-144 (16/P0)^n, so with
+    |a_n| <= D R^n <= D (P0/16)^n it moves log tau by at most D 2^-144.
+    S = -sum_n a_n log zeta_{>=P0}(n) +- |log T| is then summed exactly
+    in integers at the finest of those scales, exp(S) is bracketed by
+    _exp_bound with directed rounding, and arch * prefix multiplies the
+    bracket exactly, so `enclosure` holds exact Fractions.  lo and hi are
+    its ends rounded outward to floats.  prime_cutoff is accepted for
+    callers that still pass one and does not change the result.
     """
     if not fan.is_split():
         raise ValueError(
@@ -264,20 +364,23 @@ def tau(fan, prime_cutoff=None) -> EulerProduct:
     )
     arch = archimedean_density(fan)
 
-    ctx = mpmath.iv
-    saved = ctx.prec
-    ctx.prec = (
-        _TARGET_BITS + _GUARD_BITS + max(map(abs, exps)).bit_length() + N.bit_length()
+    # S in units of 2^-scale, the finest scale of the log brackets
+    scale = _log_bits(N, P0)
+    spread = -(-(tail.numerator << scale) // tail.denominator)
+    s_lo, s_hi = -spread, spread
+    for n, a in enumerate(exps, 1):
+        if a:
+            shift = scale - _log_bits(n, P0)
+            pair = [-a * e << shift for e in _log_zeta(n, P0)]
+            s_lo += min(pair)
+            s_hi += max(pair)
+    one = 1 << scale
+    assert -one <= s_lo <= s_hi <= one
+    base = arch * prefix
+    ends = (
+        base * Fraction(_exp_bound(Fraction(s_lo, one), scale, False), one),
+        base * Fraction(_exp_bound(Fraction(s_hi, one), scale, True), one),
     )
-    try:
-        log_sum = _interval(ctx, -tail, tail)
-        for n, a in enumerate(exps, 1):
-            if a:
-                log_sum -= a * ctx.log(_interval(ctx, *_rough_zeta(n, P0)))
-        value = arch * _interval(ctx, prefix, prefix) * ctx.exp(log_sum)
-        ends = tuple(Fraction(*libmp.to_rational(e)) for e in value._mpi_)
-    finally:
-        ctx.prec = saved
     return EulerProduct(
         cutoff=P0,
         terms=N,
@@ -291,13 +394,13 @@ def tau(fan, prime_cutoff=None) -> EulerProduct:
 
 
 def _float_down(x):
-    """The largest float <= x, an mpf or a Fraction (both compare exactly)."""
+    """The largest float <= x, a Fraction."""
     f = float(x)
     return f if f <= x else math.nextafter(f, -math.inf)
 
 
 def _float_up(x):
-    """The smallest float >= x, an mpf or a Fraction."""
+    """The smallest float >= x, a Fraction."""
     f = float(x)
     return f if f >= x else math.nextafter(f, math.inf)
 

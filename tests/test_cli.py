@@ -259,7 +259,7 @@ def test_localcheck(capsys):
 
 def test_localcheck_refuses_before_any_work(tmp_path, capsys):
     # dp6 x dp6 has 12 rays and a box of 41^4 terms: the cap refuses it
-    # before the Q polynomial or any term is built
+    # before any term is built (its Q, under Q's cap, takes ~0.13 s first)
     from test_tamagawa import product_fan
 
     from toricount.corpus import fan
@@ -518,3 +518,46 @@ def test_localcheck_uncertifiable_tail_is_an_error(tmp_path, capsys):
     code, _, err = run(capsys, "localcheck", _write_fan(tmp_path, F2), "--s", "2")
     assert code == 1
     assert err.startswith("error: ") and "certify" in err
+
+
+def test_localcheck_refuses_a_large_q_at_once(tmp_path, capsys):
+    # Q of a 17-ray surface could have 2^17 monomials: over its cap
+    from test_height_oracles import blown_up_p2
+
+    path = _write_fan(tmp_path, fan_to_dict(blown_up_p2(17)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "localcheck", path, "--prime", "3")
+    assert time.perf_counter() - start < 0.5
+    assert code == 3 and not out
+    assert "Q monomials" in err
+
+
+def test_schedule_refused_at_its_top_is_quick(capsys):
+    # the budget is checked once, at 10^6, before 10^4 and 10^5 are counted
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", "dp6", "--B-schedule", "10000,100000,1000000")
+    assert time.perf_counter() - start < 2.5
+    assert code == 3 and not out
+    assert "torsor prefixes" in err
+
+
+def test_cached_parser_carries_nothing_between_calls(capsys):
+    # main builds its parser once per process: each call sees its own
+    # flags and the defaults, never a flag of an earlier call
+    from toricount.cli import _parser, build_parser
+
+    calls = [
+        ("constants", "p1", "--json", "--cutoff", "500"),
+        ("count", "p1", "--B-schedule", "10,20", "--out", "json", "--strategy", "naive",
+         "--budget", "1000", "--cutoff", "200"),
+        ("validate", "p2", "--json"),
+        ("constants", "p2"),
+        ("count", "p2", "--B-schedule", "30"),
+        ("validate", "p1"),
+    ]
+    for argv in calls:
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and not err, argv
+        assert out.startswith("{") == ("json" in argv or "--json" in argv), argv
+        assert vars(_parser().parse_args(argv)) == vars(build_parser().parse_args(argv)), argv
+    assert _parser() is _parser()

@@ -49,6 +49,14 @@ CUBE = Fan(
 )
 
 
+def blown_up_p2(nrays):
+    """P^2 blown up nrays - 3 times, always in the cone after the ray (1, 0)."""
+    rays = list(P2_RAYS)
+    while len(rays) < nrays:
+        rays.insert(1, (rays[0][0] + rays[1][0], rays[0][1] + rays[1][1]))
+    return surface(rays)
+
+
 @st.composite
 def subdivided_surfaces(draw, max_blowups=4):
     """Star subdivisions of P^2 or F_0: by Oda, every smooth complete surface

@@ -1,8 +1,11 @@
 """Package modules talk to each other through public names only, import only at
-module level, and need no numpy or scipy."""
+module level, and need no numpy, scipy or mpmath."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import toricount
 
@@ -25,8 +28,8 @@ def _private_imports(path):
     return out
 
 
-def _numeric_imports(path):
-    """(line, module) for each import of numpy or scipy, local imports included."""
+def _imports_of(path, roots):
+    """(line, module) for each import of a module under roots, local imports included."""
     out = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
@@ -36,7 +39,7 @@ def _numeric_imports(path):
         else:
             continue
         for name in names:
-            if name.split(".")[0] in ("numpy", "scipy"):
+            if name.split(".")[0] in roots:
                 out.append((node.lineno, name))
     return out
 
@@ -64,11 +67,28 @@ def test_no_private_names_imported_across_modules():
 
 
 def test_package_imports_neither_numpy_nor_scipy():
-    # the runtime dependencies are mpmath alone; the tests bring the rest
+    # the package has no runtime dependency; the tests bring numpy and scipy
     offenders = {
-        path.name: found for path in MODULES if (found := _numeric_imports(path))
+        path.name: found
+        for path in MODULES
+        if (found := _imports_of(path, ("numpy", "scipy")))
     }
     assert offenders == {}
+
+
+def test_package_imports_no_mpmath():
+    # tau is certified in exact integer arithmetic; mpmath is a test oracle only
+    offenders = {
+        path.name: found for path in MODULES if (found := _imports_of(path, ("mpmath",)))
+    }
+    assert offenders == {}
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    code = "import sys, toricount.cli; sys.exit('mpmath' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 def test_package_imports_only_at_module_level():

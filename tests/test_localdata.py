@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,11 +9,12 @@ from hypothesis import strategies as st
 from oracles.archimedean import archimedean_transform
 from oracles.exact import abs_coeff_sum_nonconstant, diagonal_coeffs, solve_exact
 from oracles.product_qsigma import product_qsigma
-from test_height_oracles import CUBE, DP7, subdivided_surfaces
+from test_height_oracles import CUBE, DP7, blown_up_p2, subdivided_surfaces
 
-from toricount.arith import primes_upto
+from toricount.arith import BudgetExceededError, primes_upto
 from toricount.fan import Fan, OrbitDecomposition, galois_group, galois_orbits, validate_fan
 from toricount.localdata import (
+    QSIGMA_MONOMIALS_CAP,
     euler_polynomial,
     local_integral,
     point_count_fp,
@@ -354,3 +356,17 @@ def test_local_integral_work_budget(p1, p2):
         local_integral(p2, 3, PLFunction((2, 2, 2)), truncation=10**5)
     with pytest.raises(BudgetExceededError, match="digits"):
         local_integral(p1, 2, PLFunction((10**6, 10**6)), truncation=2)
+
+
+def test_qsigma_refuses_over_its_cap_at_once():
+    # Q has up to 2^n monomials for n rays: 17 rays pass the cap of 2^16,
+    # and the refusal comes before any cone is expanded
+    fan = blown_up_p2(17)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="Q monomials"):
+        qsigma_split(fan)
+    assert time.perf_counter() - start < 0.1
+    # 12 rays, as many as dp6 x dp6 has, stay under it
+    assert 2**12 <= QSIGMA_MONOMIALS_CAP
+    q = qsigma_split(blown_up_p2(12))
+    assert q.degree_ge_two_away_from_one() and len(q.monomials) > 2**10

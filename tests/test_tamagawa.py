@@ -4,12 +4,19 @@ from fractions import Fraction
 import mpmath
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles.interval_tau import interval_tau
 from oracles.truncated_tau import truncated_tau
 from test_height_oracles import DP7, P2_RAYS, subdivided_surfaces, surface
 
 from toricount.fan import Fan
 from toricount.localdata import euler_polynomial, point_count_fp
 from toricount.tamagawa import (
+    _bernoulli_ratio,
+    _exp_bound,
+    _float_down,
+    _float_up,
+    _log1p_bound,
     archimedean_density,
     factor_exponents,
     root_bound,
@@ -271,15 +278,14 @@ def test_tau_dp6_contains_reference(dp6, cutoff):
 
 
 def test_tau_endpoints_round_outward(dp6):
-    # lo and hi are floats rounded away from the 128-bit enclosure, not
+    # lo and hi are floats rounded away from the exact enclosure, not
     # nudged by a fixed 1e-15
-    from toricount.tamagawa import _float_down, _float_up
-
-    with mpmath.workprec(128):
-        x = mpmath.mpf(1) / 3
-        assert mpmath.mpf(_float_down(x)) <= x <= mpmath.mpf(_float_up(x))
-        assert math.nextafter(_float_down(x), math.inf) == _float_up(x)
-        assert _float_down(mpmath.mpf(0.5)) == _float_up(mpmath.mpf(0.5)) == 0.5
+    x = Fraction(1, 3)
+    assert Fraction(_float_down(x)) <= x <= Fraction(_float_up(x))
+    assert math.nextafter(_float_down(x), math.inf) == _float_up(x)
+    assert _float_down(Fraction(1, 2)) == _float_up(Fraction(1, 2)) == 0.5
+    t = tau(dp6)
+    assert Fraction(t.lo) <= t.enclosure[0] < t.enclosure[1] <= Fraction(t.hi)
 
 
 def test_theta_interval_rounds_outward(corpus):
@@ -292,3 +298,97 @@ def test_theta_interval_rounds_outward(corpus):
         ab = r.alpha * r.beta
         assert Fraction(r.theta_lo) <= ab * Fraction(r.tau_interval.lo)
         assert Fraction(r.theta_hi) >= ab * Fraction(r.tau_interval.hi)
+
+
+def _dyadics(lo, hi):
+    """Fractions k / 2^e in [lo, hi] for e up to 300."""
+    return st.integers(1, 300).flatmap(
+        lambda e: st.integers(math.ceil(lo * 2**e), math.floor(hi * 2**e)).map(
+            lambda k: Fraction(k, 2**e)
+        )
+    )
+
+
+def _reals(lo, hi):
+    """The ends, and dyadic and rational points of [lo, hi]."""
+    return st.one_of(
+        st.sampled_from([Fraction(lo), Fraction(hi), Fraction(0)]),
+        _dyadics(lo, hi),
+        st.fractions(min_value=lo, max_value=hi, max_denominator=2**200),
+    )
+
+
+def _at_400_bits(f, x):
+    """f(x) by mpmath at 400 bits, as an exact Fraction."""
+    with mpmath.workprec(400):
+        return _exact(f(mpmath.mpf(x.numerator) / x.denominator))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reals(0, Fraction(1, 2)), st.integers(1, 300))
+def test_log1p_bounds_enclose_log(x, bits):
+    # mpmath's value is within 2^-399 of log(1 + x) <= log(3/2); the bounds
+    # are within a unit of 2^-bits per term summed
+    value = _at_400_bits(mpmath.log1p, x)
+    lo = Fraction(_log1p_bound(x, bits, False), 2**bits)
+    hi = Fraction(_log1p_bound(x, bits, True), 2**bits)
+    ulp = Fraction(1, 2**399)
+    assert lo <= value + ulp and value - ulp <= hi
+    assert hi - lo <= Fraction(2 * bits + 4, 2**bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reals(-1, 1), st.integers(1, 300))
+def test_exp_bounds_enclose_exp(x, bits):
+    # mpmath's value is within 2^-397 of exp(x) <= e
+    value = _at_400_bits(mpmath.exp, x)
+    lo = Fraction(_exp_bound(x, bits, False), 2**bits)
+    hi = Fraction(_exp_bound(x, bits, True), 2**bits)
+    ulp = Fraction(1, 2**397)
+    assert lo <= value + ulp and value - ulp <= hi
+    assert hi - lo <= Fraction(2 * bits + 16, 2**bits)
+
+
+def test_bernoulli_ratios():
+    for k in range(1, 81):
+        assert _bernoulli_ratio(k) == Fraction(*mpmath.bernfrac(2 * k)) / math.factorial(2 * k), k
+
+
+def _assert_matches_interval_oracle(fan):
+    # the same exact pieces combined in mpmath.iv: the integer combination
+    # is no wider, and as both round a few dozen times at 2^-144 or finer,
+    # their ends agree to 2^-140 relative (the tail alone is 2^-128 wide)
+    lo, hi = tau(fan).enclosure
+    olo, ohi = interval_tau(fan)
+    assert hi - lo <= ohi - olo
+    assert abs(lo - olo) <= lo / 2**140 and abs(hi - ohi) <= lo / 2**140
+
+
+def test_tau_carries_each_log_bracket_outward(monkeypatch, dp6):
+    # widen every log zeta bracket by 2^-60 on both sides: each a_n log
+    # zeta must enter with its ends in the right order, or the enclosure
+    # would shrink past tau (held here by the oracle's enclosure)
+    import toricount.tamagawa as tamagawa
+
+    real = tamagawa._log_zeta
+
+    def widened(n, P0):
+        lo, hi = real(n, P0)
+        unit = 1 << (tamagawa._log_bits(n, P0) - 60)
+        return lo - unit, hi + unit
+
+    monkeypatch.setattr(tamagawa, "_log_zeta", widened)
+    lo, hi = tau(dp6).enclosure
+    olo, ohi = interval_tau(dp6)
+    assert lo < olo and ohi < hi
+
+
+@pytest.mark.parametrize("name", SPLIT_FANS)
+def test_tau_matches_interval_oracle(corpus, name):
+    _assert_matches_interval_oracle(_named_fan(corpus, name))
+
+
+@settings(max_examples=25, deadline=None)
+@given(subdivided_surfaces(max_blowups=8))
+def test_tau_matches_interval_oracle_on_surfaces(fan):
+    _assert_matches_interval_oracle(fan)

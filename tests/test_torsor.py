@@ -161,3 +161,27 @@ def test_f2_acceptance():
         ratios[name] = rep.ratios[-1]
     assert abs(ratios["F2"] - 1.118) < 0.001, ratios
     assert abs(ratios["F1"] - 1.097) < 0.001, ratios
+
+
+@pytest.mark.parametrize(
+    "name, strategy, counter, schedule, budget",
+    [
+        ("dp6", "auto", "_torsor_count", [10, 100, 10**4], 1000),
+        ("dp6", "naive", "_scan", [10, 100, 10**4], 1000),
+        ("p2", "auto", "p2", [10, 10**3, 10**20], 10**9),
+    ],
+)
+def test_schedule_refused_before_any_point_is_counted(monkeypatch, name, strategy, counter, schedule, budget):
+    # every counter's work grows with B, so the one check at the top of the
+    # schedule refuses it before the counter runs on any lower point
+    import toricount.counting as counting
+
+    def refuse(*args):
+        raise AssertionError("counted before the budget check")
+
+    if counter in counting.SPECIALIZED:
+        monkeypatch.setitem(counting.SPECIALIZED, counter, refuse)
+    else:
+        monkeypatch.setattr(counting, counter, refuse)
+    with pytest.raises(BudgetExceededError):
+        asymptotic_report(corpus_fan(name), schedule, (1.0, 1.1), strategy=strategy, budget=budget)
