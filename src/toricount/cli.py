@@ -17,7 +17,7 @@ from functools import lru_cache
 from .arith import PRIMALITY_LIMIT, BudgetExceededError, is_prime
 from .cones import PolyCone, xfunction
 from .corpus import NAMES, fan_from_dict, fan_json_path
-from .counting import STRATEGIES, asymptotic_report
+from .counting import DEFAULT_BUDGET, STRATEGIES, asymptotic_report
 from .fan import validate_fan
 from .localdata import local_integral, point_count_fp, qsigma_split
 from .picard import PLFunction, picard_data
@@ -115,9 +115,6 @@ def cmd_count(args, fan):
     if args.budget < 0:
         return _fail_parse("--budget must be >= 0, got %d" % args.budget)
     th = theta(fan)
-    if th.theta_lo is None:
-        print("error: counting needs a split fan", file=sys.stderr)
-        return 1
     report = asymptotic_report(
         fan,
         schedule,
@@ -154,9 +151,7 @@ def cmd_localcheck(args, fan):
         return _fail_parse("--prime must be a prime, got %d" % p)
     if s < 1 or args.truncation < 1:
         return _fail_parse("--s and --truncation must be >= 1")
-    if not fan.is_split():
-        print("error: localcheck needs a split fan", file=sys.stderr)
-        return 1
+    fan.require_split("localcheck")
     # Q, then local_integral, each refuse over their caps before any work
     q = qsigma_split(fan)
     li = local_integral(fan, p, PLFunction((s,) * fan.nrays), truncation=args.truncation)
@@ -215,7 +210,7 @@ def build_parser():
     pn.add_argument("--strategy", choices=STRATEGIES, default="auto")
     pn.add_argument("--out", choices=["csv", "json"], default="csv")
     pn.add_argument("--cutoff", type=int, default=10000, help=_CUTOFF_HELP)
-    pn.add_argument("--budget", type=int, default=50_000_000)
+    pn.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     pn.set_defaults(func=cmd_count)
 
     px = sub.add_parser("xfunction", help="dump the effective cone X-function")

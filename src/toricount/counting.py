@@ -4,7 +4,8 @@ count_points routes strategy "auto" to the first counter that applies:
 the closed-form sieve of a registered fan (p1, p2, p1xp1), then the
 universal-torsor counter for a split fan whose anticanonical class is
 nef, then the naive scan.  "naive" always runs the scan, which stays the
-oracle of the other two; "specialized" runs a sieve or refuses.
+oracle of the other two; "specialized" runs a sieve or refuses.  Every
+public entry refuses a nonsplit fan first (Fan.require_split).
 
 Torsor counter (Salberger, Asterisque 251; de la Breteche, J. Number
 Theory 87).  By Cox, the rational points of a smooth split toric variety
@@ -165,9 +166,7 @@ def _candidate_count(cap, coord_caps):
 
 
 def _check_scan(fan, B, budget):
-    """Refuse a nonsplit fan, or a scan whose exact candidate count exceeds the budget."""
-    if not fan.is_split():
-        raise ValueError("counting needs a split fan")
+    """Refuse a scan whose exact candidate count exceeds the budget."""
     if Fraction(B) < 1:
         return
     estimate = candidate_estimate(fan, B)
@@ -180,8 +179,8 @@ def _scan(fan, B):
 
     pairs are the coordinates as reduced (a_i, b_i) with x_i = a_i / b_i,
     num / den is the exact anticanonical height, and the order is
-    deterministic.  The callers check the fan and the budget first
-    (_check_scan).
+    deterministic.  The callers refuse a nonsplit fan and check the
+    budget first (_check_scan).
     """
     bound = Fraction(B)
     if bound < 1:
@@ -215,6 +214,7 @@ def enumerate_naive(fan, B, budget=DEFAULT_BUDGET, with_heights=False):
     never changes any local height).  Deterministic order.  Refuses scans
     whose exact candidate count exceeds the budget.
     """
+    fan.require_split("counting")
     _check_scan(fan, B, budget)
     signs = list(iter_product((1, -1), repeat=fan.dim))
     out = []
@@ -359,8 +359,6 @@ def _torsor_plan(fan):
     dp6, dp7 and the cube than in index order); its value does not depend
     on the order.
     """
-    if not fan.is_split():
-        return None
     forms, convex = _anticanonical_forms(fan)
     if not convex:
         return None
@@ -562,6 +560,7 @@ def count_torsor(fan, B, budget=DEFAULT_BUDGET):
     Refuses up front, with BudgetExceededError, a count whose prefix
     bound is over the budget.
     """
+    fan.require_split("the torsor counter")
     plan = _torsor_plan(fan)
     if plan is None:
         raise ValueError("the torsor counter needs a split fan with nef -K")
@@ -580,8 +579,7 @@ def counter_for(fan, strategy="auto"):
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy %r" % strategy)
     # the sieves match rays alone, so they would count a nonsplit torus as split
-    if not fan.is_split():
-        raise ValueError("counting needs a split fan")
+    fan.require_split("counting")
     if strategy == "naive":
         return "naive"
     if specialized_id_for(fan) is not None:
@@ -592,7 +590,7 @@ def counter_for(fan, strategy="auto"):
 
 
 def _schedule_counter(fan, strategy, top, budget):
-    """The routed counter as a function of B <= top, refused up front at top.
+    """(counter_for's name, the counter as a function of B <= top), refused up front at top.
 
     The work of every counter grows with B (a sieve's table, the torsor's
     prefix bound and sieve, the scan's candidates and its totient sieve),
@@ -606,13 +604,13 @@ def _schedule_counter(fan, strategy, top, budget):
         entries = iroot(bound, _SIEVE_ROOT[sid]) if bound > 0 else 0
         if entries > SIEVE_CAP:
             raise BudgetExceededError(entries, SIEVE_CAP, "sieve entries")
-        return SPECIALIZED[sid]
+        return counter, SPECIALIZED[sid]
     if counter == "torsor":
         plan = _torsor_plan(fan)
         _check_torsor(plan, top, budget)
-        return lambda B: _count_torsor(fan, plan, B)
+        return counter, lambda B: _count_torsor(fan, plan, B)
     _check_scan(fan, top, budget)
-    return lambda B: 2**fan.dim * sum(1 for _ in _scan(fan, B))
+    return counter, lambda B: 2**fan.dim * sum(1 for _ in _scan(fan, B))
 
 
 def count_points(fan, B, strategy="auto", budget=DEFAULT_BUDGET):
@@ -622,7 +620,7 @@ def count_points(fan, B, strategy="auto", budget=DEFAULT_BUDGET):
     counter when -K is nef, and the naive scan otherwise (counter_for).
     Refuses up front, with BudgetExceededError, a count over the budget.
     """
-    return _schedule_counter(fan, strategy, B, budget)(B)
+    return _schedule_counter(fan, strategy, B, budget)[1](B)
 
 
 # ---------------------------------------------------------------------------
@@ -724,18 +722,17 @@ def asymptotic_report(
     prediction has ratio nan.
     """
     schedule = sorted(schedule)
+    # both branches refuse a nonsplit fan before its theta, (None, None), is read
+    if counts is None:
+        name, count = _schedule_counter(fan, strategy, max(schedule, default=0), budget)
+        source = "counts by the %s counter (strategy %r)" % (name, strategy)
+        counts = [count(b) for b in schedule]
+    else:
+        fan.require_split("counting")
+        source = "counts supplied by the caller"
     k = picard_data(fan).rank_K
     theta_lo, theta_hi = float(theta_interval[0]), float(theta_interval[1])
     theta_c = (theta_lo + theta_hi) / 2
-    if counts is None:
-        source = "counts by the %s counter (strategy %r)" % (
-            counter_for(fan, strategy),
-            strategy,
-        )
-        count = _schedule_counter(fan, strategy, max(schedule, default=0), budget)
-        counts = [count(b) for b in schedule]
-    else:
-        source = "counts supplied by the caller"
     prev = -1
     for n in counts:
         if n < prev:

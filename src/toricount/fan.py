@@ -76,6 +76,11 @@ class Fan:
     def is_split(self):
         return not self.galois
 
+    def require_split(self, what):
+        """Raise ValueError("<what> needs a split fan"): the one scope check."""
+        if not self.is_split():
+            raise ValueError("%s needs a split fan" % what)
+
     def all_cones(self):
         """Every cone of the fan as a sorted tuple of ray indices.
 

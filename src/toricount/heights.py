@@ -68,10 +68,7 @@ class HeightEvaluator:
     """
 
     def __init__(self, fan, phi):
-        if not fan.is_split():
-            raise ValueError(
-                "heights over Q need a split fan; number-field places are out of scope"
-            )
+        fan.require_split("a height over Q")
         self.fan = fan
         self.phi = PLFunction(phi.integer_values())
         self._pieces = cone_pieces(fan, self.phi.values)

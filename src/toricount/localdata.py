@@ -7,7 +7,8 @@ expanded straight into signed monomials, so Q is built by one pass of
 additions over the cones.  Its constant term is 1 and every other
 monomial has total degree >= 2, which is what makes the Euler products
 downstream converge; that property is asserted after construction, not
-assumed.
+assumed.  Every entry but qsigma works over Q and refuses a nonsplit
+fan first (Fan.require_split).
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def euler_polynomial(fan):
     f(1/p) = (1 - 1/p)^k * Card(X(F_p)) / p^d.  Its x^j coefficient is
     sum_i f_i (-1)^(j - i) C(n - i, j - i); trailing zeros are dropped.
     """
-    _require_split(fan)
+    fan.require_split("the Euler polynomial")
     n, fv = fan.nrays, fan.f_vector()
     coeffs = [
         sum((-1) ** (j - i) * comb(n - i, j - i) * fi for i, fi in enumerate(fv[: j + 1]))
@@ -126,11 +127,6 @@ def euler_polynomial(fan):
     while coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
-
-
-def _require_split(fan):
-    if not fan.is_split():
-        raise ValueError("operation needs a split fan (no Galois action)")
 
 
 @dataclass(frozen=True)
@@ -155,9 +151,10 @@ def local_integral(fan, p, s: PLFunction, truncation=20):
     before any other work, a box of more than LOCAL_TERMS_CAP terms, or a
     power of p of more than LOCAL_DIGITS_CAP digits: phi_s is at most
     (r + 1) max |m_sigma|_1 on the box and its next shell, and p^{sum s_j}
-    bounds the common denominator of the cone sum.
+    bounds the common denominator of the cone sum.  An uncertifiable tail
+    (fixed by the fan, s, p and truncation) is refused before the sum too.
     """
-    _require_split(fan)
+    fan.require_split("the local integral")
     vals = s.integer_values()
     if any(v <= 0 for v in vals):
         raise ValueError("divergent: s has a value <= 0 on some ray")
@@ -172,16 +169,6 @@ def local_integral(fan, p, s: PLFunction, truncation=20):
     digits = top * len(str(p))
     if digits > LOCAL_DIGITS_CAP:
         raise BudgetExceededError(digits, LOCAL_DIGITS_CAP, "digits of a power of p")
-
-    # u / (1 - u) = 1 / (p^v - 1) for u = p^-v; the zero cone contributes 1
-    closed = sum(
-        Fraction(1, prod(p ** vals[j] - 1 for j in cone)) for cone in fan.all_cones()
-    )
-
-    total = Fraction(0)
-    for n in product(range(-r, r + 1), repeat=d):
-        e = pl_evaluate(fan, s, n)
-        total += Fraction(1, p ** int(e))
 
     # phi_s(n) >= a*|n|_inf with a = min(s)/max||e_j||_1; only floor(a) is
     # used so the geometric bound stays rational
@@ -201,6 +188,15 @@ def local_integral(fan, p, s: PLFunction, truncation=20):
     if ratio * x >= 1:
         raise ValueError("tail ratio not contracting; raise the truncation")
     tail = Fraction(shell_count(r + 1)) * x ** (r + 1) / (1 - ratio * x)
+
+    # u / (1 - u) = 1 / (p^v - 1) for u = p^-v; the zero cone contributes 1
+    closed = sum(
+        Fraction(1, prod(p ** vals[j] - 1 for j in cone)) for cone in fan.all_cones()
+    )
+    total = Fraction(0)
+    for n in product(range(-r, r + 1), repeat=d):
+        e = pl_evaluate(fan, s, n)
+        total += Fraction(1, p ** int(e))
     return LocalIntegral(p, r, total, closed, tail)
 
 
@@ -224,7 +220,7 @@ def point_count_fp(fan, p) -> LocalDensity:
     Each i-dimensional cone contributes its orbit (F_p^*)^(d - i), so the
     count is sum_i f_i (p - 1)^(d - i) over the f-vector.
     """
-    _require_split(fan)
+    fan.require_split("the point count over F_p")
     d = fan.dim
     count = sum(fi * (p - 1) ** (d - i) for i, fi in enumerate(fan.f_vector()))
     k = fan.nrays - d

@@ -197,8 +197,9 @@ def _require_cyclic(fan):
     return gen, len(group)
 
 
+@lru_cache(maxsize=None)
 def picard_data(fan):
-    """Ranks, effective generators, and H^1 data for the fan's variety."""
+    """Ranks, effective generators, and H^1 data for the fan's variety, once per fan."""
     orbits = galois_orbits(fan)
     r = orbits.r
     d = fan.dim

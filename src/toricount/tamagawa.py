@@ -103,8 +103,7 @@ def archimedean_density(fan) -> int:
     integrates to 1 over every maximal cone by unimodularity.  The
     quadrature unit tests pin this formula.
     """
-    if not fan.is_split():
-        raise ValueError("archimedean density needs a split fan over Q")
+    fan.require_split("the archimedean density")
     return 2**fan.dim * len(fan.max_cones)
 
 
@@ -341,27 +340,8 @@ def tau(fan, prime_cutoff=None) -> EulerProduct:
     its ends rounded outward to floats.  prime_cutoff is accepted for
     callers that still pass one and does not change the result.
     """
-    if not fan.is_split():
-        raise ValueError(
-            "tau needs a split fan; splitting-field local data is out of scope"
-        )
-    coeffs = euler_polynomial(fan)
-    D = len(coeffs) - 1
-    R = root_bound(coeffs)
-    P0 = 1 << (_P0_RATIO * R - 1).bit_length()
-    # q^N is about 2^-128 at N = 128 / log2(P0/R); search up from below it
-    limit = Fraction(1, 2**_TARGET_BITS)
-    N = max(2, int(_TARGET_BITS / math.log2(P0 / R)) - 2)
-    while _tail_log_bound(D, R, P0, N) > limit:
-        N += 1
-    tail = _tail_log_bound(D, R, P0, N)
-    exps = factor_exponents(coeffs, N)
-
-    primes = primes_upto(P0 - 1)
-    prefix = Fraction(
-        math.prod(sum(c * p ** (D - j) for j, c in enumerate(coeffs)) for p in primes),
-        math.prod(p**D for p in primes),
-    )
+    fan.require_split("tau")
+    P0, N, tail, exps, prefix = _polynomial_terms(euler_polynomial(fan))
     arch = archimedean_density(fan)
 
     # S in units of 2^-scale, the finest scale of the log brackets
@@ -391,6 +371,25 @@ def tau(fan, prime_cutoff=None) -> EulerProduct:
         hi=_float_up(ends[1]),
         enclosure=ends,
     )
+
+
+@lru_cache(maxsize=None)
+def _polynomial_terms(coeffs):
+    """(P0, N, tail bound, [a_1..a_N], prefix) of tau: the work on f alone, once per f."""
+    D = len(coeffs) - 1
+    R = root_bound(coeffs)
+    P0 = 1 << (_P0_RATIO * R - 1).bit_length()
+    # q^N is about 2^-128 at N = 128 / log2(P0/R); search up from below it
+    limit = Fraction(1, 2**_TARGET_BITS)
+    N = max(2, int(_TARGET_BITS / math.log2(P0 / R)) - 2)
+    while _tail_log_bound(D, R, P0, N) > limit:
+        N += 1
+    primes = primes_upto(P0 - 1)
+    prefix = Fraction(
+        math.prod(sum(c * p ** (D - j) for j, c in enumerate(coeffs)) for p in primes),
+        math.prod(p**D for p in primes),
+    )
+    return P0, N, _tail_log_bound(D, R, P0, N), tuple(factor_exponents(coeffs, N)), prefix
 
 
 def _float_down(x):
@@ -477,8 +476,8 @@ def theta(fan, prime_cutoff=None) -> ThetaReport:
     prov.append(
         "tau certified by the zeta-factored Euler product (Cohen 1998): "
         "exact factors below P0 = %d, zeta_{>=P0}(n)^(-a_n) for n <= N = %d "
-        "by Euler-Maclaurin, |log tail| <= %.3g, combined in interval "
-        "arithmetic" % (tp.cutoff, tp.terms, tp.tail_log_bound)
+        "by Euler-Maclaurin, |log tail| <= %.3g, combined in integer "
+        "fixed point with directed rounding" % (tp.cutoff, tp.terms, tp.tail_log_bound)
     )
     return ThetaReport(
         alpha=a,

@@ -126,6 +126,20 @@ def test_count_csv(capsys):
     assert abs(last_ratio - 1) < 0.05
 
 
+def test_count_builds_picard_data_once(capsys, tmp_path):
+    # theta, alpha and the report share one build per fan; P^2 in
+    # coordinates no other test uses, so the build is this command's
+    from toricount.picard import picard_data
+
+    path = tmp_path / "p2-sheared.json"
+    sheared = {"dim": 2, "rays": [[1, 0], [1, 1], [-2, -1]], "max_cones": [[0, 1], [1, 2], [2, 0]]}
+    path.write_text(json.dumps(sheared))
+    before = picard_data.cache_info().misses
+    code, _, _ = run(capsys, "count", str(path), "--B-schedule", "10,100")
+    assert code == 0
+    assert picard_data.cache_info().misses == before + 1
+
+
 def test_count_json_schema(capsys):
     code, out, _ = run(
         capsys,
@@ -296,8 +310,11 @@ def test_localcheck_diagonal_line_checks_q(monkeypatch, capsys):
 
 
 def test_localcheck_nonsplit_rejected(capsys):
-    code, _, err = run(capsys, "localcheck", "p1-norm-one")
-    assert code == 1
+    # count refuses the same way, through the routing of its report
+    for argv in (["localcheck", "p1-norm-one"], ["count", "p1-norm-one", "--B-schedule", "10"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert err.startswith("error: ") and "needs a split fan" in err, argv
 
 
 P2 = {"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [2, 0]]}

@@ -181,9 +181,15 @@ def test_anticanonical_height_at_least_one(corpus):
 
 
 def test_nonsplit_rejected():
-    fan = Fan(1, [(1,), (-1,)], [(0,), (1,)], galois=[[[-1]]])
-    with pytest.raises(ValueError, match="split"):
-        local_height(fan, PLFunction((1, 1)), TorusPoint([Fraction(2)]), 2)
+    fan = Fan(1, [(1,), (-1,)], [(0,), (1,)], galois=[[[-1]]])  # p1-norm-one
+    x = TorusPoint([Fraction(2)])
+    for place in (2, "inf"):
+        with pytest.raises(ValueError, match="needs a split fan"):
+            local_height(fan, PLFunction((1, 1)), x, place)
+    with pytest.raises(ValueError, match="needs a split fan"):
+        global_height(fan, PLFunction((1, 1)), x)
+    with pytest.raises(ValueError, match="needs a split fan"):
+        anticanonical_height(fan, x)
 
 
 def test_zero_coordinate_rejected():

@@ -55,6 +55,23 @@ def _nested_imports(path):
     ]
 
 
+def _is_split_callers(path):
+    """(enclosing function, line) for each .is_split() call in the module."""
+    out = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "is_split":
+                out.append((func, child.lineno))
+            visit(child, func)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return out
+
+
 def test_modules_found():
     assert len(MODULES) > 5
 
@@ -96,6 +113,13 @@ def test_package_imports_only_at_module_level():
         path.name: found for path in MODULES if (found := _nested_imports(path))
     }
     assert offenders == {}
+
+
+def test_only_require_split_and_theta_read_is_split():
+    # one scope boundary: Fan.require_split refuses a nonsplit fan for every
+    # split-only entry, and theta reports alpha and beta without tau
+    callers = {(path.name, func) for path in MODULES for func, _ in _is_split_callers(path)}
+    assert callers == {("fan.py", "require_split"), ("tamagawa.py", "theta")}
 
 
 def test_public_exports_resolve():

@@ -342,10 +342,25 @@ def test_point_count_from_the_f_vector(corpus):
 
 def test_nonsplit_rejected(corpus):
     fan = corpus["p1-norm-one"]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs a split fan"):
         point_count_fp(fan, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs a split fan"):
         local_integral(fan, 2, PLFunction((2, 2)))
+    with pytest.raises(ValueError, match="needs a split fan"):
+        euler_polynomial(fan)
+
+
+def test_local_integral_refuses_an_uncertifiable_tail_before_the_sum(p2, monkeypatch):
+    # slope min(s)/max|e_j|_1 = 1/2 < 1 depends on the fan and s alone, so
+    # no lattice term is evaluated before the refusal
+    import toricount.localdata
+
+    def no_sum(*args):
+        raise AssertionError("the lattice sum ran")
+
+    monkeypatch.setattr(toricount.localdata, "pl_evaluate", no_sum)
+    with pytest.raises(ValueError, match="cannot certify the tail"):
+        local_integral(p2, 2, PLFunction((1, 1, 1)))
 
 
 def test_local_integral_work_budget(p1, p2):

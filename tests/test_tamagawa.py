@@ -209,12 +209,17 @@ def test_tau_rejects_small_cutoff(p1):
         truncated_tau(p1, 50)
 
 
-def test_tau_rejects_nonsplit():
+def test_tau_rejects_nonsplit(corpus):
     fan = Fan(1, [(1,), (-1,)], [(0,), (1,)], galois=[[[-1]]])
     with pytest.raises(ValueError):
         tau(fan)
     with pytest.raises(ValueError):
         truncated_tau(fan, 1000)
+    for name in ("p1-norm-one", "p1xp1-swap", "p2-threecycle"):
+        with pytest.raises(ValueError, match="tau needs a split fan"):
+            tau(corpus[name])
+        with pytest.raises(ValueError, match="needs a split fan"):
+            archimedean_density(corpus[name])
 
 
 def test_tau_ignores_a_passed_cutoff(dp6):

@@ -20,6 +20,7 @@ from toricount.counting import (
     count_points,
     count_torsor,
     counter_for,
+    enumerate_naive,
 )
 from toricount.fan import primitive_collections
 from toricount.tamagawa import theta
@@ -65,9 +66,22 @@ def test_auto_routing():
     with pytest.raises(ValueError, match="nef"):
         count_torsor(F3, 4)
     # the sieves match rays alone: a nonsplit P^1 was counted as the split one
+    nonsplit = corpus_fan("p1-norm-one")
     for strategy in ("auto", "specialized", "naive"):
         with pytest.raises(ValueError, match="split"):
-            count_points(corpus_fan("p1-norm-one"), 100, strategy=strategy)
+            count_points(nonsplit, 100, strategy=strategy)
+        with pytest.raises(ValueError, match="split"):
+            counter_for(nonsplit, strategy)
+    with pytest.raises(ValueError, match="split"):
+        enumerate_naive(nonsplit, 100)
+    with pytest.raises(ValueError, match="split"):
+        count_torsor(nonsplit, 100)
+    # theta gives a nonsplit fan the interval (None, None): routing refuses
+    # the fan before the report reads it
+    with pytest.raises(ValueError, match="split"):
+        asymptotic_report(nonsplit, [10, 100], (None, None))
+    with pytest.raises(ValueError, match="split"):
+        asymptotic_report(nonsplit, [10, 100], (1.0, 1.0), counts=[4, 36])
 
 
 def test_primitive_collections():
