@@ -10,13 +10,21 @@ polyhedral L this is a rational function: triangulate L* (one facet table
 holds the boundary) and sum |det W| / prod_j <w_j, s> over the pieces.
 Everything here is exact: ConeRationalFunction.evaluate takes rational
 points only.
+
+alpha needs one value of X, at -K on the effective cone, and takes it
+from the Gale dual instead: the Fourier transform of the orthant,
+(2 pi)^-rho * integral of prod_o 1/(1 + i<m, E_o>) dm, factors over the
+connected components of the columns' matroid, and components of rank 1
+and 2 are exact residue sums in integers.  Only a component of rank 3 or
+more, or a rank-2 one with a repeated column, sends the fan to xfunction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
+from math import gcd
 
 from . import dd
 from .linalg import det, kernel_basis, primitive_vector, rank
@@ -187,8 +195,24 @@ def alpha(fan) -> Fraction:
     to account for the index of that lattice in the Picard lattice (the
     measure is normalized by the Picard lattice).  For split fans h = 1
     and the lattice is the Picard lattice itself.
+
+    The X-value is the Fourier integral of prod_o 1/(1 + i<m, E_o>) over
+    the Gale dual columns E_o (PicardData.gale_dual).  It is the product
+    over the connected components of their matroid, each evaluated by
+    exact residues when its rank is 1, or 2 with distinct columns.  Any
+    other component sends the whole fan to xfunction of the effective
+    cone.  A component that does not positively span its span (a cone
+    that is not pointed) raises ValueError on either route.
     """
     pd = picard_data(fan)
+    blocks = _gale_blocks(pd.gale_dual)
+    # -K is the sum of the generators, so interior once the cone is pointed,
+    # which _block_value's sign checks decide
+    if all(len(b[0]) == 1 or (len(b[0]) == 2 and len(set(b)) == len(b)) for b in blocks):
+        value = Fraction(1)
+        for block in blocks:
+            value *= _block_value(block)
+        return value / pd.h
     cone = PolyCone(pd.rank_K, pd.eff_generators_G)
     if not cone.contains_interior(pd.anticanonical_G):
         raise ValueError(
@@ -196,3 +220,101 @@ def alpha(fan) -> Fraction:
             "alpha undefined"
         )
     return xfunction(cone).evaluate([Fraction(x) for x in pd.anticanonical_G]) / pd.h
+
+
+def _gale_blocks(columns):
+    """The connected components of the columns' matroid, as integer blocks.
+
+    Integer Gauss-Jordan leaves each pivot row zero on the other pivot
+    columns, so column c is in the fundamental circuit of pivot row i
+    exactly when row i is nonzero at c; rows sharing a column form one
+    component.  A block is its component's pivot rows restricted to the
+    columns nonzero there: full row rank, and the same integer relations
+    as those columns.  Zero columns (loops, factor 1) are left out.
+    """
+    rows = [list(r) for r in zip(*columns)]
+    pivots = []
+    for c in range(len(columns)):
+        i = next((i for i in range(len(rows)) if rows[i][c] and i not in pivots), None)
+        if i is None:
+            continue
+        pivots.append(i)
+        for k, row in enumerate(rows):
+            if k != i and row[c]:
+                new = [rows[i][c] * x - row[c] * y for x, y in zip(row, rows[i])]
+                g = gcd(*new) or 1
+                rows[k] = [x // g for x in new]
+    comps = []
+    for c in range(len(columns)):
+        hit = {i for i in pivots if rows[i][c]}
+        for comp in [comp for comp in comps if comp & hit]:
+            comps.remove(comp)
+            hit |= comp
+        if hit:
+            comps.append(hit)
+    blocks = []
+    for comp in comps:
+        members = sorted(comp)
+        block = (tuple(rows[i][c] for i in members) for c in range(len(columns)))
+        blocks.append(tuple(col for col in block if any(col)))
+    return blocks
+
+
+def _block_value(cols):
+    """g * (2 pi)^-rho * integral over R^rho of prod_k 1/(1 + i<m, col_k>), rho <= 2.
+
+    g, the gcd of the rho x rho minors, is the index of the lattice the
+    columns span, so this is the block's X-value normalized by its
+    relation lattice.  Rank 1 is one residue sum in u = i*m.  Rank 2
+    takes residues in m1 at the poles with a_j > 0, then in u = i*m2 on
+    the line Im m2 > 0, which leaves the cancelling poles at u = 0 out:
+
+        sum_{a_j > 0} a_j^(n-2) sum_{u0 < 0} Res_{u0} prod_{k != j} 1/((a_j - a_k) + c_jk u)
+
+    with c_jk = a_j b_k - a_k b_j.  The sign checks are that the columns
+    positively span R^rho.
+    """
+    if len(cols[0]) == 1:
+        a = [x for (x,) in cols]
+        if not min(a) < 0 < max(a):
+            raise ValueError("effective cone is not pointed; alpha undefined")
+        return gcd(*a) * _left_residues([(1, x) for x in a])
+    c = [[aj * bk - ak * bj for ak, bk in cols] for aj, bj in cols]
+    if not all(min(row) < 0 < max(row) for row in c):
+        raise ValueError("effective cone is not pointed; alpha undefined")
+    n = len(cols)
+    total = Fraction(0)
+    for j, ((aj, _), row) in enumerate(zip(cols, c)):
+        if aj > 0:
+            factors = [(aj - ak, cjk) for k, ((ak, _), cjk) in enumerate(zip(cols, row)) if k != j]
+            total += aj ** (n - 2) * _left_residues(factors)
+    return gcd(*chain.from_iterable(c)) * total
+
+
+def _left_residues(factors):
+    """Sum over the poles u0 < 0 of the residues of prod 1/(a + c*u), exactly.
+
+    factors are integer pairs (a, c).  At u0 = p/q, with t = u - u0, the m
+    factors with that pole read c*t and the others (b + c*q*t)/q with
+    b = a*q + c*p != 0.  The residue is the coefficient of t^(m-1) in the
+    product of the others over prod c: a Taylor series kept in integers,
+    coefficient i over den^i where den is the product of the b so far.
+    """
+    poles = {(-abs(a) // g, abs(c) // g) for a, c in factors if a * c > 0 for g in (gcd(a, c),)}
+    total = Fraction(0)
+    for p, q in poles:
+        lead, rest = 1, []
+        for a, c in factors:
+            b = a * q + c * p
+            if b:
+                rest.append((b, c))
+            else:
+                lead *= c
+        m = len(factors) - len(rest)
+        series, den = [1] + [0] * (m - 1), 1
+        for b, c in rest:
+            for i in range(1, m):
+                series[i] = series[i] * b**i - c * q * den * series[i - 1]
+            den *= b
+        total += Fraction(q ** len(rest) * series[-1], lead * den**m)
+    return total

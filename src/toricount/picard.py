@@ -80,6 +80,10 @@ class PicardData:
     # index h in the Picard lattice over the ground field
     eff_generators_G: tuple
     anticanonical_G: tuple
+    # Gale dual of eff_generators_G: one column E_o = (<m_t, e_o>)_t per
+    # orbit, for a basis m_t of M^G; its integer relations are the lattice
+    # dual to PL^G / M^G (for a split fan the columns are the rays)
+    gale_dual: tuple
 
     @property
     def h(self):
@@ -221,7 +225,7 @@ def picard_data(fan):
         t = d
         h1_gm = ()
         h1_gpic = ()
-        eff_g, antican_g = tuple(eff), antican
+        eff_g, antican_g, gale = tuple(eff), antican, fan.rays
     else:
         dual = _dual_action(gen)
         gm1 = [[dual[i][j] - (1 if i == j else 0) for j in range(d)] for i in range(d)]
@@ -229,7 +233,7 @@ def picard_data(fan):
         h1_gm = h1_cyclic(tuple(tuple(row) for row in dual), order)
         hat = _induced_pic_action(fan, project, lift, gen)
         h1_gpic = h1_cyclic(hat, order)
-        eff_g, antican_g = _invariant_effective_cone(fan, orbits, kernel_basis(gm1))
+        eff_g, antican_g, gale = _invariant_effective_cone(fan, orbits, kernel_basis(gm1))
 
     return PicardData(
         rank_split=rank_split,
@@ -242,11 +246,12 @@ def picard_data(fan):
         h1_GPic=h1_gpic,
         eff_generators_G=eff_g,
         anticanonical_G=antican_g,
+        gale_dual=gale,
     )
 
 
 def _invariant_effective_cone(fan, orbits, mg_basis):
-    """Orbit-sum divisors and -K in PL^G / M^G, from a basis of M^G.
+    """Orbit-sum divisors, -K and the Gale dual in PL^G / M^G, from a basis of M^G.
 
     PL^G has one coordinate per ray orbit and M^G embeds in it by
     m -> (<m, e_j>)_{one j per orbit}; the quotient is free of rank r - t,
@@ -268,7 +273,7 @@ def _invariant_effective_cone(fan, orbits, mg_basis):
         raise AssertionError("PL^G / M^G has torsion %r" % torsion)
     gens = tuple(tuple(row[i] for row in project) for i in range(r))
     antican = tuple(mat_vec(project, [1] * r))
-    return gens, antican
+    return gens, antican, tuple(tuple(col[o] for col in cols) for o in range(r))
 
 
 def _induced_pic_action(fan, project, lift, g):

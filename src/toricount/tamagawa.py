@@ -406,7 +406,8 @@ def _float_up(x):
 
 @dataclass
 class ThetaReport:
-    """alpha * beta * tau with exact pieces and interval arithmetic."""
+    """alpha * beta * tau: alpha and beta exact; tau and theta as float intervals
+    rounded outward from exact integer fixed-point enclosures."""
 
     alpha: Fraction
     beta: int

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 from oracles.census_triangulation import census_triangulate
 from oracles.descent import descent_check, descent_check_double
 from oracles.exact import solve_exact
-from test_height_oracles import subdivided_surfaces
+from test_height_oracles import DP7, subdivided_surfaces, surface
 
+from toricount import cones, dd
 from toricount.cones import ConeRationalFunction, PolyCone, alpha, triangulate, xfunction
-from toricount.corpus import fan
-from toricount.linalg import mat_vec, quotient_map, unimodular_inverse
+from toricount.corpus import NAMES, fan, golden_constants
+from toricount.fan import Fan, validate_fan
+from toricount.linalg import identity, mat_vec, quotient_map, unimodular_inverse
 from toricount.picard import picard_data
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -374,3 +377,162 @@ def test_triangulate_matches_census_oracle_on_surface_effective_cones(surface):
         assert triangulate(c.dual_generators(), c.ambient_rank, order) == census_triangulate(
             c.dual_generators(), c.ambient_rank, order
         )
+
+
+def triangulated_alpha(f):
+    """The reference: the triangulated X-function of the effective cone at -K, over h."""
+    pd = picard_data(f)
+    return xfunction(PolyCone(pd.rank_K, pd.eff_generators_G)).evaluate(pd.anticanonical_G) / pd.h
+
+
+def product_fan(a, b):
+    rays = [r + (0,) * b.dim for r in a.rays] + [(0,) * a.dim + r for r in b.rays]
+    cones_ = [c + tuple(a.nrays + j for j in e) for c in a.max_cones for e in b.max_cones]
+    return Fan(a.dim + b.dim, rays, cones_)
+
+
+def recoordinatized(f, perm, ops):
+    """f with ray k moved to perm[k] and N changed by the row operations (i, j, c):
+    row i plus c times row j, or row i negated when i == j."""
+    u = identity(f.dim)
+    for i, j, c in ops:
+        u[i] = [-x for x in u[i]] if i == j else [x + c * y for x, y in zip(u[i], u[j])]
+    rays = [None] * f.nrays
+    for k, new in enumerate(perm):
+        rays[new] = tuple(mat_vec(u, f.rays[k]))
+    return Fan(f.dim, rays, [[perm[k] for k in c] for c in f.max_cones])
+
+
+@st.composite
+def recoordinatized_products(draw):
+    """(X, Y, X x Y) for a drawn surface X and Y = P^1, P^2 or a drawn surface,
+    the product in shuffled ray order after a drawn GL(d, Z) change."""
+    a = draw(subdivided_surfaces(max_blowups=2))
+    b = draw(st.sampled_from([fan("p1"), fan("p2")]) | subdivided_surfaces(max_blowups=2))
+    f = product_fan(a, b)
+    index = st.integers(min_value=0, max_value=f.dim - 1)
+    ops = draw(st.lists(st.tuples(index, index, st.integers(min_value=-2, max_value=2)), max_size=3 * f.dim))
+    return a, b, recoordinatized(f, draw(st.permutations(range(f.nrays))), ops)
+
+
+@settings(max_examples=200, deadline=None)
+@given(subdivided_surfaces(max_blowups=7))
+def test_alpha_by_residues_matches_triangulation_on_surfaces(surface_fan):
+    assert surface_fan.nrays <= 11
+    assert alpha(surface_fan) == triangulated_alpha(surface_fan)
+
+
+@settings(max_examples=40, deadline=None)
+@given(recoordinatized_products())
+def test_alpha_by_residues_factors_over_products(case):
+    a, b, f = case
+    assert validate_fan(f).ok
+    assert alpha(f) == triangulated_alpha(f) == alpha(a) * alpha(b)
+
+
+# P^2 with two rays swapped: its Gale dual is one rank-1 component (1, -2)
+P2_SWAP = Fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (2, 0)], galois=[((0, 1), (1, 0))])
+
+
+@pytest.mark.parametrize("name", ["p1-norm-one", "p1xp1-swap", "p2-threecycle"])
+def test_alpha_by_residues_matches_triangulation_on_nonsplit_fans(name):
+    assert alpha(fan(name)) == triangulated_alpha(fan(name))
+
+
+def test_alpha_by_residues_reaches_multiple_poles_and_scaled_rank_one(monkeypatch):
+    orders = []
+    left_residues = cones._left_residues
+
+    def spy(factors):
+        poles = Counter(Fraction(-a, c) for a, c in factors if a * c > 0)
+        orders.append(max(poles.values(), default=0))
+        return left_residues(factors)
+
+    monkeypatch.setattr(cones, "_left_residues", spy)
+    five = surface([(1, 0), (1, 1), (1, 2), (0, 1), (-1, -1)])
+    assert alpha(five) == triangulated_alpha(five)
+    assert max(orders) == 2
+    assert validate_fan(P2_SWAP).ok
+    assert cones._gale_blocks(picard_data(P2_SWAP).gale_dual) == [((1,), (-2,))]
+    assert alpha(P2_SWAP) == triangulated_alpha(P2_SWAP) == Fraction(1, 3)
+
+
+def test_block_value_is_normalized_by_the_relation_lattice():
+    # scaling a block's coordinates keeps its integer relations, so its value
+    assert cones._block_value(((2,), (-4,))) == cones._block_value(((1,), (-2,))) == Fraction(1, 3)
+    p2 = ((1, 0), (0, 1), (-1, -1))
+    assert cones._block_value(tuple((3 * a, b) for a, b in p2)) == cones._block_value(p2) == Fraction(1, 3)
+
+
+def test_alpha_refuses_a_configuration_that_does_not_positively_span():
+    # a coloop, a rank-1 block of one sign and a rank-2 block in a half-plane
+    # are Gale duals of effective cones that are not pointed
+    for columns in ([(1, 0), (0, 1), (0, -1)], [(1,), (2,)], [(1, 0), (0, 1), (1, 1)]):
+        with pytest.raises(ValueError, match="not pointed"):
+            for block in cones._gale_blocks(columns):
+                cones._block_value(block)
+
+
+# alpha of seeded_surface(40, 0), pinned from the residue route
+BIG_ALPHA = Fraction(
+    161493176567249043940196589302009700119771886704515656824756817835926258701,
+    672787663574124221041972545911875530839886789601270271909464182731972978487066624000000000000,
+)
+
+
+class TriangulationReached(Exception):
+    pass
+
+
+def seeded_surface(nrays, seed):
+    rng, rays = random.Random(seed), list(DP7.rays)
+    while len(rays) < nrays:
+        i = rng.randrange(len(rays))
+        u, v = rays[i], rays[(i + 1) % len(rays)]
+        rays.insert(i + 1, (u[0] + v[0], u[1] + v[1]))
+    return surface(rays)
+
+
+# P^3; P^3 blown up at a point; and a 3-fold with an involution whose Gale
+# dual repeats a column in a rank-2 component (P^2 x P^1 with the curves
+# over 0 and infinity through one fixed point blown up, z -> -z)
+P3 = Fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+P3_BLOWN_UP = Fan(
+    3,
+    [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, 1)],
+    [(0, 1, 3), (0, 2, 3), (1, 2, 3), (0, 1, 4), (0, 2, 4), (1, 2, 4)],
+)
+REPEATED_COLUMN = Fan(
+    3,
+    [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1), (1, 0, 1), (1, 0, -1)],
+    [(5, 1, 3), (0, 1, 5), (2, 5, 3), (2, 0, 5), (1, 2, 3), (6, 1, 4), (0, 1, 6), (2, 6, 4), (2, 0, 6), (1, 2, 4)],
+    galois=[((1, 0, 0), (0, 1, 0), (0, 0, -1))],
+)
+
+
+def test_alpha_reaches_no_triangulation_below_rank_three(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise TriangulationReached
+
+    dp6, dp7 = fan("dp6"), DP7
+    pinned = {
+        dp7: Fraction(1, 12),
+        product_fan(dp6, fan("p1")): Fraction(1, 24),
+        product_fan(dp6, fan("p2")): Fraction(1, 36),
+        product_fan(dp7, dp7): Fraction(1, 144),
+        product_fan(dp6, dp6): Fraction(1, 144),
+    }
+    big = seeded_surface(40, 0)
+    # no other route reaches 40 rays: the value must not depend on coordinates
+    moved = recoordinatized(big, random.Random(1).sample(range(40), 40), [(0, 1, 3), (1, 0, -2), (0, 1, 1)])
+    monkeypatch.setattr(cones, "triangulate", refuse)
+    monkeypatch.setattr(dd, "extreme_rays", refuse)
+    for name in NAMES:
+        assert alpha(fan(name)) == Fraction(golden_constants(name)["alpha"])
+    assert all(alpha(f) == value for f, value in pinned.items())
+    assert validate_fan(moved).ok
+    assert alpha(big) == alpha(moved) == BIG_ALPHA
+    for f in (P3, P3_BLOWN_UP, REPEATED_COLUMN):
+        assert validate_fan(f).ok
+        with pytest.raises(TriangulationReached):
+            alpha(f)
