@@ -60,9 +60,15 @@ def cmd_validate(args, fan):
     return 0 if report.ok else 1
 
 
+def _refuse_cutoff(cutoff):
+    """Exit code 2, after its message, for a --cutoff below MIN_CUTOFF; else None."""
+    if cutoff < MIN_CUTOFF:
+        return _fail_parse("--cutoff must be >= %d, got %d" % (MIN_CUTOFF, cutoff))
+
+
 def cmd_constants(args, fan):
-    if args.cutoff < MIN_CUTOFF:
-        return _fail_parse("--cutoff must be >= %d, got %d" % (MIN_CUTOFF, args.cutoff))
+    if _refuse_cutoff(args.cutoff):
+        return 2
     report = theta(fan)
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=1))
@@ -110,8 +116,8 @@ def cmd_count(args, fan):
         schedule = _parse_schedule(args.B_schedule)
     except ValueError as exc:
         return _fail_parse(exc)
-    if args.cutoff < MIN_CUTOFF:
-        return _fail_parse("--cutoff must be >= %d, got %d" % (MIN_CUTOFF, args.cutoff))
+    if _refuse_cutoff(args.cutoff):
+        return 2
     if args.budget < 0:
         return _fail_parse("--budget must be >= 0, got %d" % args.budget)
     th = theta(fan)
@@ -162,8 +168,7 @@ def cmd_localcheck(args, fan):
                     0 <= gap <= li.tail_bound))
 
     # the closed form is the cone sum, so this checks Q against it
-    pd = picard_data(fan)
-    d, k = fan.dim, pd.rank_split
+    d, k = fan.dim, fan.nrays - fan.dim
     u = Fraction(1, p**s)
     rhs = q.evaluate([u] * fan.nrays) / ((1 - u) ** d * (1 - u) ** k)
     results.append(("diagonal factorization into L-factors",

@@ -34,12 +34,15 @@ alike.  One scan core yields the positive-orthant survivors: counting
 adds 2^d per survivor and builds no points, enumeration expands each
 into its 2^d signed TorusPoints.
 
-Budgets.  Each counter refuses its work up front with
-BudgetExceededError when it is over the budget: the scan counts its
-candidate tuples exactly (candidate_estimate), the torsor bounds its
-prefixes by the same recursion without the gcd pruning, and the sieves
-stop at arith.SIEVE_CAP table entries.  All three grow with B, so a
-schedule is checked once, at its largest B, before anything is counted.
+Budgets.  A count over its budget is refused up front with
+BudgetExceededError: the scan's candidate tuples are counted exactly
+(candidate_estimate), and the torsor's prefixes are bounded by the same
+recursion without the gcd pruning.  Both grow with B, so a schedule is
+checked once, at its largest B.  arith refuses every table past
+arith.SIEVE_CAP entries as it allocates it (a sieve's, the torsor's
+smallest prime factors, the scan's totients), and a schedule is counted
+from its largest B down, so that refusal also comes before any smaller B
+is counted.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ from itertools import product as iter_product
 from operator import mul
 
 from .arith import (
-    SIEVE_CAP,
     BudgetExceededError,
     euler_phi_table,
     iroot,
@@ -274,8 +276,6 @@ SPECIALIZED = {
     "p2": count_p2,
     "p1xp1": count_p1xp1,
 }
-# each sieve's table runs to the root of this degree of B
-_SIEVE_ROOT = {"p1": 2, "p2": 3, "p1xp1": 2}
 
 
 def specialized_id_for(fan):
@@ -469,16 +469,17 @@ def _leaf_sum(R, leaf, L, limit):
     return total, blocks
 
 
-def _torsor_count(plan, top):
-    """(positive Cox vectors of height <= top, (n-1)-prefixes visited).
+def _torsor_count(plan, B):
+    """(positive Cox vectors of height <= B, (n-1)-prefixes visited).
 
     The vectors counted have gcd 1 on every primitive collection.  R[s]
-    is what is left of top for form s once the prefix's partial product
+    is what is left of top = floor(B) for form s once the prefix's partial product
     is divided out, so the next coordinate z obeys z^a <= R[s].  terms
     holds (d, mu(d)) for the squarefree products d of the primes the last
     coordinate must avoid (rad is their product), so the last coordinate
     contributes sum mu(d) * (L // d) for its cap L.
     """
+    top = max(math.floor(Fraction(B)), 0)
     caps, avoids, closes = plan.caps, plan.avoids, plan.closes
     n = len(caps)
     spf = smallest_prime_factors(_prefix_cap(plan, top))
@@ -532,85 +533,43 @@ def _torsor_count(plan, top):
     return walk(0, [top] * plan.nforms, [(1, 1)], 1), visits
 
 
-def _check_torsor(plan, B, budget):
-    """Refuse a torsor count over the budget.
-
-    Its prefix bound must be within the budget, and the table of smallest
-    prime factors up to _prefix_cap within arith.SIEVE_CAP.
-    """
-    top = math.floor(Fraction(B))
-    if top < 1:
-        return
-    bound = _prefix_bound(plan, top, budget)
-    if bound > budget:
-        raise BudgetExceededError(bound, budget, "torsor prefixes")
-    entries = _prefix_cap(plan, top)
-    if entries > SIEVE_CAP:
-        raise BudgetExceededError(entries, SIEVE_CAP, "sieve entries")
-
-
-def _count_torsor(fan, plan, B):
-    top = math.floor(Fraction(B))
-    return 2**fan.dim * _torsor_count(plan, top)[0] if top >= 1 else 0
-
-
-def count_torsor(fan, B, budget=DEFAULT_BUDGET):
-    """N(B) from the universal torsor of a split fan with nef -K.
-
-    Refuses up front, with BudgetExceededError, a count whose prefix
-    bound is over the budget.
-    """
-    fan.require_split("the torsor counter")
-    plan = _torsor_plan(fan)
-    if plan is None:
-        raise ValueError("the torsor counter needs a split fan with nef -K")
-    _check_torsor(plan, B, budget)
-    return _count_torsor(fan, plan, B)
-
-
 # ---------------------------------------------------------------------------
 # routing
 
 STRATEGIES = ("auto", "naive", "specialized")
 
 
-def counter_for(fan, strategy="auto"):
-    """The counter count_points runs: "sieve", "torsor" or "naive"."""
+def _route(fan, strategy, top, budget):
+    """(counter name, N as a function of B <= top), refused up front at top.
+
+    The name is "sieve", "torsor" or "naive", as counter_for reports it.
+    The torsor's prefix bound and the scan's candidate count grow with B,
+    so the one check at top covers every smaller B, and the function
+    returned checks nothing.
+    """
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy %r" % strategy)
     # the sieves match rays alone, so they would count a nonsplit torus as split
     fan.require_split("counting")
-    if strategy == "naive":
-        return "naive"
-    if specialized_id_for(fan) is not None:
-        return "sieve"
+    sid = None if strategy == "naive" else specialized_id_for(fan)
+    if sid is not None:
+        return "sieve", SPECIALIZED[sid]
     if strategy == "specialized":
         raise ValueError("fan is not registered for specialized counting")
-    return "naive" if _torsor_plan(fan) is None else "torsor"
+    plan = None if strategy == "naive" else _torsor_plan(fan)
+    if plan is None:
+        _check_scan(fan, top, budget)
+        return "naive", lambda B: 2**fan.dim * sum(1 for _ in _scan(fan, B))
+    bound = _prefix_bound(plan, max(math.floor(Fraction(top)), 0), budget)
+    if bound > budget:
+        raise BudgetExceededError(bound, budget, "torsor prefixes")
+    return "torsor", lambda B: 2**fan.dim * _torsor_count(plan, B)[0]
 
 
-def _schedule_counter(fan, strategy, top, budget):
-    """(counter_for's name, the counter as a function of B <= top), refused up front at top.
-
-    The work of every counter grows with B (a sieve's table, the torsor's
-    prefix bound and sieve, the scan's candidates and its totient sieve),
-    so the one check at top covers every smaller B, and the function
-    returned checks nothing.
-    """
-    counter = counter_for(fan, strategy)
-    if counter == "sieve":
-        sid = specialized_id_for(fan)
-        bound = Fraction(top)
-        entries = iroot(bound, _SIEVE_ROOT[sid]) if bound > 0 else 0
-        if entries > SIEVE_CAP:
-            raise BudgetExceededError(entries, SIEVE_CAP, "sieve entries")
-        return counter, SPECIALIZED[sid]
-    if counter == "torsor":
-        plan = _torsor_plan(fan)
-        _check_torsor(plan, top, budget)
-        return counter, lambda B: _count_torsor(fan, plan, B)
-    _check_scan(fan, top, budget)
-    return counter, lambda B: 2**fan.dim * sum(1 for _ in _scan(fan, B))
+def counter_for(fan, strategy="auto"):
+    """The counter count_points runs: "sieve", "torsor" or "naive"."""
+    # nothing is counted at B = 0, so no budget applies
+    return _route(fan, strategy, 0, 0)[0]
 
 
 def count_points(fan, B, strategy="auto", budget=DEFAULT_BUDGET):
@@ -620,7 +579,7 @@ def count_points(fan, B, strategy="auto", budget=DEFAULT_BUDGET):
     counter when -K is nef, and the naive scan otherwise (counter_for).
     Refuses up front, with BudgetExceededError, a count over the budget.
     """
-    return _schedule_counter(fan, strategy, B, budget)[1](B)
+    return _route(fan, strategy, B, budget)[1](B)
 
 
 # ---------------------------------------------------------------------------
@@ -724,9 +683,10 @@ def asymptotic_report(
     schedule = sorted(schedule)
     # both branches refuse a nonsplit fan before its theta, (None, None), is read
     if counts is None:
-        name, count = _schedule_counter(fan, strategy, max(schedule, default=0), budget)
+        name, count = _route(fan, strategy, max(schedule, default=0), budget)
         source = "counts by the %s counter (strategy %r)" % (name, strategy)
-        counts = [count(b) for b in schedule]
+        # largest B first, so arith refuses an oversized table before any count
+        counts = [count(b) for b in reversed(schedule)][::-1]
     else:
         fan.require_split("counting")
         source = "counts supplied by the caller"

@@ -231,22 +231,19 @@ def locate_cone(fan, v):
     raise ValueError("no maximal cone contains the vector; fan incomplete?")
 
 
-def galois_group(fan, generators=None):
+def galois_group(fan):
     """All elements of the group generated by the Galois matrices.
 
     Closure with a hard cap; realistic inputs are small subgroups of
     GL(d, Z), anything larger signals a non-finite action.
     """
-    gens = fan.galois if generators is None else tuple(
-        tuple(tuple(int(x) for x in row) for row in g) for g in generators
-    )
     ident = tuple(map(tuple, identity(fan.dim)))
     group = {ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for g in frontier:
-            for h in gens:
+            for h in fan.galois:
                 prod = tuple(map(tuple, mat_mul(g, h)))
                 if prod not in group:
                     group.add(prod)
@@ -275,9 +272,9 @@ def ray_permutation(fan, matrix):
     return perm
 
 
-def galois_orbits(fan, generators=None):
+def galois_orbits(fan):
     """Orbit decomposition of the ray set, sorted by smallest member."""
-    group = galois_group(fan, generators)
+    group = galois_group(fan)
     n = fan.nrays
     perms = []
     for g in group:

@@ -5,7 +5,8 @@ the value lattice Z^n (one coordinate per ray) by the dual lattice M,
 embedded via m -> (<m, e_j>)_j.  Smith normal form certifies the quotient
 is torsion free; that is asserted, not assumed.  H^1 of cyclic actions is
 computed from the 2-periodic resolution; the tests check it against an
-independent cocycle route.
+independent cocycle route.  A split fan is the case of the trivial group,
+and takes the same path.
 """
 
 from __future__ import annotations
@@ -190,9 +191,8 @@ def _solve_in_lattice(basis_cols, target):
 
 
 def _require_cyclic(fan):
+    """(generator, order) of the Galois group; a split fan gives (identity, 1)."""
     group = galois_group(fan)
-    if len(group) == 1:
-        return None, 1
     gen = _cyclic_generator(group)
     if gen is None:
         raise ValueError(
@@ -203,7 +203,11 @@ def _require_cyclic(fan):
 
 @lru_cache(maxsize=None)
 def picard_data(fan):
-    """Ranks, effective generators, and H^1 data for the fan's variety, once per fan."""
+    """Ranks, effective generators, and H^1 data for the fan's variety, once per fan.
+
+    The Galois group must be cyclic.  A split fan is the trivial group:
+    PL^G / M^G is Pic itself, the Gale dual is the rays, both H^1 vanish.
+    """
     orbits = galois_orbits(fan)
     r = orbits.r
     d = fan.dim
@@ -220,20 +224,13 @@ def picard_data(fan):
         eff.append(tuple(mat_vec(project, vec)))
     antican = tuple(mat_vec(project, [1] * n))
 
-    if gen is None:
-        # PL^G = Z^n and M^G = M, so PL^G / M^G is Pic itself
-        t = d
-        h1_gm = ()
-        h1_gpic = ()
-        eff_g, antican_g, gale = tuple(eff), antican, fan.rays
-    else:
-        dual = _dual_action(gen)
-        gm1 = [[dual[i][j] - (1 if i == j else 0) for j in range(d)] for i in range(d)]
-        t = d - rank(gm1)
-        h1_gm = h1_cyclic(tuple(tuple(row) for row in dual), order)
-        hat = _induced_pic_action(fan, project, lift, gen)
-        h1_gpic = h1_cyclic(hat, order)
-        eff_g, antican_g, gale = _invariant_effective_cone(fan, orbits, kernel_basis(gm1))
+    dual = _dual_action(gen)
+    gm1 = [[dual[i][j] - (1 if i == j else 0) for j in range(d)] for i in range(d)]
+    t = d - rank(gm1)
+    h1_gm = h1_cyclic(tuple(tuple(row) for row in dual), order)
+    hat = _induced_pic_action(fan, project, lift, gen)
+    h1_gpic = h1_cyclic(hat, order)
+    eff_g, antican_g, gale = _invariant_effective_cone(fan, orbits, kernel_basis(gm1))
 
     return PicardData(
         rank_split=rank_split,

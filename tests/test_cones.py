@@ -278,11 +278,7 @@ def test_alpha_nonsplit_geometric_values():
     assert alpha(fan("p2-threecycle")) == Fraction(1, 3)
 
 
-def test_alpha_rejects_noninterior_anticanonical():
-    from toricount.fan import Fan
-
-    # a complete regular fan whose effective cone is fine, but evaluate
-    # the error path through a doctored cone directly
+def test_contains_interior_rejects_an_outside_point():
     c = PolyCone(2, [(1, 0), (1, 2)])
     assert not c.contains_interior([0, 1])
 

@@ -277,9 +277,9 @@ def test_orbits_three_cycle(p2):
 
 def test_group_cap():
     # an infinite-order matrix blows past the closure cap
-    fan = Fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (2, 0)])
+    fan = Fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (2, 0)], galois=[[[1, 1], [0, 1]]])
     with pytest.raises(ValueError):
-        galois_group(fan, generators=[[[1, 1], [0, 1]]])
+        galois_group(fan)
 
 
 def test_locate_cone_examples(p2):

@@ -72,6 +72,17 @@ def _is_split_callers(path):
     return out
 
 
+def _names_of(path, name):
+    """Lines where the module names `name`: a variable, an attribute or an import."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names))
+    ]
+
+
 def test_modules_found():
     assert len(MODULES) > 5
 
@@ -120,6 +131,17 @@ def test_only_require_split_and_theta_read_is_split():
     # split-only entry, and theta reports alpha and beta without tau
     callers = {(path.name, func) for path in MODULES for func, _ in _is_split_callers(path)}
     assert callers == {("fan.py", "require_split"), ("tamagawa.py", "theta")}
+
+
+def test_only_arith_names_the_sieve_cap():
+    # arith refuses every table past SIEVE_CAP as it allocates it, so no
+    # caller restates the limit
+    offenders = {
+        path.name: found
+        for path in MODULES
+        if path.name != "arith.py" and (found := _names_of(path, "SIEVE_CAP"))
+    }
+    assert offenders == {}
 
 
 def test_public_exports_resolve():

@@ -64,7 +64,7 @@ def all_cyclic_subgroup_orbits(fan):
     seen = set()
     out = []
     for g in galois_group(fan):
-        orb = galois_orbits(fan, generators=[g])
+        orb = galois_orbits(Fan(fan.dim, fan.rays, fan.max_cones, galois=[g]))
         if orb.orbits not in seen:
             seen.add(orb.orbits)
             out.append(orb)
@@ -122,7 +122,7 @@ def test_qsigma_matches_product_oracle(fan):
     decompositions = [
         OrbitDecomposition(tuple((j,) for j in range(fan.nrays))),
         galois_orbits(fan),
-    ] + [galois_orbits(fan, generators=[g]) for g in galois_group(fan)]
+    ] + [galois_orbits(Fan(fan.dim, fan.rays, fan.max_cones, galois=[g])) for g in galois_group(fan)]
     for orb in decompositions:
         assert qsigma(fan, orb) == product_qsigma(fan, orb), orb.orbits
 

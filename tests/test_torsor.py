@@ -1,5 +1,6 @@
 """The universal-torsor counter against the naive scan, its budget and routing."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,12 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from test_height_oracles import CUBE, DP7, hirzebruch, subdivided_surfaces
 
+from toricount import arith
 from toricount.arith import BudgetExceededError
 from toricount.corpus import NAMES
 from toricount.corpus import fan as corpus_fan
 from toricount.counting import (
+    DEFAULT_BUDGET,
     _anticanonical_forms,
     _prefix_bound,
     _root,
@@ -18,7 +21,6 @@ from toricount.counting import (
     _torsor_plan,
     asymptotic_report,
     count_points,
-    count_torsor,
     counter_for,
     enumerate_naive,
 )
@@ -35,11 +37,16 @@ def _fan(name):
     return EXTRA.get(name) or corpus_fan(name)
 
 
+def torsor_points(fan, B):
+    """N(B) by the torsor counter, also on the fans auto sends to a sieve."""
+    return 2**fan.dim * _torsor_count(_torsor_plan(fan), B)[0]
+
+
 @pytest.mark.parametrize("name", SPLIT_CORPUS + list(EXTRA))
 def test_torsor_matches_naive(name):
     fan = _fan(name)
     for B in BOUNDS:
-        assert count_torsor(fan, B) == count_points(fan, B, strategy="naive"), (name, B)
+        assert torsor_points(fan, B) == count_points(fan, B, strategy="naive"), (name, B)
 
 
 @settings(
@@ -51,7 +58,7 @@ def test_torsor_matches_naive(name):
 )
 def test_torsor_matches_naive_on_nef_subdivisions(fan, B):
     assume(_anticanonical_forms(fan)[1])
-    assert count_torsor(fan, B) == count_points(fan, B, strategy="naive")
+    assert torsor_points(fan, B) == count_points(fan, B, strategy="naive")
 
 
 def test_auto_routing():
@@ -63,8 +70,6 @@ def test_auto_routing():
     assert _torsor_plan(F3) is None
     assert counter_for(F3) == "naive"
     assert count_points(F3, 4) == count_points(F3, 4, strategy="naive")
-    with pytest.raises(ValueError, match="nef"):
-        count_torsor(F3, 4)
     # the sieves match rays alone: a nonsplit P^1 was counted as the split one
     nonsplit = corpus_fan("p1-norm-one")
     for strategy in ("auto", "specialized", "naive"):
@@ -74,8 +79,6 @@ def test_auto_routing():
             counter_for(nonsplit, strategy)
     with pytest.raises(ValueError, match="split"):
         enumerate_naive(nonsplit, 100)
-    with pytest.raises(ValueError, match="split"):
-        count_torsor(nonsplit, 100)
     # theta gives a nonsplit fan the interval (None, None): routing refuses
     # the fan before the report reads it
     with pytest.raises(ValueError, match="split"):
@@ -186,16 +189,43 @@ def test_f2_acceptance():
     ],
 )
 def test_schedule_refused_before_any_point_is_counted(monkeypatch, name, strategy, counter, schedule, budget):
-    # every counter's work grows with B, so the one check at the top of the
-    # schedule refuses it before the counter runs on any lower point
+    # every counter's work grows with B.  The torsor's prefixes and the
+    # scan's candidates are checked once, at the top, before the counter
+    # runs; a sieve is asked for the top first, and arith refuses its table
     import toricount.counting as counting
 
-    def refuse(*args):
-        raise AssertionError("counted before the budget check")
+    seen = []
+
+    def recorded(count):
+        def wrapper(*args):
+            seen.append(args[-1])
+            return count(*args)
+
+        return wrapper
 
     if counter in counting.SPECIALIZED:
-        monkeypatch.setitem(counting.SPECIALIZED, counter, refuse)
+        monkeypatch.setitem(counting.SPECIALIZED, counter, recorded(counting.SPECIALIZED[counter]))
     else:
-        monkeypatch.setattr(counting, counter, refuse)
+        monkeypatch.setattr(counting, counter, recorded(getattr(counting, counter)))
     with pytest.raises(BudgetExceededError):
         asymptotic_report(corpus_fan(name), schedule, (1.0, 1.1), strategy=strategy, budget=budget)
+    assert seen == ([schedule[-1]] if counter in counting.SPECIALIZED else [])
+
+
+def test_sieve_entries_refusals(monkeypatch):
+    # p2's Moebius table runs to the cube root of the largest bound
+    with pytest.raises(BudgetExceededError) as err:
+        asymptotic_report(corpus_fan("p2"), [10, 10**20], (1.0, 1.1))
+    assert str(err.value) == (
+        "work estimate of 4641588 sieve entries is over the budget of 2000000"
+    )
+    assert (err.value.estimate, err.value.budget) == (4641588, arith.SIEVE_CAP)
+    # F_1's prefix bound fits the budget, but its table of smallest prime
+    # factors, up to the largest prefix coordinate, passes the cap
+    monkeypatch.setattr(arith, "SIEVE_CAP", 1000)
+    f1 = corpus_fan("hirzebruch1")
+    assert _prefix_bound(_torsor_plan(f1), 10**7, math.inf) < DEFAULT_BUDGET
+    with pytest.raises(BudgetExceededError) as err:
+        asymptotic_report(f1, [10, 10**7], (1.0, 1.1))
+    assert str(err.value) == "work estimate of 3162 sieve entries is over the budget of 1000"
+    assert (err.value.estimate, err.value.budget) == (3162, 1000)
