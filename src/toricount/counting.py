@@ -18,8 +18,13 @@ and a nef class (convex phi_Sigma) makes every exponent >= 0, so each
 partial product caps the coordinates still to come.  The last
 coordinate is counted in closed form, by inclusion-exclusion over the
 primes of the gcds it must avoid, so the work is the number of prefixes
-of the other n - 1 coordinates.  Non-nef fans (such as F_3) have
-negative exponents and no such caps: they stay on the naive scan.
+of the other n - 1 coordinates.  Those prefixes are walked by a kernel
+generated once per plan (_torsor_kernel): one flat loop per position,
+with the plan's exponents and gcd conditions written into its source as
+integer literals and its remainders held in local variables.  The
+recursive walk it replaced is the test oracle tests/oracles/torsor_walk.py.
+Non-nef fans (such as F_3) have negative exponents and no such caps:
+they stay on the naive scan.
 
 Naive scan.  It is provably complete: the anticanonical PL function
 satisfies phi(n) >= |n|_1 / w with w = max_j |e_j|_1, which forces
@@ -394,7 +399,7 @@ def _prefix_cap(plan, top):
 def _prefix_bound(plan, top, limit):
     """The (n-1)-prefixes under the height caps at B = top, gcds ignored.
 
-    The recursion of _torsor_count without its gcd pruning, and with the
+    The loops of _torsor_count without its gcd pruning, and with the
     last prefix coordinate counted rather than walked, so it bounds the
     prefixes the count visits at a fraction of its cost.  Each level stops
     once its own total passes limit.
@@ -472,24 +477,21 @@ def _leaf_sum(R, leaf, L, limit):
 def _torsor_count(plan, B):
     """(positive Cox vectors of height <= B, (n-1)-prefixes visited).
 
-    The vectors counted have gcd 1 on every primitive collection.  R[s]
-    is what is left of top = floor(B) for form s once the prefix's partial product
-    is divided out, so the next coordinate z obeys z^a <= R[s].  terms
-    holds (d, mu(d)) for the squarefree products d of the primes the last
+    The vectors counted have gcd 1 on every primitive collection.  The
+    plan's kernel (_torsor_kernel) walks the prefixes.  terms holds
+    (d, mu(d)) for the squarefree products d of the primes the last
     coordinate must avoid (rad is their product), so the last coordinate
-    contributes sum mu(d) * (L // d) for its cap L.
+    contributes sum mu(d) * (L // d) for its cap L; extend adds the
+    primes of a gcd, read from a table of smallest prime factors up to
+    the largest prefix coordinate, and keeps no d past the last
+    coordinate's own cap.
     """
     top = max(math.floor(Fraction(B)), 0)
-    caps, avoids, closes = plan.caps, plan.avoids, plan.closes
-    n = len(caps)
     spf = smallest_prime_factors(_prefix_cap(plan, top))
-    dmax = min(_root(top, a) for _, a in caps[-1])
-    leaf = _next_caps(caps, n - 2)
+    dmax = min(_root(top, a) for _, a in plan.caps[-1])
     radicals = {}
-    zs = [0] * n
-    visits = 0
 
-    def primes_of(g):
+    def extend(terms, rad, g):
         ps = radicals.get(g)
         if ps is None:
             ps, m = [], g
@@ -499,38 +501,134 @@ def _torsor_count(plan, B):
                 while m % p == 0:
                     m //= p
             radicals[g] = ps
-        return ps
+        for p in ps:
+            if rad % p:
+                rad *= p
+                terms = terms + [(d * p, -mu) for d, mu in terms if d * p <= dmax]
+        return terms, rad
 
-    def walk(i, R, terms, rad):
-        nonlocal visits
-        ci = caps[i]
-        L = min([_root(R[s], a) for s, a in ci])
-        G = 1
-        for c in avoids[i]:
-            G *= math.gcd(*[zs[k] for k in c])
-        total = 0
-        for z in range(1, L + 1):
-            if G > 1 and math.gcd(z, G) > 1:
-                continue
-            zs[i] = z
-            t, r = terms, rad
+    return _torsor_kernel(plan)(top, extend)
+
+
+def _plan_ints(x):
+    """x, a nest of tuples of ints, checked entry by entry.
+
+    The kernel source formats these integers and nothing else, so any
+    other entry is refused before a line of it is written.
+    """
+    if isinstance(x, tuple):
+        return tuple(map(_plan_ints, x))
+    if type(x) is not int:
+        raise TypeError("a torsor plan holds ints, not %r" % (x,))
+    return x
+
+
+def _kernel_source(plan):
+    """Source of kernel(top, extend) -> (count, visits) for the plan.
+
+    One for loop per prefix position, nested, with z<i> the coordinate at
+    position i and L<i> its cap.  x<i>_<s> is what is left of top for
+    form s once z<0..i> are divided out; a remainder no later position
+    reads is not kept, and equal remainders share one name.  g<i> is the
+    product of the gcds position i must avoid, t<i> and r<i> the Moebius
+    terms and radical once the gcds closed at i are known.  The leaf,
+    position n - 2, adds the last coordinate's count for each z: its cap
+    L = min root(x // z^b, a), or sum mu(d) * (L // d) over the terms,
+    with the caps that do not move with z (b = 0) taken once, as f.
+    Minima are written as comparisons, which cost a fraction of a call
+    to min.
+    """
+    caps, avoids, closes = map(_plan_ints, (plan.caps, plan.avoids, plan.closes))
+    n = len(caps)
+    forms = [{s for s, _ in ci} for ci in caps]
+    rem = dict.fromkeys(range(plan.nforms), "top")
+    named = {}
+    terms, rad = "t", "r"
+    lines = ["def kernel(top, extend):", "    total = visits = 0"]
+    if any(closes):
+        lines.append("    t, r = [(1, 1)], 1")
+
+    def emit(depth, line):
+        lines.append("    " * depth + line)
+
+    def root(x, a):
+        return x if a == 1 else "isqrt(%s)" % x if a == 2 else "iroot(%s, %d)" % (x, a)
+
+    def over(x, i, a):
+        z = "z%d" % i
+        return "%s // %s" % (x, z if a == 1 else "(%s * %s)" % (z, z) if a == 2 else "%s**%d" % (z, a))
+
+    def least(depth, name, exprs):
+        exprs = list(dict.fromkeys(exprs))
+        emit(depth, "%s = %s" % (name, exprs[0]))
+        for e in exprs[1:]:
+            if not e.isidentifier():
+                emit(depth, "v = %s" % e)
+                e = "v"
+            emit(depth, "if %s < %s: %s = %s" % (e, name, name, e))
+
+    def gcd(positions):
+        zs = ["z%d" % k for k in positions]
+        return zs[0] if len(zs) == 1 else "gcd(%s)" % ", ".join(zs)
+
+    depth = 1
+    for i in range(n - 1):
+        leaf = i == n - 2
+        if avoids[i]:
+            emit(depth, "g%d = %s" % (i, " * ".join(gcd(c) for c in avoids[i])))
+        least(depth, "L%d" % i, [root(rem[s], a) for s, a in caps[i]])
+        if leaf:
+            at_i = dict(caps[i])
+            fixed = [root(rem[s], a) for s, a in caps[-1] if s not in at_i]
+            moving = [root(over(rem[s], i, at_i[s]), a) for s, a in caps[-1] if s in at_i]
+            if fixed:
+                least(depth, "f", fixed)
+                fixed = ["f"]
+            if not avoids[i]:
+                emit(depth, "visits += L%d" % i)
+        emit(depth, "for z%d in range(1, L%d + 1):" % (i, i))
+        depth += 1
+        if avoids[i]:
+            emit(depth, "if g%d > 1 and gcd(z%d, g%d) > 1:" % (i, i, i))
+            emit(depth + 1, "continue")
+            if leaf:
+                emit(depth, "visits += 1")
+        if closes[i]:
+            emit(depth, "t%d, r%d = %s, %s" % (i, i, terms, rad))
+            terms, rad = "t%d" % i, "r%d" % i
             for c in closes[i]:
-                for p in primes_of(math.gcd(*[zs[k] for k in c])):
-                    if r % p:
-                        r *= p
-                        t = t + [(d * p, -mu) for d, mu in t if d * p <= dmax]
-            if i < n - 2:
-                R2 = list(R)
-                for s, a in ci:
-                    R2[s] //= z**a
-                total += walk(i + 1, R2, t, r)
-                continue
-            visits += 1
-            L2 = min([_root(R[s] // z**b, a) for s, a, b in leaf])
-            total += L2 if r == 1 else sum(mu * (L2 // d) for d, mu in t)
-        return total
+                emit(depth, "g = %s" % gcd(c))
+                emit(depth, "if g > 1:")
+                emit(depth + 1, "%s, %s = extend(%s, %s, g)" % (terms, rad, terms, rad))
+        if not leaf:
+            later = set().union(*forms[i + 1 :])
+            for s, a in caps[i]:
+                if s in later:
+                    expr = over(rem[s], i, a)
+                    if expr not in named:
+                        named[expr] = "x%d_%d" % (i, s)
+                        emit(depth, "%s = %s" % (named[expr], expr))
+                    rem[s] = named[expr]
+            continue
+        least(depth, "L", fixed + moving)
+        if not any(closes):
+            emit(depth, "total += L")
+            continue
+        emit(depth, "if %s == 1:" % rad)
+        emit(depth + 1, "total += L")
+        emit(depth, "else:")
+        emit(depth + 1, "for d, mu in %s:" % terms)
+        emit(depth + 2, "total += mu * (L // d)")
+    lines.append("    return total, visits")
+    return "\n".join(lines) + "\n"
 
-    return walk(0, [top] * plan.nforms, [(1, 1)], 1), visits
+
+@lru_cache(maxsize=None)
+def _torsor_kernel(plan):
+    """The plan's kernel, compiled once per plan (see _kernel_source)."""
+    namespace = {"gcd": math.gcd, "isqrt": math.isqrt, "iroot": iroot}
+    exec(compile(_kernel_source(plan), "<torsor kernel>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 # ---------------------------------------------------------------------------

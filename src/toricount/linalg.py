@@ -7,6 +7,7 @@ regularity checks and cyclic group cohomology.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 
 
@@ -220,15 +221,25 @@ def quotient_map(columns, ambient_rank):
     vector to its class in Z^q (q = ambient_rank - rank of the sublattice),
     `lift` sends class coordinates back to representatives, and `torsion`
     is the list of invariant factors > 1 (empty iff the quotient is free;
-    callers that need a lattice quotient must check this).
+    callers that need a lattice quotient must check this).  The Smith form
+    is taken once per distinct input; each call gets its own lists.
     """
+    project, lift, torsion = _quotient_map(tuple(map(tuple, columns)), ambient_rank)
+    return [list(row) for row in project], [list(row) for row in lift], list(torsion)
+
+
+@lru_cache(maxsize=None)
+def _quotient_map(columns, ambient_rank):
+    """quotient_map on tuples, with tuples out, so a cached result stays unchanged."""
     if not columns:
-        return identity(ambient_rank), identity(ambient_rank), []
-    a = [[col[i] for col in columns] for i in range(ambient_rank)]
-    u, d, _ = smith_normal_form(a)
-    r = sum(1 for i in range(min(ambient_rank, len(columns))) if d[i][i])
-    torsion = [d[i][i] for i in range(r) if d[i][i] > 1]
-    project = [u[i] for i in range(r, ambient_rank)]
-    uinv = unimodular_inverse(u)
-    lift = [[uinv[i][j] for j in range(r, ambient_rank)] for i in range(ambient_rank)]
-    return project, lift, torsion
+        project = lift = identity(ambient_rank)
+        torsion = []
+    else:
+        a = [[col[i] for col in columns] for i in range(ambient_rank)]
+        u, d, _ = smith_normal_form(a)
+        r = sum(1 for i in range(min(ambient_rank, len(columns))) if d[i][i])
+        torsion = [d[i][i] for i in range(r) if d[i][i] > 1]
+        project = [u[i] for i in range(r, ambient_rank)]
+        uinv = unimodular_inverse(u)
+        lift = [[uinv[i][j] for j in range(r, ambient_rank)] for i in range(ambient_rank)]
+    return tuple(map(tuple, project)), tuple(map(tuple, lift)), tuple(torsion)

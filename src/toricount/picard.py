@@ -158,6 +158,9 @@ def h1_cyclic(action, order):
         power = mat_mul(power, a)
     if power != identity(m):
         raise ValueError("matrix order does not divide the given group order")
+    if order == 1:
+        # H^1 of the trivial group vanishes
+        return ()
     ker = kernel_basis(norm)
     if not ker:
         return ()

@@ -72,6 +72,27 @@ def _is_split_callers(path):
     return out
 
 
+def _code_runners(path):
+    """(enclosing function, line) for each call of the builtin compile, exec or eval."""
+    out = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                callee = child.func
+                if isinstance(callee, ast.Attribute) and getattr(callee.value, "id", None) == "builtins":
+                    callee = ast.Name(callee.attr)
+                if isinstance(callee, ast.Name) and callee.id in ("compile", "exec", "eval"):
+                    out.append((func, child.lineno))
+            visit(child, func)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return out
+
+
 def _names_of(path, name):
     """Lines where the module names `name`: a variable, an attribute or an import."""
     return [
@@ -131,6 +152,14 @@ def test_only_require_split_and_theta_read_is_split():
     # split-only entry, and theta reports alpha and beta without tau
     callers = {(path.name, func) for path in MODULES for func, _ in _is_split_callers(path)}
     assert callers == {("fan.py", "require_split"), ("tamagawa.py", "theta")}
+
+
+def test_only_the_torsor_kernel_builder_compiles_code():
+    # code generation lives in one place: counting._torsor_kernel compiles
+    # the source it formats from a plan's integers, and nothing else runs
+    # generated code
+    callers = {(path.name, func) for path in MODULES for func, _ in _code_runners(path)}
+    assert callers == {("counting.py", "_torsor_kernel")}
 
 
 def test_only_arith_names_the_sieve_cap():

@@ -1,11 +1,14 @@
 import random
 
 import pytest
+
+import toricount.linalg as linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles.exact import solve_exact
 
 from toricount.linalg import (
+    _quotient_map,
     det,
     invariant_factors,
     kernel_basis,
@@ -117,3 +120,25 @@ def test_quotient_of_z2_by_antidiagonal():
         rep = [lift[i][b] for i in range(2)]
         cls = mat_vec([list(p) for p in project], rep)
         assert cls == [1 if t == b else 0 for t in range(len(project))]
+
+
+def test_quotient_map_reduces_each_input_once(monkeypatch):
+    forms = []
+
+    def counted(a):
+        forms.append(a)
+        return smith_normal_form(a)
+
+    monkeypatch.setattr(linalg, "smith_normal_form", counted)
+    _quotient_map.cache_clear()
+    first = quotient_map([[1, 2, 3], [0, 1, 4]], 3)
+    taken = len(forms)
+    assert taken > 0
+    # lists or tuples, the same input reuses the Smith forms
+    second = quotient_map(((1, 2, 3), (0, 1, 4)), 3)
+    assert len(forms) == taken
+    assert first == second
+    # each call gets its own lists, so a caller's edit reaches no other
+    first[0][0].append(7)
+    first[2].append(5)
+    assert quotient_map([[1, 2, 3], [0, 1, 4]], 3) == second

@@ -184,6 +184,20 @@ def test_h1_permutation_module_is_trivial():
     assert h1_cyclic_cocycle(cyc, 3) == 1
 
 
+def test_h1_of_the_trivial_group_takes_no_smith_form(monkeypatch):
+    import toricount.picard as picard
+
+    def refuse(a):
+        raise AssertionError("Smith form taken for the trivial group")
+
+    monkeypatch.setattr(picard, "kernel_basis", refuse)
+    monkeypatch.setattr(picard, "invariant_factors", refuse)
+    assert h1_cyclic(((1, 0), (0, 1)), 1) == ()
+    # the order is still checked: a nontrivial matrix is no trivial action
+    with pytest.raises(ValueError, match="order"):
+        h1_cyclic(((0, 1), (1, 0)), 1)
+
+
 def test_h1_norm_one_module():
     assert h1_cyclic(((-1,),), 2) == (2,)
     assert h1_cyclic_cocycle(((-1,),), 2) == 2

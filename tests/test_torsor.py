@@ -1,23 +1,29 @@
 """The universal-torsor counter against the naive scan, its budget and routing."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from oracles.torsor_walk import torsor_walk
+from test_cones import P3
 from test_height_oracles import CUBE, DP7, hirzebruch, subdivided_surfaces
+from test_tamagawa import product_fan
 
-from toricount import arith
+from toricount import arith, counting
 from toricount.arith import BudgetExceededError
 from toricount.corpus import NAMES
 from toricount.corpus import fan as corpus_fan
 from toricount.counting import (
     DEFAULT_BUDGET,
     _anticanonical_forms,
+    _kernel_source,
     _prefix_bound,
     _root,
     _torsor_count,
+    _torsor_kernel,
     _torsor_plan,
     asymptotic_report,
     count_points,
@@ -59,6 +65,79 @@ def test_torsor_matches_naive(name):
 def test_torsor_matches_naive_on_nef_subdivisions(fan, B):
     assume(_anticanonical_forms(fan)[1])
     assert torsor_points(fan, B) == count_points(fan, B, strategy="naive")
+
+
+KERNEL_FANS = {
+    "P3": P3,
+    "cube": CUBE,
+    "F2": hirzebruch(2),
+    "dp7": DP7,
+    "dp6xP1": product_fan(corpus_fan("dp6"), corpus_fan("p1")),
+}
+
+
+@pytest.mark.parametrize("name", list(KERNEL_FANS))
+def test_kernel_matches_the_recursive_walk(name):
+    # the generated kernel visits the same prefixes as the walk it replaced
+    plan = _torsor_plan(KERNEL_FANS[name])
+    for B in BOUNDS:
+        assert _torsor_count(plan, B) == torsor_walk(plan, B), (name, B)
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+)
+@given(fan=subdivided_surfaces(max_blowups=5), B=st.sampled_from(BOUNDS))
+def test_kernel_matches_the_recursive_walk_on_nef_subdivisions(fan, B):
+    plan = _torsor_plan(fan)
+    assume(plan is not None)
+    assert _torsor_count(plan, B) == torsor_walk(plan, B)
+
+
+def test_kernel_compiled_once_per_plan(monkeypatch):
+    sources = []
+
+    def spy(source, filename, mode):
+        sources.append(filename)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(counting, "compile", spy, raising=False)
+    _torsor_kernel.cache_clear()
+    dp6 = corpus_fan("dp6")
+    first = count_points(dp6, 300)
+    assert sources == ["<torsor kernel>"]
+    assert count_points(dp6, 300) == first
+    assert count_points(dp6, 200) < first
+    assert sources == ["<torsor kernel>"]
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("caps", Fraction(2)),  # equal to the int 2, but not one
+        ("caps", "2) or exec('') or (1"),
+        ("caps", True),
+        ("avoids", 1.0),
+        ("closes", "z0"),
+    ],
+)
+def test_kernel_source_takes_plan_integers_only(monkeypatch, field, bad):
+    compiled = []
+    monkeypatch.setattr(counting, "compile", lambda *args: compiled.append(args), raising=False)
+    plan = _torsor_plan(corpus_fan("dp6"))
+    entries = getattr(plan, field)
+    # the last integer of the field's first nonempty entry becomes bad
+    i = next(i for i, entry in enumerate(entries) if entry)
+    *head, last = entries[i]
+    doctored = replace(plan, **{field: entries[:i] + ((*head, last[:-1] + (bad,)),) + entries[i + 1 :]})
+    with pytest.raises(TypeError, match="ints"):
+        _kernel_source(doctored)
+    # True and Fraction(2) hash and compare like 1 and 2, so a cached kernel
+    # of the plan they mimic would be returned without any source written
+    _torsor_kernel.cache_clear()
+    with pytest.raises(TypeError, match="ints"):
+        _torsor_kernel(doctored)
+    assert compiled == []
 
 
 def test_auto_routing():
