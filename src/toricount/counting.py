@@ -22,7 +22,8 @@ of the other n - 1 coordinates.  Those prefixes are walked by a kernel
 generated once per plan (_torsor_kernel): one flat loop per position,
 with the plan's exponents and gcd conditions written into its source as
 integer literals and its remainders held in local variables.  The
-recursive walk it replaced is the test oracle tests/oracles/torsor_walk.py.
+recursive walks it and its bound replaced are the test oracles in
+tests/oracles/torsor_walk.py.
 Non-nef fans (such as F_3) have negative exponents and no such caps:
 they stay on the naive scan.
 
@@ -41,13 +42,14 @@ into its 2^d signed TorusPoints.
 
 Budgets.  A count over its budget is refused up front with
 BudgetExceededError: the scan's candidate tuples are counted exactly
-(candidate_estimate), and the torsor's prefixes are bounded by the same
-recursion without the gcd pruning.  Both grow with B, so a schedule is
-checked once, at its largest B.  arith refuses every table past
-arith.SIEVE_CAP entries as it allocates it (a sieve's, the torsor's
-smallest prime factors, the scan's totients), and a schedule is counted
-from its largest B down, so that refusal also comes before any smaller B
-is counted.
+(candidate_estimate), and the torsor's prefixes are bounded by the
+kernel's loops without the gcd pruning, generated into the same module
+from the same plan.  Both grow with B, so a schedule is checked once,
+at its largest B.  arith refuses every table past arith.SIEVE_CAP
+entries as it allocates it (a sieve's, the torsor's smallest prime
+factors, the scan's totients), and a schedule is counted from its
+largest B down, so that refusal also comes before any smaller B is
+counted.
 """
 
 from __future__ import annotations
@@ -302,6 +304,9 @@ def specialized_id_for(fan):
 # the bound at which _torsor_plan ranks the choices of closed-form coordinate
 _PLAN_REFERENCE_B = 100
 
+# the most (rad, g) pairs _torsor_count's extend keeps per call (a few MB)
+_EXTEND_MEMO_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class _TorsorPlan:
@@ -321,7 +326,7 @@ class _TorsorPlan:
     avoids: tuple
     closes: tuple
     nforms: int
-    walk: tuple  # the order in which _prefix_bound walks positions 0..n-2
+    walk: tuple  # the order of positions 0..n-2 in the generated bound's loops
 
 
 def _root(x, a):
@@ -360,35 +365,26 @@ def _torsor_plan(fan):
     coordinates do not depend on their order), so each choice is ranked
     by its prefix bound at a small reference B and the least is kept.
     The bound's walk then takes the leaf pair of positions with which it
-    takes the fewest steps at that B (at 10^5 it runs 2.3-10x faster on
+    takes the fewest steps at that B (at 10^5 it runs 2.7-4.4x faster on
     dp6, dp7 and the cube than in index order); its value does not depend
-    on the order.
+    on the order.  Each candidate's bound is compiled by the uncached
+    builder and dropped, so only the chosen plan's kernel is ever cached.
     """
     forms, convex = _anticanonical_forms(fan)
     if not convex:
         return None
     exps = [[1 - sum(map(mul, m, r)) for r in fan.rays] for m in forms]
-    plans = [_plan(fan, exps, last) for last in range(fan.nrays)]
-    plan = min(plans, key=lambda p: _prefix_bound(p, _PLAN_REFERENCE_B, math.inf))
+
+    def rank(p):
+        return _prefix_walk(p, _PLAN_REFERENCE_B, math.inf, _torsor_kernel.__wrapped__)
+
+    plan = min((_plan(fan, exps, last) for last in range(fan.nrays)), key=lambda p: rank(p)[0])
     m = fan.nrays - 1
     orders = [
         tuple(k for k in range(m) if k not in (i, j)) + (i, j)
         for i, j in permutations(range(m), 2)
     ]
-    return replace(plan, walk=min(
-        orders or [plan.walk],
-        key=lambda o: _walk_prefixes(plan, o, _PLAN_REFERENCE_B, math.inf)[1],
-    ))
-
-
-def _next_caps(caps, i):
-    """(form, exponent a at i + 1, exponent b at i) over caps[i + 1].
-
-    Once position i holds z, position i + 1 is capped by the least
-    root(R[s] // z^b, a), with no copy of R.
-    """
-    at_i = dict(caps[i])
-    return [(s, a, at_i.get(s, 0)) for s, a in caps[i + 1]]
+    return min((replace(plan, walk=o) for o in orders), key=lambda p: rank(p)[1], default=plan)
 
 
 def _prefix_cap(plan, top):
@@ -396,82 +392,24 @@ def _prefix_cap(plan, top):
     return max(min(_root(top, a) for _, a in ci) for ci in plan.caps[:-1])
 
 
-def _prefix_bound(plan, top, limit):
-    """The (n-1)-prefixes under the height caps at B = top, gcds ignored.
+def _prefix_walk(plan, top, limit, build):
+    """(prefix bound, steps taken) by the bound build(plan) compiles.
 
-    The loops of _torsor_count without its gcd pruning, and with the
-    last prefix coordinate counted rather than walked, so it bounds the
-    prefixes the count visits at a fraction of its cost.  Each level stops
-    once its own total passes limit.
+    The bound counts the (n-1)-prefixes under the height caps at B = top,
+    gcds ignored: the loops of _torsor_count without its gcd pruning, so
+    it bounds the prefixes the count visits at a fraction of its cost.
+    Each level stops once its own total passes limit, and when one
+    coordinate alone (the others at 1) passes it, that is the bound.
     """
-    return _walk_prefixes(plan, plan.walk, top, limit)[0]
-
-
-def _walk_prefixes(plan, order, top, limit):
-    """(_prefix_bound, steps taken), walking the prefix positions in order.
-
-    A prefix passes the caps exactly when prod_j z_j^(e_sj) <= top for
-    every form s positive at some prefix position (the partial products
-    only grow), so the bound does not depend on the order, but its cost
-    does.  The last two positions of the order form the leaf: the first
-    is summed in blocks, the second counted.
-    """
-    caps = [plan.caps[k] for k in order]
-    m = len(caps)
-    # each prefix coordinate alone, the others at 1, makes this many prefixes
     single = _prefix_cap(plan, top)
-    if m == 1 or single > limit:
+    if single > limit:
         return single, 0
-    leaf = _next_caps(caps, m - 2)
-    steps = 0
-
-    def walk(i, R):
-        nonlocal steps
-        ci = caps[i]
-        L = min([_root(R[s], a) for s, a in ci])
-        if i == m - 2:
-            total, blocks = _leaf_sum(R, leaf, L, limit)
-            steps += blocks
-            return total
-        total = 0
-        for z in range(1, L + 1):
-            steps += 1
-            R2 = list(R)
-            for s, a in ci:
-                R2[s] //= z**a
-            total += walk(i + 1, R2)
-            if total > limit:
-                break
-        return total
-
-    return walk(0, [top] * plan.nforms), steps
+    return build(plan)[1](top, limit)
 
 
-def _leaf_sum(R, leaf, L, limit):
-    """(sum_{z=1..L} h(z), blocks summed), stopped past limit.
-
-    h(z) is the least root(R[s] // z^b, a) over the leaf.  h is
-    nonincreasing, so it is summed over the blocks on which it is
-    constant: h(z) = v >= 1 holds on to the last z' with every cap still
-    >= v, and a cap root(R[s] // z^b, a) with b > 0 stays >= v exactly
-    while z^b <= R[s] // v^a (caps with b = 0 never change).  Past limit
-    it stops at the value the term-by-term sum reaches at the first z
-    that takes it past limit.
-    """
-    fixed = min([_root(R[s], a) for s, a, b in leaf if not b], default=math.inf)
-    moving = [(R[s], a, b) for s, a, b in leaf if b]
-    total, z, blocks = 0, 1, 0
-    while z <= L:
-        blocks += 1
-        v = min([fixed] + [_root(x // z**b, a) for x, a, b in moving])
-        if v == 0:
-            break
-        end = min([L] + [_root(x // v**a, b) for x, a, b in moving])
-        if total + v * (end - z + 1) > limit:
-            return total + v * ((limit - total) // v + 1), blocks
-        total += v * (end - z + 1)
-        z = end + 1
-    return total, blocks
+def _prefix_bound(plan, top, limit):
+    """The prefix bound of _prefix_walk, by the plan's cached kernel."""
+    return _prefix_walk(plan, top, limit, _torsor_kernel)[0]
 
 
 def _torsor_count(plan, B):
@@ -484,30 +422,35 @@ def _torsor_count(plan, B):
     contributes sum mu(d) * (L // d) for its cap L; extend adds the
     primes of a gcd, read from a table of smallest prime factors up to
     the largest prefix coordinate, and keeps no d past the last
-    coordinate's own cap.
+    coordinate's own cap.  terms are then exactly the squarefree divisors
+    of rad up to that cap, so (rad, g) fixes what extend returns, up to
+    an order of terms no sum sees, and it is memoized on them per call.
+    The memo keeps the first _EXTEND_MEMO_SIZE pairs, which the outer
+    loops meet again most: F_1 at 10^9 meets 31,621, and keeping all
+    their terms took that count from 23 to 43 MB of peak RSS.
     """
     top = max(math.floor(Fraction(B)), 0)
     spf = smallest_prime_factors(_prefix_cap(plan, top))
     dmax = min(_root(top, a) for _, a in plan.caps[-1])
-    radicals = {}
+    memo = {}
 
     def extend(terms, rad, g):
-        ps = radicals.get(g)
-        if ps is None:
-            ps, m = [], g
+        out = memo.get((rad, g))
+        if out is None:
+            t, r, m = terms, rad, g
             while m > 1:
                 p = spf[m]
-                ps.append(p)
                 while m % p == 0:
                     m //= p
-            radicals[g] = ps
-        for p in ps:
-            if rad % p:
-                rad *= p
-                terms = terms + [(d * p, -mu) for d, mu in terms if d * p <= dmax]
-        return terms, rad
+                if r % p:
+                    r *= p
+                    t = t + [(d * p, -mu) for d, mu in t if d * p <= dmax]
+            out = t, r
+            if len(memo) < _EXTEND_MEMO_SIZE:
+                memo[rad, g] = out
+        return out
 
-    return _torsor_kernel(plan)(top, extend)
+    return _torsor_kernel(plan)[0](top, extend)
 
 
 def _plan_ints(x):
@@ -524,42 +467,57 @@ def _plan_ints(x):
 
 
 def _kernel_source(plan):
-    """Source of kernel(top, extend) -> (count, visits) for the plan.
+    """Source of kernel(top, extend) -> (count, visits) and bound(top, limit).
 
-    One for loop per prefix position, nested, with z<i> the coordinate at
-    position i and L<i> its cap.  x<i>_<s> is what is left of top for
-    form s once z<0..i> are divided out; a remainder no later position
-    reads is not kept, and equal remainders share one name.  g<i> is the
-    product of the gcds position i must avoid, t<i> and r<i> the Moebius
-    terms and radical once the gcds closed at i are known.  The leaf,
-    position n - 2, adds the last coordinate's count for each z: its cap
-    L = min root(x // z^b, a), or sum mu(d) * (L // d) over the terms,
-    with the caps that do not move with z (b = 0) taken once, as f.
+    kernel: one for loop per prefix position, nested, with z<i> the
+    coordinate at position i and L<i> its cap.  x<i>_<s> is what is left
+    of top for form s once z<i> and the coordinates before it are divided
+    out; a remainder no later position reads is not kept, and equal
+    remainders share one name.  g<i> is the product of the gcds position
+    i must avoid, t<i> and r<i> the Moebius terms and radical once the
+    gcds closed at i are known.  The leaf, position n - 2, adds the last
+    coordinate's count for each z: its cap L = min root(x // z^b, a), or
+    sum mu(d) * (L // d) over the terms, with the caps that do not move
+    with z (b = 0) taken once, as f.
+
+    bound -> (prefix bound, steps): the same loops without the gcd tests,
+    over the prefix positions in plan.walk order, whose last two form
+    the leaf.  The first is summed in blocks on which the cap h of the
+    second is constant: h is nonincreasing in z, and a cap root(x // z^b,
+    a) with b > 0 stays >= h exactly while z^b <= x // h^a.  Every
+    radicand is >= 1 inside the loops, so h >= 1.  Level k keeps its own
+    total<k> and stops once it passes limit; a block that would pass it
+    stops at the value the term-by-term sum reaches at the first z that
+    does.  steps counts the z of the outer levels and the leaf's blocks.
+
     Minima are written as comparisons, which cost a fraction of a call
-    to min.
+    to min.  Roots are monotone and fall as the exponent grows, so a
+    radicand capped under several exponents keeps only its largest, and
+    the radicands of one exponent share the root of their least.
     """
-    caps, avoids, closes = map(_plan_ints, (plan.caps, plan.avoids, plan.closes))
+    caps, avoids, closes, walk = map(
+        _plan_ints, (plan.caps, plan.avoids, plan.closes, plan.walk)
+    )
     n = len(caps)
     forms = [{s for s, _ in ci} for ci in caps]
-    rem = dict.fromkeys(range(plan.nforms), "top")
-    named = {}
-    terms, rad = "t", "r"
-    lines = ["def kernel(top, extend):", "    total = visits = 0"]
-    if any(closes):
-        lines.append("    t, r = [(1, 1)], 1")
+    lines = []
+    rem, named = {}, {}
 
     def emit(depth, line):
         lines.append("    " * depth + line)
 
+    def start(header):
+        lines.append(header)
+        rem.update(dict.fromkeys(range(plan.nforms), "top"))
+        named.clear()
+
     def root(x, a):
         return x if a == 1 else "isqrt(%s)" % x if a == 2 else "iroot(%s, %d)" % (x, a)
 
-    def over(x, i, a):
-        z = "z%d" % i
+    def over(x, z, a):
         return "%s // %s" % (x, z if a == 1 else "(%s * %s)" % (z, z) if a == 2 else "%s**%d" % (z, a))
 
-    def least(depth, name, exprs):
-        exprs = list(dict.fromkeys(exprs))
+    def smallest(depth, name, exprs):
         emit(depth, "%s = %s" % (name, exprs[0]))
         for e in exprs[1:]:
             if not e.isidentifier():
@@ -567,23 +525,63 @@ def _kernel_source(plan):
                 e = "v"
             emit(depth, "if %s < %s: %s = %s" % (e, name, name, e))
 
+    def least(depth, name, pairs):
+        # name = min root(x, a) over the (x, a) pairs, one root per exponent;
+        # root(x, a) does not grow with a, so each x keeps its largest a
+        exp_of = {}
+        for x, a in pairs:
+            exp_of[x] = max(a, exp_of.get(x, 0))
+        by_exp = {}
+        for x, a in exp_of.items():
+            by_exp.setdefault(a, []).append(x)
+        roots = []
+        for a, xs in by_exp.items():
+            if a > 1 and len(xs) > 1:
+                smallest(depth, "m%d" % a, xs)
+                xs = ["m%d" % a]
+            roots += [root(x, a) for x in xs]
+        smallest(depth, name, roots)
+
+    def cap(depth, i):
+        least(depth, "L%d" % i, [(rem[s], a) for s, a in caps[i]])
+
+    def divide(depth, i, later):
+        # the remainders once z<i> is divided out, of the forms later positions read
+        for s, a in caps[i]:
+            if s in later:
+                expr = over(rem[s], "z%d" % i, a)
+                if expr not in named:
+                    named[expr] = "x%d_%d" % (i, s)
+                    emit(depth, "%s = %s" % (named[expr], expr))
+                rem[s] = named[expr]
+
+    def leaf_caps(depth, i, j):
+        # position j's caps once position i holds z: fixed ones as f, the rest (x, a, b)
+        at_i = dict(caps[i])
+        fixed = [(rem[s], a) for s, a in caps[j] if s not in at_i]
+        moving = [(rem[s], a, at_i[s]) for s, a in caps[j] if s in at_i]
+        if fixed:
+            least(depth, "f", fixed)
+            fixed = [("f", 1)]
+        return fixed, moving
+
     def gcd(positions):
         zs = ["z%d" % k for k in positions]
         return zs[0] if len(zs) == 1 else "gcd(%s)" % ", ".join(zs)
 
+    start("def kernel(top, extend):")
+    emit(1, "total = visits = 0")
+    if any(closes):
+        emit(1, "t, r = [(1, 1)], 1")
+    terms, rad = "t", "r"
     depth = 1
     for i in range(n - 1):
         leaf = i == n - 2
         if avoids[i]:
             emit(depth, "g%d = %s" % (i, " * ".join(gcd(c) for c in avoids[i])))
-        least(depth, "L%d" % i, [root(rem[s], a) for s, a in caps[i]])
+        cap(depth, i)
         if leaf:
-            at_i = dict(caps[i])
-            fixed = [root(rem[s], a) for s, a in caps[-1] if s not in at_i]
-            moving = [root(over(rem[s], i, at_i[s]), a) for s, a in caps[-1] if s in at_i]
-            if fixed:
-                least(depth, "f", fixed)
-                fixed = ["f"]
+            fixed, moving = leaf_caps(depth, i, n - 1)
             if not avoids[i]:
                 emit(depth, "visits += L%d" % i)
         emit(depth, "for z%d in range(1, L%d + 1):" % (i, i))
@@ -601,16 +599,9 @@ def _kernel_source(plan):
                 emit(depth, "if g > 1:")
                 emit(depth + 1, "%s, %s = extend(%s, %s, g)" % (terms, rad, terms, rad))
         if not leaf:
-            later = set().union(*forms[i + 1 :])
-            for s, a in caps[i]:
-                if s in later:
-                    expr = over(rem[s], i, a)
-                    if expr not in named:
-                        named[expr] = "x%d_%d" % (i, s)
-                        emit(depth, "%s = %s" % (named[expr], expr))
-                    rem[s] = named[expr]
+            divide(depth, i, set().union(*forms[i + 1 :]))
             continue
-        least(depth, "L", fixed + moving)
+        least(depth, "L", fixed + [(over(x, "z%d" % i, b), a) for x, a, b in moving])
         if not any(closes):
             emit(depth, "total += L")
             continue
@@ -619,16 +610,59 @@ def _kernel_source(plan):
         emit(depth, "else:")
         emit(depth + 1, "for d, mu in %s:" % terms)
         emit(depth + 2, "total += mu * (L // d)")
-    lines.append("    return total, visits")
+    emit(1, "return total, visits")
+
+    start("def bound(top, limit):")
+    emit(1, "steps = 0")
+    *outer, j = walk
+    depth = 1
+    for k, i in enumerate(outer[:-1]):
+        emit(depth, "total%d = 0" % k)
+        cap(depth, i)
+        emit(depth, "for z%d in range(1, L%d + 1):" % (i, i))
+        depth += 1
+        emit(depth, "steps += 1")
+        divide(depth, i, set().union(*(forms[q] for q in walk[k + 1 :])))
+    if not outer:
+        # a single prefix position: its cap is the bound
+        least(depth, "total0", [(rem[s], a) for s, a in caps[j]])
+    else:
+        i, k = outer[-1], len(outer) - 1
+        cap(depth, i)
+        fixed, moving = leaf_caps(depth, i, j)
+        emit(depth, "total%d = 0" % k)
+        emit(depth, "z = 1")
+        emit(depth, "while z <= L%d:" % i)
+        emit(depth + 1, "steps += 1")
+        least(depth + 1, "h", fixed + [(over(x, "z", b), a) for x, a, b in moving])
+        least(depth + 1, "end", [("L%d" % i, 1)] + [(over(x, "h", a), b) for x, a, b in moving])
+        emit(depth + 1, "w = h * (end - z + 1)")
+        emit(depth + 1, "if total%d + w > limit:" % k)
+        emit(depth + 2, "total%d += h * ((limit - total%d) // h + 1)" % (k, k))
+        emit(depth + 2, "break")
+        emit(depth + 1, "total%d += w" % k)
+        emit(depth + 1, "z = end + 1")
+    for k in reversed(range(len(outer) - 1)):
+        emit(depth, "total%d += total%d" % (k, k + 1))
+        emit(depth, "if total%d > limit:" % k)
+        emit(depth + 1, "break")
+        depth -= 1
+    emit(1, "return total0, steps")
     return "\n".join(lines) + "\n"
 
 
 @lru_cache(maxsize=None)
 def _torsor_kernel(plan):
-    """The plan's kernel, compiled once per plan (see _kernel_source)."""
+    """(kernel, bound) of the plan, compiled as one module once per plan.
+
+    See _kernel_source.  _torsor_plan ranks its candidates through the
+    uncached builder, _torsor_kernel.__wrapped__, so only the plans the
+    counters run stay in this cache.
+    """
     namespace = {"gcd": math.gcd, "isqrt": math.isqrt, "iroot": iroot}
     exec(compile(_kernel_source(plan), "<torsor kernel>", "exec"), namespace)
-    return namespace["kernel"]
+    # popped, so no cycle through their globals outlives the last reference
+    return namespace.pop("kernel"), namespace.pop("bound")
 
 
 # ---------------------------------------------------------------------------

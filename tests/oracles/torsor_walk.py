@@ -1,10 +1,12 @@
-"""The recursive walk of the universal-torsor count, kept as a test oracle.
+"""The recursive walks of the universal-torsor count and its bound, kept as test oracles.
 
 `toricount.counting._torsor_count` runs a kernel generated from the plan,
-with one flat loop per prefix position.  This is the walk it replaced:
-one recursion level per position, the remainders copied as lists and the
-caps looked up at run time.  It reads the same plan and must return the
-same (count, visits).
+with one flat loop per prefix position, and its budget check runs a bound
+generated into the same module.  These are the walks they replaced: one
+recursion level per position, the remainders copied as lists and the
+caps looked up at run time.  They read the same plan, and torsor_walk
+must return the kernel's (count, visits), _walk_prefixes the bound's
+(bound, steps).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from fractions import Fraction
 
 from toricount.arith import smallest_prime_factors
-from toricount.counting import _next_caps, _prefix_cap, _root
+from toricount.counting import _prefix_cap, _root
 
 
 def torsor_walk(plan, B):
@@ -78,3 +80,80 @@ def torsor_walk(plan, B):
         return total
 
     return walk(0, [top] * plan.nforms, [(1, 1)], 1), visits
+
+
+def _next_caps(caps, i):
+    """(form, exponent a at i + 1, exponent b at i) over caps[i + 1].
+
+    Once position i holds z, position i + 1 is capped by the least
+    root(R[s] // z^b, a), with no copy of R.
+    """
+    at_i = dict(caps[i])
+    return [(s, a, at_i.get(s, 0)) for s, a in caps[i + 1]]
+
+
+def _walk_prefixes(plan, order, top, limit):
+    """(_prefix_bound, steps taken), walking the prefix positions in order.
+
+    A prefix passes the caps exactly when prod_j z_j^(e_sj) <= top for
+    every form s positive at some prefix position (the partial products
+    only grow), so the bound does not depend on the order, but its cost
+    does.  The last two positions of the order form the leaf: the first
+    is summed in blocks, the second counted.
+    """
+    caps = [plan.caps[k] for k in order]
+    m = len(caps)
+    # each prefix coordinate alone, the others at 1, makes this many prefixes
+    single = _prefix_cap(plan, top)
+    if m == 1 or single > limit:
+        return single, 0
+    leaf = _next_caps(caps, m - 2)
+    steps = 0
+
+    def walk(i, R):
+        nonlocal steps
+        ci = caps[i]
+        L = min([_root(R[s], a) for s, a in ci])
+        if i == m - 2:
+            total, blocks = _leaf_sum(R, leaf, L, limit)
+            steps += blocks
+            return total
+        total = 0
+        for z in range(1, L + 1):
+            steps += 1
+            R2 = list(R)
+            for s, a in ci:
+                R2[s] //= z**a
+            total += walk(i + 1, R2)
+            if total > limit:
+                break
+        return total
+
+    return walk(0, [top] * plan.nforms), steps
+
+
+def _leaf_sum(R, leaf, L, limit):
+    """(sum_{z=1..L} h(z), blocks summed), stopped past limit.
+
+    h(z) is the least root(R[s] // z^b, a) over the leaf.  h is
+    nonincreasing, so it is summed over the blocks on which it is
+    constant: h(z) = v >= 1 holds on to the last z' with every cap still
+    >= v, and a cap root(R[s] // z^b, a) with b > 0 stays >= v exactly
+    while z^b <= R[s] // v^a (caps with b = 0 never change).  Past limit
+    it stops at the value the term-by-term sum reaches at the first z
+    that takes it past limit.
+    """
+    fixed = min([_root(R[s], a) for s, a, b in leaf if not b], default=math.inf)
+    moving = [(R[s], a, b) for s, a, b in leaf if b]
+    total, z, blocks = 0, 1, 0
+    while z <= L:
+        blocks += 1
+        v = min([fixed] + [_root(x // z**b, a) for x, a, b in moving])
+        if v == 0:
+            break
+        end = min([L] + [_root(x // v**a, b) for x, a, b in moving])
+        if total + v * (end - z + 1) > limit:
+            return total + v * ((limit - total) // v + 1), blocks
+        total += v * (end - z + 1)
+        z = end + 1
+    return total, blocks

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from oracles.torsor_walk import torsor_walk
+from oracles.torsor_walk import _walk_prefixes, torsor_walk
 from test_cones import P3
 from test_height_oracles import CUBE, DP7, hirzebruch, subdivided_surfaces
 from test_tamagawa import product_fan
@@ -21,6 +21,7 @@ from toricount.counting import (
     _anticanonical_forms,
     _kernel_source,
     _prefix_bound,
+    _prefix_walk,
     _root,
     _torsor_count,
     _torsor_kernel,
@@ -94,6 +95,14 @@ def test_kernel_matches_the_recursive_walk_on_nef_subdivisions(fan, B):
     assert _torsor_count(plan, B) == torsor_walk(plan, B)
 
 
+def test_extend_memo_size_changes_no_count(monkeypatch):
+    # extend's memo is a cache: a full one recomputes what it no longer keeps
+    plan = _torsor_plan(KERNEL_FANS["dp6xP1"])
+    want = torsor_walk(plan, 300)
+    monkeypatch.setattr(counting, "_EXTEND_MEMO_SIZE", 1)
+    assert _torsor_count(plan, 300) == want
+
+
 def test_kernel_compiled_once_per_plan(monkeypatch):
     sources = []
 
@@ -101,14 +110,61 @@ def test_kernel_compiled_once_per_plan(monkeypatch):
         sources.append(filename)
         return compile(source, filename, mode)
 
+    dp6 = corpus_fan("dp6")
+    # the plan search compiles each candidate's bound and drops it: warm it
+    # first, so only the chosen plan's kernel is compiled below
+    _torsor_plan(dp6)
     monkeypatch.setattr(counting, "compile", spy, raising=False)
     _torsor_kernel.cache_clear()
-    dp6 = corpus_fan("dp6")
     first = count_points(dp6, 300)
     assert sources == ["<torsor kernel>"]
     assert count_points(dp6, 300) == first
     assert count_points(dp6, 200) < first
     assert sources == ["<torsor kernel>"]
+
+
+def test_plan_search_caches_only_the_chosen_kernel():
+    # the ranked candidates are compiled and dropped, so the cache holds
+    # no more kernels as the fan gains rays
+    _torsor_kernel.cache_clear()
+    plan = _torsor_plan.__wrapped__(KERNEL_FANS["dp6xP1"])
+    assert _torsor_kernel.cache_info().currsize == 0
+    assert plan == _torsor_plan(KERNEL_FANS["dp6xP1"])
+    count_points(KERNEL_FANS["dp6xP1"], 10)
+    assert _torsor_kernel.cache_info().currsize == 1
+
+
+def _check_bound(plan, walk, top):
+    # the generated bound returns the recursive walk's (bound, steps) in any
+    # walk order, and stops early exactly as it does at every limit
+    plan = replace(plan, walk=tuple(walk))
+    bound = _walk_prefixes(plan, plan.walk, top, math.inf)[0]
+    for limit in (math.inf, 0, 1, bound // 2, bound - 1, bound, bound + 1):
+        want = _walk_prefixes(plan, plan.walk, top, limit)
+        got = _prefix_walk(plan, top, limit, _torsor_kernel.__wrapped__)
+        assert got == want, (walk, top, limit)
+
+
+@pytest.mark.parametrize("name", list(KERNEL_FANS))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), top=st.sampled_from([1, 2, 12, 100, 300]))
+def test_bound_matches_the_recursive_walk(name, data, top):
+    plan = _torsor_plan(KERNEL_FANS[name])
+    _check_bound(plan, data.draw(st.permutations(plan.walk)), top)
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+)
+@given(
+    fan=subdivided_surfaces(max_blowups=5),
+    data=st.data(),
+    top=st.sampled_from([1, 2, 12, 100, 1000]),
+)
+def test_bound_matches_the_recursive_walk_on_nef_subdivisions(fan, data, top):
+    plan = _torsor_plan(fan)
+    assume(plan is not None)
+    _check_bound(plan, data.draw(st.permutations(plan.walk)), top)
 
 
 @pytest.mark.parametrize(
@@ -122,9 +178,10 @@ def test_kernel_compiled_once_per_plan(monkeypatch):
     ],
 )
 def test_kernel_source_takes_plan_integers_only(monkeypatch, field, bad):
+    # the plan search compiles its candidates' bounds: search before the spy
+    plan = _torsor_plan(corpus_fan("dp6"))
     compiled = []
     monkeypatch.setattr(counting, "compile", lambda *args: compiled.append(args), raising=False)
-    plan = _torsor_plan(corpus_fan("dp6"))
     entries = getattr(plan, field)
     # the last integer of the field's first nonempty entry becomes bad
     i = next(i for i, entry in enumerate(entries) if entry)
@@ -222,6 +279,12 @@ def test_prefix_bound_equals_the_index_order_walk(name):
 
 def test_torsor_budget_refusal():
     dp6 = corpus_fan("dp6")
+    # the bound stops early, at the first prefix total past the budget
+    with pytest.raises(BudgetExceededError) as err:
+        count_points(dp6, 10**6)
+    assert str(err.value) == (
+        "work estimate of 50001005 torsor prefixes is over the budget of 50000000"
+    )
     with pytest.raises(BudgetExceededError):
         count_points(dp6, 1000, budget=1000)
     # one coordinate alone passes any budget here: refused at once
