@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from math import gcd
+from operator import mul
 
 from . import dd
 from .linalg import det, kernel_basis, primitive_vector, rank
@@ -128,6 +129,29 @@ def _facet_normal(facet, other, k):
     return u
 
 
+def _horizon_normal(u, v, g, facet, other, k):
+    """The normal of facet, a ridge R and g, from the normals u and v at R.
+
+    u and v are the inward normals, not parallel, of the two boundary
+    facets that meet at R, and g is below u's.  Both vanish on R, so
+    w = <v, g> u - <u, g> v vanishes on R and at g, and its primitive
+    part is the normal _facet_normal would solve for once it is positive
+    at `other`, the vertex of u's facet off R: there <u, other> = 0, so
+    <w, other> = -<u, g> <v, other> > 0, as other is above v's facet.
+    Any other sign (a degenerate simplex) goes to _facet_normal.
+    """
+    ug, vg = _dot(u, g), _dot(v, g)
+    w = [vg * a - ug * b for a, b in zip(u, v)]
+    if _dot(w, other) <= 0:
+        return _facet_normal(facet, other, k)
+    d = gcd(*w)
+    return [x // d for x in w]
+
+
+def _dot(u, v):
+    return sum(map(mul, u, v))
+
+
 def triangulate(generators, k, order="lex"):
     """Placing triangulation of a pointed cone on its generator list.
 
@@ -135,9 +159,14 @@ def triangulate(generators, k, order="lex"):
     reverse sorted order ("revlex", the pulling variant used by the
     independence tests).  Returns a list of k-tuples of generators.
 
-    The boundary is one table: facet -> [vertex off it, inward normal,
-    solved on first use].  Placing pops a facet met twice (now interior);
-    g's new facets contain g, so a snapshot walk sees the boundary before g.
+    The boundary is one table, facet -> inward normal, with an index of
+    the boundary facets through each ridge.  A generator g is placed over
+    every facet it is below; a new facet, a ridge R of that facet and g,
+    is popped when met twice (now interior), and otherwise R is a horizon
+    ridge and its normal is an integer combination of the normals of the
+    two facets at R (_horizon_normal).  Only the first simplex's facets
+    are solved by Smith form.  g's new facets contain g, so a snapshot
+    walk sees the boundary before g.
     """
     gens = sorted(set(tuple(g) for g in generators))
     if order == "revlex":
@@ -153,22 +182,47 @@ def triangulate(generators, k, order="lex"):
             rest.append(g)
     if len(seed) < k:
         raise ValueError("generators do not span")
+    if not rest:
+        return [tuple(seed)]
     boundary = {}
-    simplices = []
+    ridges = {}  # ridge -> the boundary facets through it
 
-    def place(simplex):
-        simplices.append(simplex)
-        for f, other in zip(combinations(simplex, k - 1), reversed(simplex)):
-            if boundary.pop(frozenset(f), None) is None:
-                boundary[frozenset(f)] = [other, None]
+    def add(f, normal):
+        boundary[f] = normal
+        for x in f:
+            ridges.setdefault(f - {x}, []).append(f)
 
-    place(tuple(seed))
+    def pop(f):
+        del boundary[f]
+        for x in f:
+            ridges[f - {x}].remove(f)
+
+    simplices = [tuple(seed)]
+    for f, other in zip(combinations(seed, k - 1), reversed(seed)):
+        add(frozenset(f), _facet_normal(f, other, k))
     for g in rest:
-        for facet, entry in list(boundary.items()):
-            if entry[1] is None:
-                entry[1] = _facet_normal(tuple(facet), entry[0], k)
-            if sum(ui * gi for ui, gi in zip(entry[1], g)) < 0:
-                place(tuple(facet) + (g,))
+        for facet, u in list(boundary.items()):
+            if _dot(u, g) >= 0:
+                continue
+            simplex = tuple(facet) + (g,)
+            simplices.append(simplex)
+            pop(facet)
+            # the simplex's other facets: a ridge of facet and g, opposite
+            # the vertex of facet off that ridge
+            for f, other in islice(zip(combinations(simplex, k - 1), reversed(simplex)), 1, None):
+                f = frozenset(f)
+                if f in boundary:
+                    pop(f)
+                    continue
+                across = ridges.get(f - {g}, ())
+                if len(across) != 1:
+                    add(f, _facet_normal(f, other, k))
+                elif boundary[across[0]] == u:
+                    # the facet across is coplanar, so also below g: its
+                    # simplex pops f later in this walk, and f needs no normal
+                    add(f, None)
+                else:
+                    add(f, _horizon_normal(u, boundary[across[0]], g, f, other, k))
     return simplices
 
 

@@ -367,8 +367,9 @@ def _torsor_plan(fan):
     The bound's walk then takes the leaf pair of positions with which it
     takes the fewest steps at that B (at 10^5 it runs 2.7-4.4x faster on
     dp6, dp7 and the cube than in index order); its value does not depend
-    on the order.  Each candidate's bound is compiled by the uncached
-    builder and dropped, so only the chosen plan's kernel is ever cached.
+    on the order.  Each candidate's bound, without the count kernel, is
+    compiled uncached (_bound_only) and dropped, so only the chosen
+    plan's kernel is ever cached.
     """
     forms, convex = _anticanonical_forms(fan)
     if not convex:
@@ -376,7 +377,7 @@ def _torsor_plan(fan):
     exps = [[1 - sum(map(mul, m, r)) for r in fan.rays] for m in forms]
 
     def rank(p):
-        return _prefix_walk(p, _PLAN_REFERENCE_B, math.inf, _torsor_kernel.__wrapped__)
+        return _prefix_walk(p, _PLAN_REFERENCE_B, math.inf, _bound_only)
 
     plan = min((_plan(fan, exps, last) for last in range(fan.nrays)), key=lambda p: rank(p)[0])
     m = fan.nrays - 1
@@ -405,6 +406,11 @@ def _prefix_walk(plan, top, limit, build):
     if single > limit:
         return single, 0
     return build(plan)[1](top, limit)
+
+
+def _bound_only(plan):
+    """(None, bound) of the plan, compiled and not cached: ranking never counts."""
+    return _torsor_kernel.__wrapped__(plan, count=False)
 
 
 def _prefix_bound(plan, top, limit):
@@ -466,8 +472,10 @@ def _plan_ints(x):
     return x
 
 
-def _kernel_source(plan):
+def _kernel_source(plan, count=True):
     """Source of kernel(top, extend) -> (count, visits) and bound(top, limit).
+
+    With count false only the bound is written.
 
     kernel: one for loop per prefix position, nested, with z<i> the
     coordinate at position i and L<i> its cap.  x<i>_<s> is what is left
@@ -569,48 +577,49 @@ def _kernel_source(plan):
         zs = ["z%d" % k for k in positions]
         return zs[0] if len(zs) == 1 else "gcd(%s)" % ", ".join(zs)
 
-    start("def kernel(top, extend):")
-    emit(1, "total = visits = 0")
-    if any(closes):
-        emit(1, "t, r = [(1, 1)], 1")
-    terms, rad = "t", "r"
-    depth = 1
-    for i in range(n - 1):
-        leaf = i == n - 2
-        if avoids[i]:
-            emit(depth, "g%d = %s" % (i, " * ".join(gcd(c) for c in avoids[i])))
-        cap(depth, i)
-        if leaf:
-            fixed, moving = leaf_caps(depth, i, n - 1)
-            if not avoids[i]:
-                emit(depth, "visits += L%d" % i)
-        emit(depth, "for z%d in range(1, L%d + 1):" % (i, i))
-        depth += 1
-        if avoids[i]:
-            emit(depth, "if g%d > 1 and gcd(z%d, g%d) > 1:" % (i, i, i))
-            emit(depth + 1, "continue")
+    if count:
+        start("def kernel(top, extend):")
+        emit(1, "total = visits = 0")
+        if any(closes):
+            emit(1, "t, r = [(1, 1)], 1")
+        terms, rad = "t", "r"
+        depth = 1
+        for i in range(n - 1):
+            leaf = i == n - 2
+            if avoids[i]:
+                emit(depth, "g%d = %s" % (i, " * ".join(gcd(c) for c in avoids[i])))
+            cap(depth, i)
             if leaf:
-                emit(depth, "visits += 1")
-        if closes[i]:
-            emit(depth, "t%d, r%d = %s, %s" % (i, i, terms, rad))
-            terms, rad = "t%d" % i, "r%d" % i
-            for c in closes[i]:
-                emit(depth, "g = %s" % gcd(c))
-                emit(depth, "if g > 1:")
-                emit(depth + 1, "%s, %s = extend(%s, %s, g)" % (terms, rad, terms, rad))
-        if not leaf:
-            divide(depth, i, set().union(*forms[i + 1 :]))
-            continue
-        least(depth, "L", fixed + [(over(x, "z%d" % i, b), a) for x, a, b in moving])
-        if not any(closes):
-            emit(depth, "total += L")
-            continue
-        emit(depth, "if %s == 1:" % rad)
-        emit(depth + 1, "total += L")
-        emit(depth, "else:")
-        emit(depth + 1, "for d, mu in %s:" % terms)
-        emit(depth + 2, "total += mu * (L // d)")
-    emit(1, "return total, visits")
+                fixed, moving = leaf_caps(depth, i, n - 1)
+                if not avoids[i]:
+                    emit(depth, "visits += L%d" % i)
+            emit(depth, "for z%d in range(1, L%d + 1):" % (i, i))
+            depth += 1
+            if avoids[i]:
+                emit(depth, "if g%d > 1 and gcd(z%d, g%d) > 1:" % (i, i, i))
+                emit(depth + 1, "continue")
+                if leaf:
+                    emit(depth, "visits += 1")
+            if closes[i]:
+                emit(depth, "t%d, r%d = %s, %s" % (i, i, terms, rad))
+                terms, rad = "t%d" % i, "r%d" % i
+                for c in closes[i]:
+                    emit(depth, "g = %s" % gcd(c))
+                    emit(depth, "if g > 1:")
+                    emit(depth + 1, "%s, %s = extend(%s, %s, g)" % (terms, rad, terms, rad))
+            if not leaf:
+                divide(depth, i, set().union(*forms[i + 1 :]))
+                continue
+            least(depth, "L", fixed + [(over(x, "z%d" % i, b), a) for x, a, b in moving])
+            if not any(closes):
+                emit(depth, "total += L")
+                continue
+            emit(depth, "if %s == 1:" % rad)
+            emit(depth + 1, "total += L")
+            emit(depth, "else:")
+            emit(depth + 1, "for d, mu in %s:" % terms)
+            emit(depth + 2, "total += mu * (L // d)")
+        emit(1, "return total, visits")
 
     start("def bound(top, limit):")
     emit(1, "steps = 0")
@@ -652,17 +661,18 @@ def _kernel_source(plan):
 
 
 @lru_cache(maxsize=None)
-def _torsor_kernel(plan):
+def _torsor_kernel(plan, count=True):
     """(kernel, bound) of the plan, compiled as one module once per plan.
 
-    See _kernel_source.  _torsor_plan ranks its candidates through the
-    uncached builder, _torsor_kernel.__wrapped__, so only the plans the
-    counters run stay in this cache.
+    See _kernel_source.  _torsor_plan ranks its candidates through
+    _torsor_kernel.__wrapped__ with count false (_bound_only), which
+    compiles the bound alone and returns None for the kernel, so only the
+    plans the counters run stay in this cache.
     """
     namespace = {"gcd": math.gcd, "isqrt": math.isqrt, "iroot": iroot}
-    exec(compile(_kernel_source(plan), "<torsor kernel>", "exec"), namespace)
+    exec(compile(_kernel_source(plan, count), "<torsor kernel>", "exec"), namespace)
     # popped, so no cycle through their globals outlives the last reference
-    return namespace.pop("kernel"), namespace.pop("bound")
+    return namespace.pop("kernel", None), namespace.pop("bound")
 
 
 # ---------------------------------------------------------------------------
@@ -807,21 +817,27 @@ def asymptotic_report(
 ):
     """Counts along the schedule against theta/(k-1)! * B (log B)^(k-1).
 
-    Any schedule gets the table.  Schedules with at least 4 points B > 1
-    spanning two decades also get, when k >= 2, a two-term regression
-    over those points; shorter ones are marked as a plain table.  A zero
-    prediction has ratio nan.
+    Any schedule gets the table, one row per entry.  Schedules with at
+    least 4 distinct points B > 1 spanning two decades also get, when
+    k >= 2, a two-term regression over those points, each counted once;
+    shorter ones are marked as a plain table.  A zero prediction has
+    ratio nan.
     """
     schedule = sorted(schedule)
     # both branches refuse a nonsplit fan before its theta, (None, None), is read
     if counts is None:
         name, count = _route(fan, strategy, max(schedule, default=0), budget)
         source = "counts by the %s counter (strategy %r)" % (name, strategy)
-        # largest B first, so arith refuses an oversized table before any count
-        counts = [count(b) for b in reversed(schedule)][::-1]
+        # each distinct B once, largest first, so arith refuses an oversized
+        # table before any count
+        count_of = {b: count(b) for b in sorted(set(schedule), reverse=True)}
+        counts = [count_of[b] for b in schedule]
     else:
         fan.require_split("counting")
         source = "counts supplied by the caller"
+        count_of = dict(zip(schedule, counts))
+        if any(count_of[b] != n for b, n in zip(schedule, counts)):
+            raise ValueError("N(B) must take one value at each B")
     k = picard_data(fan).rank_K
     theta_lo, theta_hi = float(theta_interval[0]), float(theta_interval[1])
     theta_c = (theta_lo + theta_hi) / 2
@@ -834,12 +850,12 @@ def asymptotic_report(
     ratios = [n / p if p else float("nan") for n, p in zip(counts, predicted)]
     regression = {}
     # log B <= 0 for B <= 1, where the asymptotic model means nothing
-    fit = [(b, n) for b, n in zip(schedule, counts) if b > 1]
+    fit = sorted((b, n) for b, n in count_of.items() if b > 1)
     if len(fit) < 4 or Fraction(fit[-1][0]) < 100 * Fraction(fit[0][0]):
         provenance = [source, "plain table; schedule too short for a regression"]
     else:
         provenance = [source, "prediction uses the midpoint of the theta interval"]
-        if len(fit) < len(schedule):
+        if len(fit) < len(count_of):
             provenance.append("rows with B <= 1 are left out of the regression")
         if k >= 2:
             a, se, b2 = fit_leading_coefficient(*zip(*fit), k)

@@ -115,13 +115,22 @@ def euler_polynomial(fan):
 
     f(x) = (1 - x)^k * sum_i f_i x^i (1 - x)^(d - i), with (f_0, ..., f_d)
     the f-vector and k = n - d, is qsigma_split(fan) on the diagonal, and
-    f(1/p) = (1 - 1/p)^k * Card(X(F_p)) / p^d.  Its x^j coefficient is
-    sum_i f_i (-1)^(j - i) C(n - i, j - i); trailing zeros are dropped.
+    f(1/p) = (1 - 1/p)^k * Card(X(F_p)) / p^d.  It depends on the f-vector
+    alone (euler_coefficients).
     """
     fan.require_split("the Euler polynomial")
-    n, fv = fan.nrays, fan.f_vector()
+    return euler_coefficients(fan.f_vector())
+
+
+def euler_coefficients(f_vector):
+    """euler_polynomial from the f-vector (f_0, ..., f_d) of a complete fan.
+
+    Every ray spans a cone, so n = f_1.  The x^j coefficient is
+    sum_i f_i (-1)^(j - i) C(n - i, j - i); trailing zeros are dropped.
+    """
+    n = f_vector[1]
     coeffs = [
-        sum((-1) ** (j - i) * comb(n - i, j - i) * fi for i, fi in enumerate(fv[: j + 1]))
+        sum((-1) ** (j - i) * comb(n - i, j - i) * fi for i, fi in enumerate(f_vector[: j + 1]))
         for j in range(n + 1)
     ]
     while coeffs[-1] == 0:

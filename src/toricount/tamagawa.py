@@ -24,6 +24,11 @@ is the one under which alpha * beta * tau reproduces the measured point
 counts; the end-to-end ratio tests are its arbiter, and the report
 carries that provenance.
 
+tau is therefore a function of the f-vector alone: f comes from the f_i
+(localdata.euler_coefficients) and arch = 2^d * f_d.  It is certified
+once per f-vector and shared by every fan that has it, such as all
+n-ray smooth complete surfaces, or a fan and its relabelings.
+
 The certificate is exact arithmetic throughout: the prefix, the zeta
 brackets and the tail bound are Fractions, and the logarithms and the
 exponential that join them are integer fixed-point brackets with
@@ -40,7 +45,7 @@ from functools import lru_cache
 
 from .arith import iroot, mobius_table, primes_upto
 from .cones import alpha
-from .localdata import euler_polynomial
+from .localdata import euler_coefficients
 from .picard import picard_data
 
 # tau is certified to this many bits, relative: the tail and the zeta
@@ -337,18 +342,43 @@ def tau(fan, prime_cutoff=None) -> EulerProduct:
     in integers at the finest of those scales, exp(S) is bracketed by
     _exp_bound with directed rounding, and arch * prefix multiplies the
     bracket exactly, so `enclosure` holds exact Fractions.  lo and hi are
-    its ends rounded outward to floats.  prime_cutoff is accepted for
-    callers that still pass one and does not change the result.
+    its ends rounded outward to floats.
+
+    All of this reads f and arch, so only the fan's f-vector: the
+    certificate is built once per f-vector, and a later fan with the same
+    f-vector gets the same EulerProduct from one lookup.  prime_cutoff
+    is accepted for callers that still pass one and does not change the
+    result.
     """
     fan.require_split("tau")
-    P0, N, tail, exps, prefix = _polynomial_terms(euler_polynomial(fan))
-    arch = archimedean_density(fan)
+    return _certified_tau(fan.f_vector())
+
+
+@lru_cache(maxsize=None)
+def _certified_tau(f_vector):
+    """tau's EulerProduct for a fan with this f-vector, certified once per f-vector."""
+    coeffs = euler_coefficients(f_vector)
+    arch = 2 ** (len(f_vector) - 1) * f_vector[-1]
+    D = len(coeffs) - 1
+    R = root_bound(coeffs)
+    P0 = 1 << (_P0_RATIO * R - 1).bit_length()
+    # q^N is about 2^-128 at N = 128 / log2(P0/R); search up from below it
+    limit = Fraction(1, 2**_TARGET_BITS)
+    N = max(2, int(_TARGET_BITS / math.log2(P0 / R)) - 2)
+    while _tail_log_bound(D, R, P0, N) > limit:
+        N += 1
+    tail = _tail_log_bound(D, R, P0, N)
+    primes = primes_upto(P0 - 1)
+    prefix = Fraction(
+        math.prod(sum(c * p ** (D - j) for j, c in enumerate(coeffs)) for p in primes),
+        math.prod(p**D for p in primes),
+    )
 
     # S in units of 2^-scale, the finest scale of the log brackets
     scale = _log_bits(N, P0)
     spread = -(-(tail.numerator << scale) // tail.denominator)
     s_lo, s_hi = -spread, spread
-    for n, a in enumerate(exps, 1):
+    for n, a in enumerate(factor_exponents(coeffs, N), 1):
         if a:
             shift = scale - _log_bits(n, P0)
             pair = [-a * e << shift for e in _log_zeta(n, P0)]
@@ -371,25 +401,6 @@ def tau(fan, prime_cutoff=None) -> EulerProduct:
         hi=_float_up(ends[1]),
         enclosure=ends,
     )
-
-
-@lru_cache(maxsize=None)
-def _polynomial_terms(coeffs):
-    """(P0, N, tail bound, [a_1..a_N], prefix) of tau: the work on f alone, once per f."""
-    D = len(coeffs) - 1
-    R = root_bound(coeffs)
-    P0 = 1 << (_P0_RATIO * R - 1).bit_length()
-    # q^N is about 2^-128 at N = 128 / log2(P0/R); search up from below it
-    limit = Fraction(1, 2**_TARGET_BITS)
-    N = max(2, int(_TARGET_BITS / math.log2(P0 / R)) - 2)
-    while _tail_log_bound(D, R, P0, N) > limit:
-        N += 1
-    primes = primes_upto(P0 - 1)
-    prefix = Fraction(
-        math.prod(sum(c * p ** (D - j) for j, c in enumerate(coeffs)) for p in primes),
-        math.prod(p**D for p in primes),
-    )
-    return P0, N, _tail_log_bound(D, R, P0, N), tuple(factor_exponents(coeffs, N)), prefix
 
 
 def _float_down(x):

@@ -236,6 +236,20 @@ def test_count_regression_skips_rows_below_one(capsys):
     assert payload["regression"] == {}
 
 
+def test_count_repeated_b_is_one_point(capsys):
+    # 1000 three times and 10^5 are two distinct B: a plain table with a
+    # row per entry, not an exact two-point fit with leading_se 0
+    code, out, _ = run(
+        capsys, "count", "p1xp1", "--B-schedule", "1000,1000,1000,100000", "--out", "json"
+    )
+    assert code == 0
+    payload = _strict_json(out)
+    jsonschema.validate(payload, schema("count"))
+    assert payload["schedule"] == ["1000", "1000", "1000", "100000"]
+    assert payload["counts"] == [10372, 10372, 10372, 1749124]
+    assert payload["regression"] == {}
+
+
 @pytest.mark.parametrize(
     "argv",
     [

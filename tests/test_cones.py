@@ -375,6 +375,21 @@ def test_triangulate_matches_census_oracle_on_surface_effective_cones(surface):
         )
 
 
+def test_triangulate_solves_only_the_first_simplex_by_smith_form(monkeypatch):
+    # every later facet's normal is combined from the normals of the two
+    # boundary facets at its ridge (the census oracle solves each afresh)
+    calls = []
+    solve = cones._facet_normal
+    monkeypatch.setattr(cones, "_facet_normal", lambda *args: calls.append(args) or solve(*args))
+    pd = picard_data(seeded_surface(10, 0))
+    c = PolyCone(pd.rank_K, pd.eff_generators_G)
+    for order in ("lex", "revlex"):
+        calls.clear()
+        simplices = triangulate(c.dual_generators(), c.ambient_rank, order)
+        assert simplices == census_triangulate(c.dual_generators(), c.ambient_rank, order)
+        assert len(simplices) > 20 and len(calls) == c.ambient_rank
+
+
 def triangulated_alpha(f):
     """The reference: the triangulated X-function of the effective cone at -K, over h."""
     pd = picard_data(f)

@@ -233,6 +233,33 @@ def test_asymptotic_report_regression_ignores_rows_below_one(p1xp1):
     assert short.regression == {}
 
 
+def test_asymptotic_report_counts_a_repeated_b_once(p1xp1, monkeypatch):
+    # 1000 three times and 10^5 are two distinct points: a plain table with
+    # one row per entry, not an exact two-point fit passed off as four
+    import toricount.counting as counting
+
+    seen = []
+    sieve = counting._route
+
+    def route(*args):
+        name, count = sieve(*args)
+        return name, lambda b: seen.append(b) or count(b)
+
+    monkeypatch.setattr(counting, "_route", route)
+    sched = [1000, 1000, 1000, 10**5]
+    rep = asymptotic_report(p1xp1, sched, (1.47, 1.49))
+    assert sorted(seen) == [1000, 10**5]
+    assert rep.schedule == sched
+    assert rep.counts == [count_p1xp1(b) for b in sched]
+    assert len(rep.predicted) == len(rep.ratios) == 4
+    assert rep.regression == {}
+    assert rep.provenance[1] == "plain table; schedule too short for a regression"
+    supplied = asymptotic_report(p1xp1, sched, (1.47, 1.49), counts=rep.counts)
+    assert supplied.regression == {}
+    with pytest.raises(ValueError, match="one value at each B"):
+        asymptotic_report(p1xp1, [10, 10], (1.47, 1.49), counts=[36, 37])
+
+
 def test_asymptotic_report_insufficient_schedule(p1xp1):
     # too few points, or too narrow a span: a plain table, no regression
     for sched in ([10, 20, 30], [10, 20, 30, 40]):

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles.interval_tau import interval_tau
 from oracles.truncated_tau import truncated_tau
-from test_height_oracles import DP7, P2_RAYS, subdivided_surfaces, surface
+from test_height_oracles import DP7, F0_RAYS, P2_RAYS, blown_up_p2, subdivided_surfaces, surface
 
 from toricount.fan import Fan
 from toricount.localdata import euler_polynomial, point_count_fp
 from toricount.tamagawa import (
     _bernoulli_ratio,
+    _certified_tau,
     _exp_bound,
     _float_down,
     _float_up,
@@ -382,8 +383,14 @@ def test_tau_carries_each_log_bracket_outward(monkeypatch, dp6):
         unit = 1 << (tamagawa._log_bits(n, P0) - 60)
         return lo - unit, hi + unit
 
+    # tau is cached per f-vector: certify afresh under the patch, and keep
+    # the widened certificate out of the cache for later tests
+    tamagawa._certified_tau.cache_clear()
     monkeypatch.setattr(tamagawa, "_log_zeta", widened)
-    lo, hi = tau(dp6).enclosure
+    try:
+        lo, hi = tau(dp6).enclosure
+    finally:
+        tamagawa._certified_tau.cache_clear()
     olo, ohi = interval_tau(dp6)
     assert lo < olo and ohi < hi
 
@@ -397,3 +404,55 @@ def test_tau_matches_interval_oracle(corpus, name):
 @given(subdivided_surfaces(max_blowups=8))
 def test_tau_matches_interval_oracle_on_surfaces(fan):
     _assert_matches_interval_oracle(fan)
+
+
+@st.composite
+def _surfaces_on(draw, nrays):
+    """A smooth complete surface on nrays >= 4 rays: P^2 or F_0, star-subdivided."""
+    rays = list(draw(st.sampled_from([P2_RAYS, F0_RAYS])))
+    while len(rays) < nrays:
+        i = draw(st.integers(min_value=0, max_value=len(rays) - 1))
+        u, v = rays[i], rays[(i + 1) % len(rays)]
+        rays.insert(i + 1, (u[0] + v[0], u[1] + v[1]))
+    return surface(rays)
+
+
+def _relabeled(fan, perm):
+    """The same fan with ray i renamed perm[i]."""
+    rays = [None] * fan.nrays
+    for i, r in enumerate(fan.rays):
+        rays[perm[i]] = r
+    return Fan(fan.dim, rays, [[perm[i] for i in c] for c in fan.max_cones])
+
+
+def _fresh_tau(fan):
+    """tau certified from scratch, not read from the per-f-vector cache."""
+    _certified_tau.cache_clear()
+    return tau(fan)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_tau_depends_only_on_the_f_vector(corpus, data):
+    # f and arch are read from the f-vector alone, so two fans that share it
+    # share tau exactly, each certified without the other's cache entry
+    n = data.draw(st.integers(min_value=4, max_value=10))
+    a, b = data.draw(_surfaces_on(n)), data.draw(_surfaces_on(n))
+    pairs = [
+        (a, b),
+        (a, _relabeled(a, data.draw(st.permutations(range(n))))),
+        (corpus["dp6"], data.draw(_surfaces_on(6))),
+    ]
+    for x, y in pairs:
+        assert x.f_vector() == y.f_vector()
+        assert _fresh_tau(x).enclosure == _fresh_tau(y).enclosure
+
+
+def test_a_second_fan_with_the_same_f_vector_is_a_cache_hit(dp6):
+    other = blown_up_p2(6)
+    assert other != dp6 and other.f_vector() == dp6.f_vector()
+    first = _fresh_tau(dp6)
+    before = _certified_tau.cache_info()
+    assert tau(other) is first
+    after = _certified_tau.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)

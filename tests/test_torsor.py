@@ -134,6 +134,25 @@ def test_plan_search_caches_only_the_chosen_kernel():
     assert _torsor_kernel.cache_info().currsize == 1
 
 
+@pytest.mark.parametrize("name", SPLIT_CORPUS + ["dp7", "dp6xdp6"])
+def test_plan_ranking_compiles_bounds_only(monkeypatch, name):
+    # ranking runs only the candidates' bounds, so it compiles no count
+    # kernel, and it keeps the plan that ranking by the full modules keeps
+    dp6 = corpus_fan("dp6")
+    fan = product_fan(dp6, dp6) if name == "dp6xdp6" else _fan(name)
+    sources = []
+
+    def spy(source, filename, mode):
+        sources.append(source)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(counting, "compile", spy, raising=False)
+    plan = _torsor_plan.__wrapped__(fan)
+    assert sources and not any("def kernel" in source for source in sources)
+    monkeypatch.setattr(counting, "_bound_only", _torsor_kernel.__wrapped__)
+    assert _torsor_plan.__wrapped__(fan) == plan
+
+
 def _check_bound(plan, walk, top):
     # the generated bound returns the recursive walk's (bound, steps) in any
     # walk order, and stops early exactly as it does at every limit
