@@ -833,6 +833,8 @@ def asymptotic_report(
         count_of = {b: count(b) for b in sorted(set(schedule), reverse=True)}
         counts = [count_of[b] for b in schedule]
     else:
+        if len(counts) != len(schedule):
+            raise ValueError("%d counts for %d schedule entries" % (len(counts), len(schedule)))
         fan.require_split("counting")
         source = "counts supplied by the caller"
         count_of = dict(zip(schedule, counts))

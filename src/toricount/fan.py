@@ -48,26 +48,20 @@ class Fan:
     def __init__(self, dim, rays, max_cones, galois=()):
         if dim < 1:
             raise ValueError("lattice rank must be >= 1")
-        object.__setattr__(self, "dim", int(dim))
-        object.__setattr__(
-            self, "rays", tuple(tuple(int(x) for x in r) for r in rays)
-        )
-        object.__setattr__(
-            self,
-            "max_cones",
-            tuple(tuple(sorted(int(i) for i in c)) for c in max_cones),
-        )
-        object.__setattr__(
-            self,
-            "galois",
-            tuple(tuple(tuple(int(x) for x in row) for row in g) for g in galois),
-        )
-        for r in self.rays:
+        rays = tuple(tuple(map(int, r)) for r in rays)
+        for r in rays:
             if len(r) != dim:
                 raise ValueError("ray %r has wrong dimension" % (r,))
-        for c in self.max_cones:
-            if len(set(c)) != len(c) or any(i < 0 or i >= len(self.rays) for i in c):
+        max_cones = tuple(tuple(sorted(map(int, c))) for c in max_cones)
+        for c in max_cones:
+            if c and (c[0] < 0 or c[-1] >= len(rays) or len(set(c)) != len(c)):
                 raise ValueError("bad cone index set %r" % (c,))
+        object.__setattr__(self, "dim", int(dim))
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "max_cones", max_cones)
+        object.__setattr__(
+            self, "galois", tuple(tuple(tuple(map(int, row)) for row in g) for g in galois)
+        )
 
     @property
     def nrays(self):
@@ -110,16 +104,16 @@ class OrbitDecomposition:
         return len(self.orbits)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckResult:
     name: str
     passed: bool
     witness: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValidationReport:
-    checks: list
+    checks: tuple
 
     @property
     def ok(self):
@@ -294,8 +288,14 @@ def galois_orbits(fan):
     return OrbitDecomposition(tuple(orbits))
 
 
+@lru_cache(maxsize=None)
 def validate_fan(fan):
-    """Run all structural checks; failures are report entries, not errors."""
+    """Run all structural checks; failures are report entries, not errors.
+
+    The report depends on the fan's value alone, so it is built once per
+    Fan value and shared: equal fans, however built, get the same frozen
+    report from one lookup.
+    """
     checks = []
 
     # primitivity
@@ -361,7 +361,7 @@ def validate_fan(fan):
                     break
     checks.append(CheckResult("galois", bad is None, bad or ""))
 
-    return ValidationReport(checks)
+    return ValidationReport(tuple(checks))
 
 
 def _facet_table(fan):

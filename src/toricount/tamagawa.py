@@ -415,7 +415,7 @@ def _float_up(x):
     return f if f >= x else math.nextafter(f, math.inf)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ThetaReport:
     """alpha * beta * tau: alpha and beta exact; tau and theta as float intervals
     rounded outward from exact integer fixed-point enclosures."""
@@ -427,7 +427,7 @@ class ThetaReport:
     tau_interval: EulerProduct | None
     theta_lo: float | None
     theta_hi: float | None
-    provenance: list = field(default_factory=list)
+    provenance: tuple = ()
 
     def to_json_dict(self):
         return {
@@ -441,16 +441,24 @@ class ThetaReport:
                 if self.theta_lo is not None
                 else None
             ),
-            "provenance": self.provenance,
+            "provenance": list(self.provenance),
         }
 
 
 def theta(fan, prime_cutoff=None) -> ThetaReport:
     """Assemble the leading constant; nonsplit fans get alpha and beta only.
 
-    prime_cutoff is accepted for callers that still pass one and does not
-    change the result.
+    alpha, beta and tau depend on the fan's value alone, so the report is
+    assembled once per Fan value and shared, frozen, by every later call
+    on an equal fan.  prime_cutoff is accepted for callers that still pass
+    one and does not change the result.
     """
+    return _theta(fan)
+
+
+@lru_cache(maxsize=None)
+def _theta(fan):
+    """theta's report for this fan, assembled once per Fan value."""
     pd = picard_data(fan)
     a = alpha(fan)
     b = pd.beta
@@ -476,7 +484,7 @@ def theta(fan, prime_cutoff=None) -> ThetaReport:
             tau_interval=None,
             theta_lo=None,
             theta_hi=None,
-            provenance=prov,
+            provenance=tuple(prov),
         )
     tp = tau(fan)
     ab = a * b
@@ -499,5 +507,5 @@ def theta(fan, prime_cutoff=None) -> ThetaReport:
         tau_interval=tp,
         theta_lo=_float_down(ab * Fraction(tp.lo)),
         theta_hi=_float_up(ab * Fraction(tp.hi)),
-        provenance=prov,
+        provenance=tuple(prov),
     )

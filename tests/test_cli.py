@@ -592,3 +592,16 @@ def test_cached_parser_carries_nothing_between_calls(capsys):
         assert out.startswith("{") == ("json" in argv or "--json" in argv), argv
         assert vars(_parser().parse_args(argv)) == vars(build_parser().parse_args(argv)), argv
     assert _parser() is _parser()
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_repeated_call_prints_the_same_bytes(capsys, name):
+    # validate_fan and theta are cached per fan value: a second call in the
+    # same process reads the cache and must print what the first printed
+    for argv in (
+        ("constants", name, "--json"),
+        ("validate", name, "--json"),
+        ("count", name, "--B-schedule", "10,20", "--out", "json"),
+    ):
+        first = run(capsys, *argv)
+        assert run(capsys, *argv) == first, argv

@@ -260,6 +260,18 @@ def test_asymptotic_report_counts_a_repeated_b_once(p1xp1, monkeypatch):
         asymptotic_report(p1xp1, [10, 10], (1.47, 1.49), counts=[36, 37])
 
 
+def test_asymptotic_report_refuses_counts_of_another_length(p1xp1, monkeypatch):
+    # three schedule entries and one count: refused before any row is built
+    import toricount.counting as counting
+
+    def no_row(*args):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(counting, "leading_term", no_row)
+    with pytest.raises(ValueError, match="1 counts for 3 schedule entries"):
+        asymptotic_report(p1xp1, [10, 100, 1000], (1.47, 1.49), counts=[36])
+
+
 def test_asymptotic_report_insufficient_schedule(p1xp1):
     # too few points, or too narrow a span: a plain table, no regression
     for sched in ([10, 20, 30], [10, 20, 30, 40]):

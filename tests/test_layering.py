@@ -149,9 +149,10 @@ def test_package_imports_only_at_module_level():
 
 def test_only_require_split_and_theta_read_is_split():
     # one scope boundary: Fan.require_split refuses a nonsplit fan for every
-    # split-only entry, and theta reports alpha and beta without tau
+    # split-only entry, and theta (its cached worker _theta) reports alpha
+    # and beta without tau
     callers = {(path.name, func) for path in MODULES for func, _ in _is_split_callers(path)}
-    assert callers == {("fan.py", "require_split"), ("tamagawa.py", "theta")}
+    assert callers == {("fan.py", "require_split"), ("tamagawa.py", "_theta")}
 
 
 def test_only_the_torsor_kernel_builder_compiles_code():

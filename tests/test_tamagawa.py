@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import mpmath
@@ -9,7 +10,8 @@ from oracles.interval_tau import interval_tau
 from oracles.truncated_tau import truncated_tau
 from test_height_oracles import DP7, F0_RAYS, P2_RAYS, blown_up_p2, subdivided_surfaces, surface
 
-from toricount.fan import Fan
+from toricount.corpus import fan_from_dict, fan_to_dict
+from toricount.fan import Fan, validate_fan
 from toricount.localdata import euler_polynomial, point_count_fp
 from toricount.tamagawa import (
     _bernoulli_ratio,
@@ -18,6 +20,7 @@ from toricount.tamagawa import (
     _float_down,
     _float_up,
     _log1p_bound,
+    _theta,
     archimedean_density,
     factor_exponents,
     root_bound,
@@ -456,3 +459,37 @@ def test_a_second_fan_with_the_same_f_vector_is_a_cache_hit(dp6):
     assert tau(other) is first
     after = _certified_tau.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_cached_reports_equal_a_fresh_run(corpus, data):
+    # validate_fan and theta are cached per fan value: whatever the cache
+    # holds must be what the uncached workers build now
+    names = sorted(corpus) + ["dp6xp1", "dp6xp2", "dp7xdp7"]
+    fans = subdivided_surfaces(max_blowups=6) | st.sampled_from(names).map(lambda n: _named_fan(corpus, n))
+    fan = data.draw(fans)
+    assert validate_fan(fan) == validate_fan.__wrapped__(fan)
+    assert theta(fan) == _theta.__wrapped__(fan)
+
+
+def test_equal_fans_share_one_cache_entry(dp6):
+    data = fan_to_dict(dp6)
+    a, b = fan_from_dict(data), fan_from_dict(data)
+    assert a is not b
+    for cached, get in ((validate_fan, validate_fan), (_theta, theta)):
+        first = get(a)
+        before = cached.cache_info()
+        assert get(b) is first
+        after = cached.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_cached_reports_are_frozen(corpus):
+    # one cached report is shared by every caller, so none may change it
+    for fan in corpus.values():
+        th, report = theta(fan), validate_fan(fan)
+        assert isinstance(th.provenance, tuple) and isinstance(report.checks, tuple)
+        for obj, name in ((th, "theta_lo"), (th, "provenance"), (report, "checks"), (report.checks[0], "passed")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, None)
