@@ -3,6 +3,12 @@
 Exit codes: 0 success, 1 failed checks or computation error, 2 unreadable
 or malformed input, 3 budget refusal (a sieve, a scan, a torsor count or a
 local sum past its cap).
+
+Each call opens and parses its fan file, a path or else a bundled corpus
+name, so an edited file is seen by the next call.  What depends on the
+fan's value alone is not redone: the argument parser is built once per
+process, and `validate_fan`, `theta` and the `constants --json` text are
+cached per fan value.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from functools import lru_cache
 
 from .arith import PRIMALITY_LIMIT, BudgetExceededError, is_prime
 from .cones import PolyCone, xfunction
-from .corpus import NAMES, fan_from_dict, fan_json_path
+from .corpus import NAMES, fan_from_dict, fan as corpus_fan
 from .counting import DEFAULT_BUDGET, STRATEGIES, asymptotic_report
 from .fan import validate_fan
 from .localdata import local_integral, point_count_fp, qsigma_split
@@ -31,12 +37,24 @@ _LOAD_ERRORS = (OSError, ValueError)
 
 
 def _load_fan(path):
-    """Fan from a JSON file path, or from a bundled corpus name."""
-    if not os.path.exists(path) and path in NAMES:
-        path = fan_json_path(path)
-    with open(path, "r", encoding="utf-8") as f:
-        data = json.load(f)
-    return fan_from_dict(data)
+    """Fan from a JSON file path, or from a bundled corpus name.
+
+    A file at `path` wins over the corpus fan of that name.  The file is
+    read on every call, so an edited fan is seen by the next one.
+    """
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+    except FileNotFoundError:
+        if path not in NAMES:
+            raise
+        return corpus_fan(path)
+    # decoded as a text-mode open would: strict UTF-8 and universal
+    # newlines, so JSON error offsets in a CRLF file stay the same
+    text = raw.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return fan_from_dict(json.loads(text))
 
 
 def _fail_parse(exc):
@@ -66,13 +84,23 @@ def _refuse_cutoff(cutoff):
         return _fail_parse("--cutoff must be >= %d, got %d" % (MIN_CUTOFF, cutoff))
 
 
+@lru_cache(maxsize=None)
+def _constants_json(fan):
+    """`constants --json` text of theta's report, rendered once per report.
+
+    theta shares one frozen report per fan value, so this is keyed by the
+    fan, which hashes far faster than the report's exact tau enclosure.
+    """
+    return json.dumps(theta(fan).to_json_dict(), indent=1)
+
+
 def cmd_constants(args, fan):
     if _refuse_cutoff(args.cutoff):
         return 2
-    report = theta(fan)
     if args.json:
-        print(json.dumps(report.to_json_dict(), indent=1))
+        print(_constants_json(fan))
         return 0
+    report = theta(fan)
     print("alpha = %s" % report.alpha)
     print("beta  = %d" % report.beta)
     print("k     = %d" % report.k)
@@ -239,13 +267,28 @@ def _parser():
     return build_parser()
 
 
+def _parse(argv):
+    """The namespace `_parser().parse_args(argv)` gives, parsed by the
+    subcommand's own parser when argv[0] names one and it takes every
+    argument; anything else (no command, a bad one, arguments left over)
+    goes through the whole tree, so usage lines and errors are argparse's."""
+    (commands,) = _parser()._subparsers._group_actions
+    command = commands.choices.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return _parser().parse_args(argv)
+
+
 def main(argv=None):
     """Parse argv, load the fan, refuse it unless it is valid, run the command.
 
     Only `validate` runs on a fan that fails a check: it reports them.  A
     command's budget refusal exits 3 and its computation errors exit 1.
     """
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         fan = _load_fan(args.path)
         failed = [] if args.func is cmd_validate else validate_fan(fan).failed()

@@ -19,20 +19,32 @@ NAMES = (
 )
 
 
+_INT = frozenset((int,))
+
+
 def _int_array(value, depth, key):
-    """value as nested lists of ints, `depth` levels deep, or ValueError."""
+    """value if it is nested arrays of ints `depth` levels deep, else
+    ValueError at its first bad entry in reading order.
+
+    One call per array: a row of ints is checked by its set of types.
+    """
     if depth == 0:
         if type(value) is not int:
             raise ValueError("%s: expected an integer, got %r" % (key, value))
         return value
     if not isinstance(value, (list, tuple)):
         raise ValueError("%s: expected an array, got %r" % (key, value))
-    return [_int_array(v, depth - 1, key) for v in value]
+    if depth > 1:
+        for v in value:
+            _int_array(v, depth - 1, key)
+    elif not _INT.issuperset(map(type, value)):
+        _int_array(next(v for v in value if type(v) is not int), 0, key)
+    return value
 
 
 def fan_from_dict(data) -> Fan:
     """Fan from its JSON object; ValueError unless it has the required keys
-    and every entry is an integer."""
+    and every entry is an integer.  Fan() normalizes what this checks."""
     if not isinstance(data, dict):
         raise ValueError("a fan is a JSON object, got %s" % type(data).__name__)
     for key in ("dim", "rays", "max_cones"):

@@ -823,9 +823,9 @@ def asymptotic_report(
     shorter ones are marked as a plain table.  A zero prediction has
     ratio nan.
     """
-    schedule = sorted(schedule)
     # both branches refuse a nonsplit fan before its theta, (None, None), is read
     if counts is None:
+        schedule = sorted(schedule)
         name, count = _route(fan, strategy, max(schedule, default=0), budget)
         source = "counts by the %s counter (strategy %r)" % (name, strategy)
         # each distinct B once, largest first, so arith refuses an oversized
@@ -837,8 +837,12 @@ def asymptotic_report(
             raise ValueError("%d counts for %d schedule entries" % (len(counts), len(schedule)))
         fan.require_split("counting")
         source = "counts supplied by the caller"
-        count_of = dict(zip(schedule, counts))
-        if any(count_of[b] != n for b, n in zip(schedule, counts)):
+        # each count stays with its own B as the schedule is sorted
+        pairs = sorted(zip(schedule, counts))
+        schedule = [b for b, _ in pairs]
+        counts = [n for _, n in pairs]
+        count_of = dict(pairs)
+        if any(count_of[b] != n for b, n in pairs):
             raise ValueError("N(B) must take one value at each B")
     k = picard_data(fan).rank_K
     theta_lo, theta_hi = float(theta_interval[0]), float(theta_interval[1])

@@ -572,10 +572,23 @@ def test_schedule_refused_at_its_top_is_quick(capsys):
     assert "torsor prefixes" in err
 
 
-def test_cached_parser_carries_nothing_between_calls(capsys):
-    # main builds its parser once per process: each call sees its own
-    # flags and the defaults, never a flag of an earlier call
-    from toricount.cli import _parser, build_parser
+def _outcome(capsys, argv):
+    """main's exit code, stdout and stderr, with argparse's exits caught."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_cached_parser_carries_nothing_between_calls(capsys, monkeypatch):
+    # main builds its parser once per process and parses with the named
+    # subcommand's parser from that tree: each call sees its own flags and
+    # the defaults, never a flag of an earlier call, and every argv ends as
+    # it would through the whole tree, usage lines and errors included
+    import toricount.cli as cli
+    from toricount.cli import _parse, _parser, build_parser
 
     calls = [
         ("constants", "p1", "--json", "--cutoff", "500"),
@@ -590,8 +603,24 @@ def test_cached_parser_carries_nothing_between_calls(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 0 and not err, argv
         assert out.startswith("{") == ("json" in argv or "--json" in argv), argv
-        assert vars(_parser().parse_args(argv)) == vars(build_parser().parse_args(argv)), argv
+        assert vars(_parse(argv)) == vars(build_parser().parse_args(argv)), argv
     assert _parser() is _parser()
+    refused = [
+        ("constants", "p1", "--bogus"),
+        ("count", "p1"),
+        ("count", "p1", "--B-schedule", "10", "--strategy", "nope"),
+        ("constants", "-h"),
+        ("-h",),
+        ("bogus", "p1"),
+        (),
+    ]
+    fast = [_outcome(capsys, argv) for argv in calls + refused]
+    monkeypatch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))
+    full = [_outcome(capsys, argv) for argv in calls + refused]
+    for argv, a, b in zip(calls + refused, fast, full):
+        assert a == b, argv
+    assert fast[len(calls)][2].startswith("usage: toricount [-h] {validate,")
+    assert fast[len(calls)][2].endswith("toricount: error: unrecognized arguments: --bogus\n")
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -605,3 +634,75 @@ def test_a_repeated_call_prints_the_same_bytes(capsys, name):
     ):
         first = run(capsys, *argv)
         assert run(capsys, *argv) == first, argv
+
+
+def test_a_repeated_constants_json_is_rendered_once(tmp_path, capsys, monkeypatch):
+    # the report of a fan value is rendered once: a second call on an equal
+    # fan, from another file, prints the same bytes without json.dumps
+    import toricount.cli as cli
+
+    sheared = {"dim": 2, "rays": [[1, 0], [2, 1], [-3, -1]], "max_cones": [[0, 1], [1, 2], [2, 0]]}
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    first.write_text(json.dumps(sheared))
+    second.write_text(json.dumps(sheared, indent=3))
+    code, out, _ = run(capsys, "constants", str(first), "--json")
+    assert code == 0
+    calls = []
+    dumps = cli.json.dumps
+    monkeypatch.setattr(cli.json, "dumps", lambda *a, **k: calls.append(a) or dumps(*a, **k))
+    assert run(capsys, "constants", str(second), "--json") == (0, out, "")
+    assert calls == []
+
+
+def test_fan_from_dict_checks_a_row_at_once(monkeypatch):
+    # one _int_array call per array, none per integer: on a 14-ray surface
+    # that is dim, rays, max_cones and galois plus one per row
+    import toricount.corpus as corpus
+    from test_height_oracles import blown_up_p2
+
+    data = fan_to_dict(blown_up_p2(14))
+    calls = []
+    check = corpus._int_array
+    monkeypatch.setattr(corpus, "_int_array", lambda *a: calls.append(a) or check(*a))
+    fan = fan_from_dict(data)
+    assert fan == blown_up_p2(14)
+    assert len(calls) == 4 + len(data["rays"]) + len(data["max_cones"])
+    integers = 1 + sum(map(len, data["rays"] + data["max_cones"]))
+    assert not any(type(a[0]) is int for a in calls[1:]) and len(calls) < integers
+
+
+def _write_bytes(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
+def test_fan_loader_edge_cases(tmp_path, capsys):
+    # reading a fan is one open of the path, read as UTF-8 text with
+    # universal newlines: errors and their offsets are those of text mode
+    p2 = json.dumps(P2, indent=1)
+    crlf = p2.replace("\n", "\r\n").replace('"rays": [', '"rays": oops[')
+    cases = {
+        _write_bytes(tmp_path, "crlf.json", crlf.encode()):
+            "error: Expecting value: line 3 column 10 (char 22)\n",
+        _write_bytes(tmp_path, "bom.json", b"\xef\xbb\xbf" + p2.encode()):
+            "error: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)\n",
+        _write_bytes(tmp_path, "utf16.json", p2.encode("utf-16")):
+            "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n",
+        str(tmp_path): "error: [Errno 21] Is a directory: '%s'\n" % tmp_path,
+        str(tmp_path / "missing.json"):
+            "error: [Errno 2] No such file or directory: '%s'\n" % (tmp_path / "missing.json"),
+    }
+    for path, err in cases.items():
+        assert run(capsys, "constants", path) == (2, "", err), path
+
+
+def test_corpus_names_and_local_files(tmp_path, capsys, monkeypatch):
+    # a corpus name loads the bundled fan unless a file of that name is in
+    # the working directory, which then wins
+    monkeypatch.chdir(tmp_path)
+    bundled = run(capsys, "constants", fan_json_path("dp6"), "--json")
+    assert run(capsys, "constants", "dp6", "--json") == bundled
+    (tmp_path / "dp6").write_text(json.dumps(P2))
+    local = run(capsys, "constants", "dp6", "--json")
+    assert local == run(capsys, "constants", fan_json_path("p2"), "--json") != bundled

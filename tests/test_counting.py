@@ -272,6 +272,16 @@ def test_asymptotic_report_refuses_counts_of_another_length(p1xp1, monkeypatch):
         asymptotic_report(p1xp1, [10, 100, 1000], (1.47, 1.49), counts=[36])
 
 
+def test_asymptotic_report_sorts_supplied_counts_with_their_bounds(p1xp1):
+    # each count is the true N at its own B, in a schedule given unsorted
+    shuffled = asymptotic_report(p1xp1, [1000, 10, 100], (1.47, 1.49), counts=[10372, 52, 836])
+    ordered = asymptotic_report(p1xp1, [10, 100, 1000], (1.47, 1.49), counts=[52, 836, 10372])
+    assert shuffled == ordered
+    assert shuffled.counts == [count_p1xp1(b) for b in (10, 100, 1000)]
+    with pytest.raises(ValueError, match="one value at each B"):
+        asymptotic_report(p1xp1, [100, 10, 100], (1.47, 1.49), counts=[836, 52, 837])
+
+
 def test_asymptotic_report_insufficient_schedule(p1xp1):
     # too few points, or too narrow a span: a plain table, no regression
     for sched in ([10, 20, 30], [10, 20, 30, 40]):
