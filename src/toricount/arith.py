@@ -143,8 +143,9 @@ def iroot(x, k):
     """Largest integer m with m^k <= x, for an int or Fraction x >= 0.
 
     m^k <= x exactly when m^k <= floor(x), so the root of floor(x) is
-    taken by integer Newton steps from a power-of-two overestimate; the
-    steps decrease strictly until they reach the floor of the root.
+    math.isqrt for k = 2, and otherwise taken by integer Newton steps
+    from a power-of-two overestimate; the steps decrease strictly until
+    they reach the floor of the root.
     """
     if k < 1:
         raise ValueError("root degree must be >= 1")
@@ -153,6 +154,8 @@ def iroot(x, k):
         raise ValueError("iroot needs x >= 0")
     if k == 1 or n < 2:
         return n
+    if k == 2:
+        return math.isqrt(n)
     m = 1 << -(-n.bit_length() // k)
     while True:
         y = ((k - 1) * m + n // m ** (k - 1)) // k

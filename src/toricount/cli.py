@@ -291,13 +291,10 @@ def main(argv=None):
     args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         fan = _load_fan(args.path)
-        failed = [] if args.func is cmd_validate else validate_fan(fan).failed()
+        if args.func is not cmd_validate:
+            validate_fan(fan).require()
     except _LOAD_ERRORS as exc:
         return _fail_parse(exc)
-    if failed:
-        return _fail_parse(
-            "invalid fan: %s check failed: %s" % (failed[0].name, failed[0].witness)
-        )
     try:
         return args.func(args, fan)
     except BudgetExceededError as exc:

@@ -28,6 +28,7 @@ from math import gcd
 from operator import mul
 
 from . import dd
+from .fan import validate_fan
 from .linalg import det, kernel_basis, primitive_vector, rank
 from .picard import picard_data
 
@@ -256,8 +257,10 @@ def alpha(fan) -> Fraction:
     exact residues when its rank is 1, or 2 with distinct columns.  Any
     other component sends the whole fan to xfunction of the effective
     cone.  A component that does not positively span its span (a cone
-    that is not pointed) raises ValueError on either route.
+    that is not pointed) raises ValueError on either route, as does a fan
+    that fails validate_fan.
     """
+    validate_fan(fan).require()
     pd = picard_data(fan)
     blocks = _gale_blocks(pd.gale_dual)
     # -K is the sum of the generators, so interior once the cone is pointed,

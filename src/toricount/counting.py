@@ -5,7 +5,8 @@ the closed-form sieve of a registered fan (p1, p2, p1xp1), then the
 universal-torsor counter for a split fan whose anticanonical class is
 nef, then the naive scan.  "naive" always runs the scan, which stays the
 oracle of the other two; "specialized" runs a sieve or refuses.  Every
-public entry refuses a nonsplit fan first (Fan.require_split).
+public entry refuses an invalid fan first (ValidationReport.require),
+then a nonsplit one (Fan.require_split).
 
 Torsor counter (Salberger, Asterisque 251; de la Breteche, J. Number
 Theory 87).  By Cox, the rational points of a smooth split toric variety
@@ -18,12 +19,13 @@ and a nef class (convex phi_Sigma) makes every exponent >= 0, so each
 partial product caps the coordinates still to come.  The last
 coordinate is counted in closed form, by inclusion-exclusion over the
 primes of the gcds it must avoid, so the work is the number of prefixes
-of the other n - 1 coordinates.  Those prefixes are walked by a kernel
-generated once per plan (_torsor_kernel): one flat loop per position,
-with the plan's exponents and gcd conditions written into its source as
-integer literals and its remainders held in local variables.  The
-recursive walks it and its bound replaced are the test oracles in
-tests/oracles/torsor_walk.py.
+of the other n - 1 coordinates.  A plan fixes one order of the rays,
+the closed-form ray last, and those prefixes are walked in it by a
+kernel generated once per plan (_torsor_kernel): one flat loop per
+position, with the plan's exponents and gcd conditions written into
+its source as integer literals and its remainders held in local
+variables.  The recursive walks it and its bound replaced are the test
+oracles in tests/oracles/torsor_walk.py, which walk the same order.
 Non-nef fans (such as F_3) have negative exponents and no such caps:
 they stay on the naive scan.
 
@@ -43,24 +45,24 @@ into its 2^d signed TorusPoints.
 Budgets.  A count over its budget is refused up front with
 BudgetExceededError: the scan's candidate tuples are counted exactly
 (candidate_estimate), and the torsor's prefixes are bounded by the
-kernel's loops without the gcd pruning, generated into the same module
-from the same plan.  Both grow with B, so a schedule is checked once,
-at its largest B.  arith refuses every table past arith.SIEVE_CAP
-entries as it allocates it (a sieve's, the torsor's smallest prime
-factors, the scan's totients), and a schedule is counted from its
-largest B down, so that refusal also comes before any smaller B is
-counted.
+kernel's loops, in the plan's order, without the gcd pruning, generated
+into the same module from the same plan.  Both grow with B, so a
+schedule is checked once, at its largest B.  arith refuses every table
+past arith.SIEVE_CAP entries as it allocates it (a sieve's, the
+torsor's smallest prime factors, the scan's totients), and a schedule
+is counted from its largest B down, so that refusal also comes before
+any smaller B is counted.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, permutations
+from itertools import accumulate, chain, permutations
 from itertools import product as iter_product
-from operator import mul
+from operator import itemgetter, mul
 
 from .arith import (
     BudgetExceededError,
@@ -69,7 +71,7 @@ from .arith import (
     mobius_table,
     smallest_prime_factors,
 )
-from .fan import cone_pieces, primitive_collections
+from .fan import cone_pieces, primitive_collections, validate_fan
 from .heights import HeightEvaluator, TorusPoint
 from .picard import anticanonical, picard_data
 
@@ -223,6 +225,7 @@ def enumerate_naive(fan, B, budget=DEFAULT_BUDGET, with_heights=False):
     never changes any local height).  Deterministic order.  Refuses scans
     whose exact candidate count exceeds the budget.
     """
+    validate_fan(fan).require()
     fan.require_split("counting")
     _check_scan(fan, B, budget)
     signs = list(iter_product((1, -1), repeat=fan.dim))
@@ -310,13 +313,14 @@ _EXTEND_MEMO_SIZE = 4096
 
 @dataclass(frozen=True)
 class _TorsorPlan:
-    """The Cox-coordinate recursion of one nef split fan.
+    """The Cox-coordinate recursion of one nef split fan, in one ray order.
 
-    Positions take the rays in index order, except that the ray counted
-    in closed form comes last.  caps[i] holds the (form, exponent) pairs
-    with a positive exponent at that ray.  Each primitive collection is
-    listed once, as the positions of its other members, at the position
-    where its gcd is known: in avoids[i] when it ends at i < n - 1 (the
+    Position i takes the i-th ray of the order, the ray counted in closed
+    form last, and the kernel, its bound and the oracles loop over
+    positions 0..n-2.  caps[i] holds the (form, exponent) pairs with a
+    positive exponent at that ray.  Each primitive collection is listed
+    once, as the positions of its other members, at the position where
+    its gcd is known: in avoids[i] when it ends at i < n - 1 (the
     coordinate set there must avoid that gcd's primes), in closes[i] when
     it ends at the last position and its other members end at i (their
     gcd's primes are then excluded from the last coordinate).
@@ -326,16 +330,11 @@ class _TorsorPlan:
     avoids: tuple
     closes: tuple
     nforms: int
-    walk: tuple  # the order of positions 0..n-2 in the generated bound's loops
 
 
-def _root(x, a):
-    return x if a == 1 else math.isqrt(x) if a == 2 else iroot(x, a)
-
-
-def _plan(fan, exps, last):
+def _plan(fan, exps, order):
+    """The plan that takes the rays in order, the closed-form ray last."""
     n = fan.nrays
-    order = tuple(j for j in range(n) if j != last) + (last,)
     pos = {j: i for i, j in enumerate(order)}
     avoids = [[] for _ in range(n - 1)]
     closes = [[] for _ in range(n - 1)]
@@ -352,7 +351,6 @@ def _plan(fan, exps, last):
         avoids=tuple(map(tuple, avoids)),
         closes=tuple(map(tuple, closes)),
         nforms=len(exps),
-        walk=tuple(range(n - 1)),
     )
 
 
@@ -362,35 +360,38 @@ def _torsor_plan(fan):
 
     Only the choice of the closed-form coordinate changes how many
     prefixes the count visits (the caps and gcd conditions on the other
-    coordinates do not depend on their order), so each choice is ranked
-    by its prefix bound at a small reference B and the least is kept.
-    The bound's walk then takes the leaf pair of positions with which it
-    takes the fewest steps at that B (at 10^5 it runs 2.7-4.4x faster on
-    dp6, dp7 and the cube than in index order); its value does not depend
-    on the order.  Each candidate's bound, without the count kernel, is
-    compiled uncached (_bound_only) and dropped, so only the chosen
-    plan's kernel is ever cached.
+    coordinates do not depend on their order), so each choice, the others
+    in index order, is ranked by its prefix bound at a small reference B
+    and the least is kept.  Moving an ordered pair of the others to the
+    leaf replaces that order when its bound then takes fewer steps at
+    that B (at 10^5 it runs 2.7-4.4x faster on dp6, dp7 and the cube); no
+    order changes the bound's value.  Each candidate's bound, without the
+    count kernel, is compiled uncached (_bound_only) and dropped, so only
+    the chosen plan's kernel is ever cached.
     """
     forms, convex = _anticanonical_forms(fan)
     if not convex:
         return None
     exps = [[1 - sum(map(mul, m, r)) for r in fan.rays] for m in forms]
 
-    def rank(p):
-        return _prefix_walk(p, _PLAN_REFERENCE_B, math.inf, _bound_only)
+    def ranked(order):
+        plan = _plan(fan, exps, order)
+        bound, steps = _prefix_walk(plan, _PLAN_REFERENCE_B, math.inf, _bound_only)
+        return bound, steps, order, plan
 
-    plan = min((_plan(fan, exps, last) for last in range(fan.nrays)), key=lambda p: rank(p)[0])
-    m = fan.nrays - 1
-    orders = [
-        tuple(k for k in range(m) if k not in (i, j)) + (i, j)
-        for i, j in permutations(range(m), 2)
-    ]
-    return min((replace(plan, walk=o) for o in orders), key=lambda p: rank(p)[1], default=plan)
+    n = fan.nrays
+    orders = (tuple(j for j in range(n) if j != last) + (last,) for last in range(n))
+    first = min(map(ranked, orders), key=itemgetter(0))
+    *rest, last = first[2]
+    moved = (tuple(k for k in rest if k not in p) + p + (last,) for p in permutations(rest, 2))
+    # listed first, the first order wins ties (on F_1 a tie closes a gcd in the leaf loop)
+    ranks = chain([first], (ranked(o) for o in moved if o != first[2]))
+    return min(ranks, key=itemgetter(1))[3]
 
 
 def _prefix_cap(plan, top):
     """The largest value any of the first n - 1 coordinates can take."""
-    return max(min(_root(top, a) for _, a in ci) for ci in plan.caps[:-1])
+    return max(min(iroot(top, a) for _, a in ci) for ci in plan.caps[:-1])
 
 
 def _prefix_walk(plan, top, limit, build):
@@ -437,7 +438,7 @@ def _torsor_count(plan, B):
     """
     top = max(math.floor(Fraction(B)), 0)
     spf = smallest_prime_factors(_prefix_cap(plan, top))
-    dmax = min(_root(top, a) for _, a in plan.caps[-1])
+    dmax = min(iroot(top, a) for _, a in plan.caps[-1])
     memo = {}
 
     def extend(terms, rad, g):
@@ -459,17 +460,21 @@ def _torsor_count(plan, B):
     return _torsor_kernel(plan)[0](top, extend)
 
 
-def _plan_ints(x):
-    """x, a nest of tuples of ints, checked entry by entry.
+def _check_plan_ints(plan):
+    """Refuse a plan whose caps, avoids or closes hold anything but ints.
 
-    The kernel source formats these integers and nothing else, so any
-    other entry is refused before a line of it is written.
+    Each is a tuple per position of tuples of ints.  The kernel source
+    formats these integers and nothing else, so any other entry, or any
+    other depth of nesting, is refused before a line of it is written.
     """
-    if isinstance(x, tuple):
-        return tuple(map(_plan_ints, x))
-    if type(x) is not int:
-        raise TypeError("a torsor plan holds ints, not %r" % (x,))
-    return x
+    for entries in (plan.caps, plan.avoids, plan.closes):
+        try:
+            ints = [x for entry in entries for part in entry for x in part]
+        except TypeError:
+            raise TypeError("a torsor plan holds tuples of int tuples per position") from None
+        if set(map(type, ints)) - {int}:
+            bad = next(x for x in ints if type(x) is not int)
+            raise TypeError("a torsor plan holds ints, not %r" % (bad,))
 
 
 def _kernel_source(plan, count=True):
@@ -488,24 +493,23 @@ def _kernel_source(plan, count=True):
     sum mu(d) * (L // d) over the terms, with the caps that do not move
     with z (b = 0) taken once, as f.
 
-    bound -> (prefix bound, steps): the same loops without the gcd tests,
-    over the prefix positions in plan.walk order, whose last two form
-    the leaf.  The first is summed in blocks on which the cap h of the
+    bound -> (prefix bound, steps): the same loops over the same
+    positions without the gcd tests, and its leaf is positions n - 3 and
+    n - 2.  The first is summed in blocks on which the cap h of the
     second is constant: h is nonincreasing in z, and a cap root(x // z^b,
     a) with b > 0 stays >= h exactly while z^b <= x // h^a.  Every
-    radicand is >= 1 inside the loops, so h >= 1.  Level k keeps its own
-    total<k> and stops once it passes limit; a block that would pass it
-    stops at the value the term-by-term sum reaches at the first z that
-    does.  steps counts the z of the outer levels and the leaf's blocks.
+    radicand is >= 1 inside the loops, so h >= 1.  Position i keeps its
+    own total<i> and stops once it passes limit; a block that would pass
+    it stops at the value the term-by-term sum reaches at the first z
+    that does.  steps counts the z of the outer levels and the leaf's blocks.
 
     Minima are written as comparisons, which cost a fraction of a call
     to min.  Roots are monotone and fall as the exponent grows, so a
     radicand capped under several exponents keeps only its largest, and
     the radicands of one exponent share the root of their least.
     """
-    caps, avoids, closes, walk = map(
-        _plan_ints, (plan.caps, plan.avoids, plan.closes, plan.walk)
-    )
+    _check_plan_ints(plan)
+    caps, avoids, closes = plan.caps, plan.avoids, plan.closes
     n = len(caps)
     forms = [{s for s, _ in ci} for ci in caps]
     lines = []
@@ -623,37 +627,36 @@ def _kernel_source(plan, count=True):
 
     start("def bound(top, limit):")
     emit(1, "steps = 0")
-    *outer, j = walk
     depth = 1
-    for k, i in enumerate(outer[:-1]):
-        emit(depth, "total%d = 0" % k)
+    for i in range(n - 3):
+        emit(depth, "total%d = 0" % i)
         cap(depth, i)
         emit(depth, "for z%d in range(1, L%d + 1):" % (i, i))
         depth += 1
         emit(depth, "steps += 1")
-        divide(depth, i, set().union(*(forms[q] for q in walk[k + 1 :])))
-    if not outer:
+        divide(depth, i, set().union(*forms[i + 1 : n - 1]))
+    if n == 2:
         # a single prefix position: its cap is the bound
-        least(depth, "total0", [(rem[s], a) for s, a in caps[j]])
+        least(depth, "total0", [(rem[s], a) for s, a in caps[0]])
     else:
-        i, k = outer[-1], len(outer) - 1
+        i = n - 3
         cap(depth, i)
-        fixed, moving = leaf_caps(depth, i, j)
-        emit(depth, "total%d = 0" % k)
+        fixed, moving = leaf_caps(depth, i, i + 1)
+        emit(depth, "total%d = 0" % i)
         emit(depth, "z = 1")
         emit(depth, "while z <= L%d:" % i)
         emit(depth + 1, "steps += 1")
         least(depth + 1, "h", fixed + [(over(x, "z", b), a) for x, a, b in moving])
         least(depth + 1, "end", [("L%d" % i, 1)] + [(over(x, "h", a), b) for x, a, b in moving])
         emit(depth + 1, "w = h * (end - z + 1)")
-        emit(depth + 1, "if total%d + w > limit:" % k)
-        emit(depth + 2, "total%d += h * ((limit - total%d) // h + 1)" % (k, k))
+        emit(depth + 1, "if total%d + w > limit:" % i)
+        emit(depth + 2, "total%d += h * ((limit - total%d) // h + 1)" % (i, i))
         emit(depth + 2, "break")
-        emit(depth + 1, "total%d += w" % k)
+        emit(depth + 1, "total%d += w" % i)
         emit(depth + 1, "z = end + 1")
-    for k in reversed(range(len(outer) - 1)):
-        emit(depth, "total%d += total%d" % (k, k + 1))
-        emit(depth, "if total%d > limit:" % k)
+    for i in reversed(range(n - 3)):
+        emit(depth, "total%d += total%d" % (i, i + 1))
+        emit(depth, "if total%d > limit:" % i)
         emit(depth + 1, "break")
         depth -= 1
     emit(1, "return total0, steps")
@@ -691,6 +694,7 @@ def _route(fan, strategy, top, budget):
     """
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy %r" % strategy)
+    validate_fan(fan).require()
     # the sieves match rays alone, so they would count a nonsplit torus as split
     fan.require_split("counting")
     sid = None if strategy == "naive" else specialized_id_for(fan)
@@ -835,6 +839,7 @@ def asymptotic_report(
     else:
         if len(counts) != len(schedule):
             raise ValueError("%d counts for %d schedule entries" % (len(counts), len(schedule)))
+        validate_fan(fan).require()
         fan.require_split("counting")
         source = "counts supplied by the caller"
         # each count stays with its own B as the schedule is sorted

@@ -122,6 +122,15 @@ class ValidationReport:
     def failed(self):
         return [c for c in self.checks if not c.passed]
 
+    def require(self):
+        """Raise ValueError("invalid fan: <check> check failed: <witness>")
+        at the first failed check: the one refusal of an invalid fan."""
+        failed = self.failed()
+        if failed:
+            raise ValueError(
+                "invalid fan: %s check failed: %s" % (failed[0].name, failed[0].witness)
+            )
+
     def __str__(self):
         lines = []
         for c in self.checks:

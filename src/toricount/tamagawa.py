@@ -45,6 +45,7 @@ from functools import lru_cache
 
 from .arith import iroot, mobius_table, primes_upto
 from .cones import alpha
+from .fan import validate_fan
 from .localdata import euler_coefficients
 from .picard import picard_data
 
@@ -346,10 +347,11 @@ def tau(fan, prime_cutoff=None) -> EulerProduct:
 
     All of this reads f and arch, so only the fan's f-vector: the
     certificate is built once per f-vector, and a later fan with the same
-    f-vector gets the same EulerProduct from one lookup.  prime_cutoff
-    is accepted for callers that still pass one and does not change the
-    result.
+    f-vector gets the same EulerProduct from one lookup, once the fan
+    itself is refused unless valid and split.  prime_cutoff is accepted
+    for callers that still pass one and does not change the result.
     """
+    validate_fan(fan).require()
     fan.require_split("tau")
     return _certified_tau(fan.f_vector())
 
@@ -446,7 +448,8 @@ class ThetaReport:
 
 
 def theta(fan, prime_cutoff=None) -> ThetaReport:
-    """Assemble the leading constant; nonsplit fans get alpha and beta only.
+    """Assemble the leading constant; nonsplit fans get alpha and beta only,
+    and alpha refuses an invalid fan.
 
     alpha, beta and tau depend on the fan's value alone, so the report is
     assembled once per Fan value and shared, frozen, by every later call
@@ -459,8 +462,8 @@ def theta(fan, prime_cutoff=None) -> ThetaReport:
 @lru_cache(maxsize=None)
 def _theta(fan):
     """theta's report for this fan, assembled once per Fan value."""
-    pd = picard_data(fan)
     a = alpha(fan)
+    pd = picard_data(fan)
     b = pd.beta
     prov = [
         "alpha = X-function of the effective cone at the anticanonical class",

@@ -4,9 +4,9 @@
 with one flat loop per prefix position, and its budget check runs a bound
 generated into the same module.  These are the walks they replaced: one
 recursion level per position, the remainders copied as lists and the
-caps looked up at run time.  They read the same plan, and torsor_walk
-must return the kernel's (count, visits), _walk_prefixes the bound's
-(bound, steps).
+caps looked up at run time.  They read the same plan and walk its
+positions in the same order, and torsor_walk must return the kernel's
+(count, visits), _walk_prefixes the bound's (bound, steps).
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from toricount.arith import smallest_prime_factors
-from toricount.counting import _prefix_cap, _root
+from toricount.arith import iroot, smallest_prime_factors
+from toricount.counting import _prefix_cap
 
 
 def torsor_walk(plan, B):
@@ -32,7 +32,7 @@ def torsor_walk(plan, B):
     caps, avoids, closes = plan.caps, plan.avoids, plan.closes
     n = len(caps)
     spf = smallest_prime_factors(_prefix_cap(plan, top))
-    dmax = min(_root(top, a) for _, a in caps[-1])
+    dmax = min(iroot(top, a) for _, a in caps[-1])
     leaf = _next_caps(caps, n - 2)
     radicals = {}
     zs = [0] * n
@@ -53,7 +53,7 @@ def torsor_walk(plan, B):
     def walk(i, R, terms, rad):
         nonlocal visits
         ci = caps[i]
-        L = min([_root(R[s], a) for s, a in ci])
+        L = min([iroot(R[s], a) for s, a in ci])
         G = 1
         for c in avoids[i]:
             G *= math.gcd(*[zs[k] for k in c])
@@ -75,7 +75,7 @@ def torsor_walk(plan, B):
                 total += walk(i + 1, R2, t, r)
                 continue
             visits += 1
-            L2 = min([_root(R[s] // z**b, a) for s, a, b in leaf])
+            L2 = min([iroot(R[s] // z**b, a) for s, a, b in leaf])
             total += L2 if r == 1 else sum(mu * (L2 // d) for d, mu in t)
         return total
 
@@ -92,16 +92,16 @@ def _next_caps(caps, i):
     return [(s, a, at_i.get(s, 0)) for s, a in caps[i + 1]]
 
 
-def _walk_prefixes(plan, order, top, limit):
-    """(_prefix_bound, steps taken), walking the prefix positions in order.
+def _walk_prefixes(plan, top, limit):
+    """(_prefix_bound, steps taken), walking the plan's prefix positions.
 
     A prefix passes the caps exactly when prod_j z_j^(e_sj) <= top for
     every form s positive at some prefix position (the partial products
-    only grow), so the bound does not depend on the order, but its cost
-    does.  The last two positions of the order form the leaf: the first
-    is summed in blocks, the second counted.
+    only grow), so the bound does not depend on the plan's order, but
+    its cost does.  The last two prefix positions form the leaf: the
+    first is summed in blocks, the second counted.
     """
-    caps = [plan.caps[k] for k in order]
+    caps = plan.caps[:-1]
     m = len(caps)
     # each prefix coordinate alone, the others at 1, makes this many prefixes
     single = _prefix_cap(plan, top)
@@ -113,7 +113,7 @@ def _walk_prefixes(plan, order, top, limit):
     def walk(i, R):
         nonlocal steps
         ci = caps[i]
-        L = min([_root(R[s], a) for s, a in ci])
+        L = min([iroot(R[s], a) for s, a in ci])
         if i == m - 2:
             total, blocks = _leaf_sum(R, leaf, L, limit)
             steps += blocks
@@ -143,15 +143,15 @@ def _leaf_sum(R, leaf, L, limit):
     it stops at the value the term-by-term sum reaches at the first z
     that takes it past limit.
     """
-    fixed = min([_root(R[s], a) for s, a, b in leaf if not b], default=math.inf)
+    fixed = min([iroot(R[s], a) for s, a, b in leaf if not b], default=math.inf)
     moving = [(R[s], a, b) for s, a, b in leaf if b]
     total, z, blocks = 0, 1, 0
     while z <= L:
         blocks += 1
-        v = min([fixed] + [_root(x // z**b, a) for x, a, b in moving])
+        v = min([fixed] + [iroot(x // z**b, a) for x, a, b in moving])
         if v == 0:
             break
-        end = min([L] + [_root(x // v**a, b) for x, a, b in moving])
+        end = min([L] + [iroot(x // v**a, b) for x, a, b in moving])
         if total + v * (end - z + 1) > limit:
             return total + v * ((limit - total) // v + 1), blocks
         total += v * (end - z + 1)

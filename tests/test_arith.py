@@ -47,6 +47,11 @@ def test_iroot_exact_powers(m, k):
         assert iroot(m**k - 1, k) == m - 1
 
 
+@given(x=st.one_of(big_ints, fractions))
+def test_iroot_square_root_is_isqrt_of_the_floor(x):
+    assert iroot(x, 2) == math.isqrt(x.numerator // x.denominator)
+
+
 def test_iroot_rejects_bad_input():
     with pytest.raises(ValueError):
         iroot(-1, 2)

@@ -337,6 +337,8 @@ INVALID_FANS = {
     "overlapping": dict(P2, max_cones=[[0, 1], [1, 2], [2, 0], [0, 1]]),
     "no-cones": dict(P2, rays=[], max_cones=[]),
     "unused-ray": dict(P2, rays=P2["rays"] + [[1, 1]]),
+    "missing-cone": dict(P2, max_cones=[[0, 1], [1, 2]]),
+    "determinant-2": dict(P2, rays=[[1, 0], [1, 2], [-1, -1]]),
 }
 MALFORMED_FANS = {
     "list": [1, 2, 3],
@@ -390,10 +392,7 @@ def test_invalid_fan_refused_except_by_validate(tmp_path, capsys, command, fan_n
 
 WITNESS_FANS = dict(
     INVALID_FANS,
-    **{
-        "missing-cone": dict(P2, max_cones=[[0, 1], [1, 2]]),
-        "wound": dict(P2, rays=P2["rays"] * 2, max_cones=[[i, (i + 1) % 6] for i in range(6)]),
-    },
+    wound=dict(P2, rays=P2["rays"] * 2, max_cones=[[i, (i + 1) % 6] for i in range(6)]),
 )
 
 

@@ -9,6 +9,8 @@ from test_height_oracles import CUBE, DP7, F0_RAYS, P2_RAYS, surface
 from test_tamagawa import product_fan
 
 from toricount import dd
+from toricount.cones import alpha
+from toricount.counting import asymptotic_report, count_points, counter_for, enumerate_naive
 from toricount.fan import (
     Fan,
     cone_pieces,
@@ -20,6 +22,7 @@ from toricount.fan import (
 from toricount.heights import HeightEvaluator, TorusPoint, anticanonical_height, local_height
 from toricount.localdata import local_integral
 from toricount.picard import PLFunction, pl_evaluate
+from toricount.tamagawa import tau, theta
 
 
 def check(report, name):
@@ -59,6 +62,46 @@ def test_irregular_cone_reports_determinant():
     c = check(validate_fan(bad), "regularity")
     assert not c.passed
     assert "determinant 2" in c.witness
+
+
+# each fan once gave constants or counts: P^2 with a cone missing got a
+# theta interval and alpha = 1/3, the one with a determinant-2 cone theta 2.4957
+INVALID = {
+    "missing-cone": (
+        Fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)]),
+        "completeness check failed: facet (0,) lies in 1 maximal cone; witness (1, -1/2)",
+    ),
+    "determinant-2": (
+        Fan(2, [(1, 0), (1, 2), (-1, -1)], [(0, 1), (1, 2), (2, 0)]),
+        "regularity check failed: cone 0 has determinant 2",
+    ),
+}
+ENTRIES = {
+    "tau": tau,
+    "alpha": alpha,
+    "theta": theta,
+    "count_points": lambda fan: count_points(fan, 100),
+    "count_points-naive": lambda fan: count_points(fan, 100, strategy="naive"),
+    "counter_for": counter_for,
+    "asymptotic_report": lambda fan: asymptotic_report(fan, [10, 100], (1.0, 1.1)),
+    "asymptotic_report-counts": lambda fan: asymptotic_report(
+        fan, [10, 100], (1.0, 1.1), counts=[4, 36]
+    ),
+    "enumerate_naive": lambda fan: enumerate_naive(fan, 10),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+@pytest.mark.parametrize("name", sorted(INVALID))
+def test_invalid_fan_refused_by_every_entry(name, entry):
+    fan, failure = INVALID[name]
+    with pytest.raises(ValueError) as err:
+        ENTRIES[entry](fan)
+    assert str(err.value) == "invalid fan: " + failure
+
+
+def test_require_passes_a_valid_fan(p2):
+    assert validate_fan(p2).require() is None
 
 
 def test_nonprimitive_ray_fails():

@@ -55,8 +55,8 @@ def _nested_imports(path):
     ]
 
 
-def _is_split_callers(path):
-    """(enclosing function, line) for each .is_split() call in the module."""
+def _method_callers(path, method):
+    """(enclosing function, line) for each .<method>() call in the module."""
     out = []
 
     def visit(node, func):
@@ -64,7 +64,7 @@ def _is_split_callers(path):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "is_split":
+            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == method:
                 out.append((func, child.lineno))
             visit(child, func)
 
@@ -151,8 +151,15 @@ def test_only_require_split_and_theta_read_is_split():
     # one scope boundary: Fan.require_split refuses a nonsplit fan for every
     # split-only entry, and theta (its cached worker _theta) reports alpha
     # and beta without tau
-    callers = {(path.name, func) for path in MODULES for func, _ in _is_split_callers(path)}
+    callers = {(path.name, func) for path in MODULES for func, _ in _method_callers(path, "is_split")}
     assert callers == {("fan.py", "require_split"), ("tamagawa.py", "_theta")}
+
+
+def test_only_fan_reads_failed_checks():
+    # one refusal of an invalid fan: ValidationReport.require raises at the
+    # first failed check, for the CLI and every library entry alike
+    callers = {path.name for path in MODULES if _method_callers(path, "failed")}
+    assert callers == {"fan.py"}
 
 
 def test_only_the_torsor_kernel_builder_compiles_code():

@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -13,16 +14,16 @@ from test_height_oracles import CUBE, DP7, hirzebruch, subdivided_surfaces
 from test_tamagawa import product_fan
 
 from toricount import arith, counting
-from toricount.arith import BudgetExceededError
+from toricount.arith import BudgetExceededError, iroot
 from toricount.corpus import NAMES
 from toricount.corpus import fan as corpus_fan
 from toricount.counting import (
     DEFAULT_BUDGET,
     _anticanonical_forms,
     _kernel_source,
+    _plan,
     _prefix_bound,
     _prefix_walk,
-    _root,
     _torsor_count,
     _torsor_kernel,
     _torsor_plan,
@@ -77,12 +78,84 @@ KERNEL_FANS = {
 }
 
 
+def _plan_in(fan, order):
+    """The torsor plan of a nef fan that takes its rays in order."""
+    forms, _ = _anticanonical_forms(fan)
+    return _plan(fan, [[1 - sum(map(mul, m, r)) for r in fan.rays] for m in forms], order)
+
+
+def _check_bound(plan, top):
+    # the generated bound returns the recursive walk's (bound, steps) in the
+    # plan's order, and stops early exactly as it does at every limit
+    bound = _walk_prefixes(plan, top, math.inf)[0]
+    for limit in (math.inf, 0, 1, bound // 2, bound - 1, bound, bound + 1):
+        want = _walk_prefixes(plan, top, limit)
+        got = _prefix_walk(plan, top, limit, _torsor_kernel.__wrapped__)
+        assert got == want, (plan, top, limit)
+
+
+def _index_order_walk(fan, plan, top):
+    """plan's prefix bound, walked with the other rays in index order.
+
+    The closed-form ray is the first one whose caps are plan's last caps:
+    rays with equal caps leave equal caps to the prefix, and the bound
+    reads nothing else.  One leaf term per z, no blocks.
+    """
+    n = fan.nrays
+    last = _plan_in(fan, tuple(range(n))).caps.index(plan.caps[-1])
+    plan = _plan_in(fan, tuple(j for j in range(n) if j != last) + (last,))
+    caps = plan.caps
+    if n == 2:
+        return min(iroot(top, a) for _, a in caps[0])
+    at_i = dict(caps[n - 3])
+    leaf = [(s, a, at_i.get(s, 0)) for s, a in caps[n - 2]]
+
+    def walk(i, R):
+        total = 0
+        for z in range(1, min(iroot(R[s], a) for s, a in caps[i]) + 1):
+            if i == n - 3:
+                total += min(iroot(R[s] // z**b, a) for s, a, b in leaf)
+            else:
+                R2 = list(R)
+                for s, a in caps[i]:
+                    R2[s] //= z**a
+                total += walk(i + 1, R2)
+        return total
+
+    return walk(0, [top] * plan.nforms)
+
+
 @pytest.mark.parametrize("name", list(KERNEL_FANS))
 def test_kernel_matches_the_recursive_walk(name):
-    # the generated kernel visits the same prefixes as the walk it replaced
+    # the generated kernel visits the same prefixes as the walk it replaced,
+    # and its bound takes the same steps in the same order
     plan = _torsor_plan(KERNEL_FANS[name])
     for B in BOUNDS:
         assert _torsor_count(plan, B) == torsor_walk(plan, B), (name, B)
+    for top in (1, 2, 12, 100, 300):
+        _check_bound(plan, top)
+
+
+# the order the plan search keeps: a pair moved to the leaf replaces index
+# order, the closed-form ray last, only when its bound takes fewer steps
+PLAN_ORDERS = {
+    "dp6": (2, 3, 4, 1, 5, 0),
+    "dp7": (2, 3, 1, 4, 0),
+    "cube": (1, 3, 5, 2, 4, 0),
+    "hirzebruch1": (0, 1, 2, 3),
+    "F2": (0, 1, 2, 3),
+    "P3": (1, 2, 3, 0),
+}
+
+
+@pytest.mark.parametrize("name", list(PLAN_ORDERS))
+def test_plan_takes_one_ray_order(name):
+    fan = KERNEL_FANS.get(name) or _fan(name)
+    plan = _torsor_plan(fan)
+    assert plan == _plan_in(fan, PLAN_ORDERS[name])
+    for B in (1, 12, 100, 1000):
+        assert _torsor_count(plan, B) == torsor_walk(plan, B), (name, B)
+        _check_bound(plan, B)
 
 
 @settings(
@@ -153,23 +226,16 @@ def test_plan_ranking_compiles_bounds_only(monkeypatch, name):
     assert _torsor_plan.__wrapped__(fan) == plan
 
 
-def _check_bound(plan, walk, top):
-    # the generated bound returns the recursive walk's (bound, steps) in any
-    # walk order, and stops early exactly as it does at every limit
-    plan = replace(plan, walk=tuple(walk))
-    bound = _walk_prefixes(plan, plan.walk, top, math.inf)[0]
-    for limit in (math.inf, 0, 1, bound // 2, bound - 1, bound, bound + 1):
-        want = _walk_prefixes(plan, plan.walk, top, limit)
-        got = _prefix_walk(plan, top, limit, _torsor_kernel.__wrapped__)
-        assert got == want, (walk, top, limit)
-
-
 @pytest.mark.parametrize("name", list(KERNEL_FANS))
 @settings(max_examples=10, deadline=None)
 @given(data=st.data(), top=st.sampled_from([1, 2, 12, 100, 300]))
 def test_bound_matches_the_recursive_walk(name, data, top):
-    plan = _torsor_plan(KERNEL_FANS[name])
-    _check_bound(plan, data.draw(st.permutations(plan.walk)), top)
+    # in any ray order, with any ray counted in closed form; the order of
+    # the others changes the bound's cost, not its value
+    fan = KERNEL_FANS[name]
+    plan = _plan_in(fan, data.draw(st.permutations(range(fan.nrays))))
+    _check_bound(plan, top)
+    assert _walk_prefixes(plan, top, math.inf)[0] == _index_order_walk(fan, plan, top)
 
 
 @settings(
@@ -181,9 +247,10 @@ def test_bound_matches_the_recursive_walk(name, data, top):
     top=st.sampled_from([1, 2, 12, 100, 1000]),
 )
 def test_bound_matches_the_recursive_walk_on_nef_subdivisions(fan, data, top):
-    plan = _torsor_plan(fan)
-    assume(plan is not None)
-    _check_bound(plan, data.draw(st.permutations(plan.walk)), top)
+    assume(_anticanonical_forms(fan)[1])
+    plan = _plan_in(fan, data.draw(st.permutations(range(fan.nrays))))
+    _check_bound(plan, top)
+    assert _walk_prefixes(plan, top, math.inf)[0] == _index_order_walk(fan, plan, top)
 
 
 @pytest.mark.parametrize(
@@ -214,6 +281,16 @@ def test_kernel_source_takes_plan_integers_only(monkeypatch, field, bad):
     with pytest.raises(TypeError, match="ints"):
         _torsor_kernel(doctored)
     assert compiled == []
+
+
+@pytest.mark.parametrize("field", ["caps", "avoids", "closes"])
+def test_kernel_source_takes_plan_tuples_of_int_tuples(field):
+    # an entry one level too shallow is refused by name, not by a bare
+    # "object is not iterable"
+    plan = _torsor_plan(corpus_fan("dp6"))
+    shallow = replace(plan, **{field: ((1, 2),) + getattr(plan, field)[1:]})
+    with pytest.raises(TypeError, match="tuples of int tuples"):
+        _kernel_source(shallow)
 
 
 def test_auto_routing():
@@ -259,38 +336,16 @@ def test_prefix_bound_covers_visits(name):
         assert visits <= _prefix_bound(plan, top, float("inf")), (name, top)
 
 
-def _index_order_walk(plan, top):
-    """The prefix bound walked in index order, one leaf term per z."""
-    caps, n = plan.caps, len(plan.caps)
-    if n == 2:
-        return min(_root(top, a) for _, a in caps[0])
-    at_i = dict(caps[n - 3])
-    leaf = [(s, a, at_i.get(s, 0)) for s, a in caps[n - 2]]
-
-    def walk(i, R):
-        total = 0
-        for z in range(1, min(_root(R[s], a) for s, a in caps[i]) + 1):
-            if i == n - 3:
-                total += min(_root(R[s] // z**b, a) for s, a, b in leaf)
-            else:
-                R2 = list(R)
-                for s, a in caps[i]:
-                    R2[s] //= z**a
-                total += walk(i + 1, R2)
-        return total
-
-    return walk(0, [top] * plan.nforms)
-
-
 @pytest.mark.parametrize("name", SPLIT_CORPUS + ["dp7", "cube"])
 def test_prefix_bound_equals_the_index_order_walk(name):
-    # the blocks and the walk order change the cost of the bound, not its value
-    plan = _torsor_plan(_fan(name))
+    # the blocks and the plan's ray order change the cost of the bound, not its value
+    fan = _fan(name)
+    plan = _torsor_plan(fan)
     if plan is None:
         return
     for top in (100, 10**3, 10**4):
         bound = _prefix_bound(plan, top, float("inf"))
-        assert bound == _index_order_walk(plan, top), (name, top)
+        assert bound == _index_order_walk(fan, plan, top), (name, top)
         # a budget refuses exactly when the whole bound is over it
         for budget in (bound - 1, bound):
             assert (_prefix_bound(plan, top, budget) > budget) == (bound > budget)
