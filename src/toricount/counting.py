@@ -26,6 +26,10 @@ position, with the plan's exponents and gcd conditions written into
 its source as integer literals and its remainders held in local
 variables.  The recursive walks it and its bound replaced are the test
 oracles in tests/oracles/torsor_walk.py, which walk the same order.
+Each count_points or asymptotic_report call builds one context at its
+largest B (_torsor_context): the table of smallest prime factors, the
+memo of Moebius terms per radical, and a memo of the leaf's Moebius sums
+by (radical, cap), which every smaller B shares exactly.
 Non-nef fans (such as F_3) have negative exponents and no such caps:
 they stay on the naive scan.
 
@@ -45,13 +49,14 @@ into its 2^d signed TorusPoints.
 Budgets.  A count over its budget is refused up front with
 BudgetExceededError: the scan's candidate tuples are counted exactly
 (candidate_estimate), and the torsor's prefixes are bounded by the
-kernel's loops, in the plan's order, without the gcd pruning, generated
-into the same module from the same plan.  Both grow with B, so a
-schedule is checked once, at its largest B.  arith refuses every table
-past arith.SIEVE_CAP entries as it allocates it (a sieve's, the
-torsor's smallest prime factors, the scan's totients), and a schedule
-is counted from its largest B down, so that refusal also comes before
-any smaller B is counted.
+product of the prefix coordinates' caps and, only where that product
+passes the budget, by the kernel's loops, in the plan's order, without
+the gcd pruning, generated into the same module from the same plan.
+All grow with B, so a schedule is checked once, at its largest B.  arith
+refuses every table past arith.SIEVE_CAP entries as it allocates it (a
+sieve's, the torsor's smallest prime factors, the scan's totients), and
+a schedule is counted from its largest B down, so that refusal also
+comes before any smaller B is counted.
 """
 
 from __future__ import annotations
@@ -307,8 +312,12 @@ def specialized_id_for(fan):
 # the bound at which _torsor_plan ranks the choices of closed-form coordinate
 _PLAN_REFERENCE_B = 100
 
-# the most (rad, g) pairs _torsor_count's extend keeps per call (a few MB)
+# the most (rad, g) pairs a torsor context's extend keeps (a few MB)
 _EXTEND_MEMO_SIZE = 4096
+
+# the most (rad, L) leaf sums a torsor context keeps: F_1 at 10^9 fills
+# it and peaks about 1 MB higher, dp6 at 10^5 meets 10,101
+_LEAF_MEMO_SIZE = 8192
 
 
 @dataclass(frozen=True)
@@ -389,9 +398,13 @@ def _torsor_plan(fan):
     return min(ranks, key=itemgetter(1))[3]
 
 
-def _prefix_cap(plan, top):
-    """The largest value any of the first n - 1 coordinates can take."""
-    return max(min(iroot(top, a) for _, a in ci) for ci in plan.caps[:-1])
+def _prefix_caps(plan, top):
+    """The largest value each of the first n - 1 coordinates can take.
+
+    A coordinate alone, the others at 1, obeys z^a <= top for each of its
+    exponents a, and the largest a binds.
+    """
+    return [iroot(top, max(a for _, a in ci)) for ci in plan.caps[:-1]]
 
 
 def _prefix_walk(plan, top, limit, build):
@@ -403,7 +416,7 @@ def _prefix_walk(plan, top, limit, build):
     Each level stops once its own total passes limit, and when one
     coordinate alone (the others at 1) passes it, that is the bound.
     """
-    single = _prefix_cap(plan, top)
+    single = max(_prefix_caps(plan, top))
     if single > limit:
         return single, 0
     return build(plan)[1](top, limit)
@@ -419,26 +432,26 @@ def _prefix_bound(plan, top, limit):
     return _prefix_walk(plan, top, limit, _torsor_kernel)[0]
 
 
-def _torsor_count(plan, B):
-    """(positive Cox vectors of height <= B, (n-1)-prefixes visited).
+def _torsor_context(plan, top):
+    """(top, extend, sums): what the plan's counts at every B <= top share.
 
-    The vectors counted have gcd 1 on every primitive collection.  The
-    plan's kernel (_torsor_kernel) walks the prefixes.  terms holds
-    (d, mu(d)) for the squarefree products d of the primes the last
-    coordinate must avoid (rad is their product), so the last coordinate
-    contributes sum mu(d) * (L // d) for its cap L; extend adds the
-    primes of a gcd, read from a table of smallest prime factors up to
-    the largest prefix coordinate, and keeps no d past the last
-    coordinate's own cap.  terms are then exactly the squarefree divisors
-    of rad up to that cap, so (rad, g) fixes what extend returns, up to
-    an order of terms no sum sees, and it is memoized on them per call.
-    The memo keeps the first _EXTEND_MEMO_SIZE pairs, which the outer
-    loops meet again most: F_1 at 10^9 meets 31,621, and keeping all
-    their terms took that count from 23 to 43 MB of peak RSS.
+    terms holds (d, mu(d)) for the squarefree products d of the primes
+    the last coordinate must avoid (rad is their product), so the last
+    coordinate contributes sum mu(d) * (L // d) for its cap L.  extend
+    adds the primes of a gcd, read from a table of smallest prime factors
+    up to the largest prefix coordinate at top, and keeps no d past the
+    last coordinate's cap at top.  terms are then exactly the squarefree
+    divisors of rad up to that cap, so (rad, g) fixes what extend
+    returns, up to an order of terms no sum sees, and it is memoized on
+    them.  The memo keeps the first _EXTEND_MEMO_SIZE pairs, which the
+    outer loops meet again most: F_1 at 10^9 meets 31,621, and keeping
+    all their terms took that count from 23 to 43 MB of peak RSS.  A
+    count at B <= top has L <= that cap, so the terms past L add zero and
+    the leaf's sum depends on (rad, L) alone: sums memoizes it for every
+    such B, its first _LEAF_MEMO_SIZE entries.
     """
-    top = max(math.floor(Fraction(B)), 0)
-    spf = smallest_prime_factors(_prefix_cap(plan, top))
-    dmax = min(iroot(top, a) for _, a in plan.caps[-1])
+    spf = smallest_prime_factors(max(_prefix_caps(plan, top)))
+    dmax = iroot(top, max(a for _, a in plan.caps[-1]))
     memo = {}
 
     def extend(terms, rad, g):
@@ -457,7 +470,22 @@ def _torsor_count(plan, B):
                 memo[rad, g] = out
         return out
 
-    return _torsor_kernel(plan)[0](top, extend)
+    return top, extend, {}
+
+
+def _torsor_count(plan, B, context=None):
+    """(positive Cox vectors of height <= B, (n-1)-prefixes visited).
+
+    The vectors counted have gcd 1 on every primitive collection.  The
+    plan's kernel (_torsor_kernel) walks the prefixes with the memos of
+    context, a _torsor_context built at a top >= B; one built for a
+    smaller top is never used, and a new one is built at B instead.
+    """
+    top = max(math.floor(Fraction(B)), 0)
+    if context is None or context[0] < top:
+        context = _torsor_context(plan, top)
+    _, extend, sums = context
+    return _torsor_kernel(plan)[0](top, extend, sums, _LEAF_MEMO_SIZE)
 
 
 def _check_plan_ints(plan):
@@ -478,7 +506,7 @@ def _check_plan_ints(plan):
 
 
 def _kernel_source(plan, count=True):
-    """Source of kernel(top, extend) -> (count, visits) and bound(top, limit).
+    """Source of kernel(top, extend, sums, room) -> (count, visits) and bound(top, limit).
 
     With count false only the bound is written.
 
@@ -491,7 +519,9 @@ def _kernel_source(plan, count=True):
     gcds closed at i are known.  The leaf, position n - 2, adds the last
     coordinate's count for each z: its cap L = min root(x // z^b, a), or
     sum mu(d) * (L // d) over the terms, with the caps that do not move
-    with z (b = 0) taken once, as f.
+    with z (b = 0) taken once, as f.  That sum is read from the dict sums
+    by (radical, L), and a sum not there is stored while sums holds fewer
+    than room.
 
     bound -> (prefix bound, steps): the same loops over the same
     positions without the gcd tests, and its leaf is positions n - 3 and
@@ -582,7 +612,7 @@ def _kernel_source(plan, count=True):
         return zs[0] if len(zs) == 1 else "gcd(%s)" % ", ".join(zs)
 
     if count:
-        start("def kernel(top, extend):")
+        start("def kernel(top, extend, sums, room):")
         emit(1, "total = visits = 0")
         if any(closes):
             emit(1, "t, r = [(1, 1)], 1")
@@ -621,8 +651,14 @@ def _kernel_source(plan, count=True):
             emit(depth, "if %s == 1:" % rad)
             emit(depth + 1, "total += L")
             emit(depth, "else:")
-            emit(depth + 1, "for d, mu in %s:" % terms)
-            emit(depth + 2, "total += mu * (L // d)")
+            emit(depth + 1, "s = sums.get((%s, L))" % rad)
+            emit(depth + 1, "if s is None:")
+            emit(depth + 2, "s = 0")
+            emit(depth + 2, "for d, mu in %s:" % terms)
+            emit(depth + 3, "s += mu * (L // d)")
+            emit(depth + 2, "if len(sums) < room:")
+            emit(depth + 3, "sums[%s, L] = s" % rad)
+            emit(depth + 1, "total += s")
         emit(1, "return total, visits")
 
     start("def bound(top, limit):")
@@ -690,7 +726,8 @@ def _route(fan, strategy, top, budget):
     The name is "sieve", "torsor" or "naive", as counter_for reports it.
     The torsor's prefix bound and the scan's candidate count grow with B,
     so the one check at top covers every smaller B, and the function
-    returned checks nothing.
+    returned checks nothing.  The torsor's counts of every B share one
+    context (_torsor_context), built at top.
     """
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy %r" % strategy)
@@ -706,10 +743,15 @@ def _route(fan, strategy, top, budget):
     if plan is None:
         _check_scan(fan, top, budget)
         return "naive", lambda B: 2**fan.dim * sum(1 for _ in _scan(fan, B))
-    bound = _prefix_bound(plan, max(math.floor(Fraction(top)), 0), budget)
-    if bound > budget:
-        raise BudgetExceededError(bound, budget, "torsor prefixes")
-    return "torsor", lambda B: 2**fan.dim * _torsor_count(plan, B)[0]
+    top = max(math.floor(Fraction(top)), 0)
+    # the product of the prefix caps bounds the walk's value: under the
+    # budget, the walk could not refuse
+    if math.prod(_prefix_caps(plan, top)) > budget:
+        bound = _prefix_bound(plan, top, budget)
+        if bound > budget:
+            raise BudgetExceededError(bound, budget, "torsor prefixes")
+    context = _torsor_context(plan, top)
+    return "torsor", lambda B: 2**fan.dim * _torsor_count(plan, B, context)[0]
 
 
 def counter_for(fan, strategy="auto"):

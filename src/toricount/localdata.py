@@ -19,7 +19,7 @@ from itertools import product
 from math import comb, prod
 
 from .arith import BudgetExceededError
-from .fan import OrbitDecomposition, cone_pieces
+from .fan import OrbitDecomposition, cone_pieces, validate_fan
 from .picard import PLFunction, pl_evaluate
 
 # local_integral's work caps: lattice terms in its box, and decimal digits
@@ -229,6 +229,7 @@ def point_count_fp(fan, p) -> LocalDensity:
     Each i-dimensional cone contributes its orbit (F_p^*)^(d - i), so the
     count is sum_i f_i (p - 1)^(d - i) over the f-vector.
     """
+    validate_fan(fan).require()
     fan.require_split("the point count over F_p")
     d = fan.dim
     count = sum(fi * (p - 1) ** (d - i) for i, fi in enumerate(fan.f_vector()))

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .fan import cone_pieces, galois_group, galois_orbits, locate_cone, ray_permutation
+from .fan import cone_pieces, galois_group, galois_orbits, locate_cone, ray_permutation, validate_fan
 from .linalg import (
     identity,
     invariant_factors,
@@ -210,7 +210,9 @@ def picard_data(fan):
 
     The Galois group must be cyclic.  A split fan is the trivial group:
     PL^G / M^G is Pic itself, the Gale dual is the rays, both H^1 vanish.
+    Refuses an invalid fan; the cache spares a warm call the check.
     """
+    validate_fan(fan).require()
     orbits = galois_orbits(fan)
     r = orbits.r
     d = fan.dim

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from toricount.arith import iroot, smallest_prime_factors
-from toricount.counting import _prefix_cap
+from toricount.counting import _prefix_caps
 
 
 def torsor_walk(plan, B):
@@ -31,7 +31,7 @@ def torsor_walk(plan, B):
     top = max(math.floor(Fraction(B)), 0)
     caps, avoids, closes = plan.caps, plan.avoids, plan.closes
     n = len(caps)
-    spf = smallest_prime_factors(_prefix_cap(plan, top))
+    spf = smallest_prime_factors(max(_prefix_caps(plan, top)))
     dmax = min(iroot(top, a) for _, a in caps[-1])
     leaf = _next_caps(caps, n - 2)
     radicals = {}
@@ -104,7 +104,7 @@ def _walk_prefixes(plan, top, limit):
     caps = plan.caps[:-1]
     m = len(caps)
     # each prefix coordinate alone, the others at 1, makes this many prefixes
-    single = _prefix_cap(plan, top)
+    single = max(_prefix_caps(plan, top))
     if m == 1 or single > limit:
         return single, 0
     leaf = _next_caps(caps, m - 2)

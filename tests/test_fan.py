@@ -20,8 +20,8 @@ from toricount.fan import (
     validate_fan,
 )
 from toricount.heights import HeightEvaluator, TorusPoint, anticanonical_height, local_height
-from toricount.localdata import local_integral
-from toricount.picard import PLFunction, pl_evaluate
+from toricount.localdata import local_integral, point_count_fp
+from toricount.picard import PLFunction, picard_data, pl_evaluate
 from toricount.tamagawa import tau, theta
 
 
@@ -65,7 +65,8 @@ def test_irregular_cone_reports_determinant():
 
 
 # each fan once gave constants or counts: P^2 with a cone missing got a
-# theta interval and alpha = 1/3, the one with a determinant-2 cone theta 2.4957
+# theta interval and alpha = 1/3, the one with a determinant-2 cone theta
+# 2.4957, and both beta 1 and an F_5 density (6/5 and 31/25)
 INVALID = {
     "missing-cone": (
         Fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)]),
@@ -88,6 +89,8 @@ ENTRIES = {
         fan, [10, 100], (1.0, 1.1), counts=[4, 36]
     ),
     "enumerate_naive": lambda fan: enumerate_naive(fan, 10),
+    "point_count_fp": lambda fan: point_count_fp(fan, 5),
+    "picard_data": picard_data,
 }
 
 

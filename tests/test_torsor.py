@@ -8,6 +8,7 @@ from operator import mul
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from oracles.product_count import p1_product_count
 from oracles.torsor_walk import _walk_prefixes, torsor_walk
 from test_cones import P3
 from test_height_oracles import CUBE, DP7, hirzebruch, subdivided_surfaces
@@ -23,7 +24,9 @@ from toricount.counting import (
     _kernel_source,
     _plan,
     _prefix_bound,
+    _prefix_caps,
     _prefix_walk,
+    _torsor_context,
     _torsor_count,
     _torsor_kernel,
     _torsor_plan,
@@ -174,6 +177,86 @@ def test_extend_memo_size_changes_no_count(monkeypatch):
     want = torsor_walk(plan, 300)
     monkeypatch.setattr(counting, "_EXTEND_MEMO_SIZE", 1)
     assert _torsor_count(plan, 300) == want
+
+
+# schedules as asymptotic_report meets them: repeated entries, B < 1, fractions
+SCHEDULES = st.lists(
+    st.one_of(st.sampled_from(BOUNDS), st.fractions(0, 300, max_denominator=3)), min_size=1, max_size=4
+).map(lambda bs: bs + bs[:1])
+
+
+def _check_shared_context(plan, schedule):
+    # one context, built at the schedule's largest B, serves every B of it
+    context = _torsor_context(plan, math.floor(max(schedule)))
+    for B in schedule:
+        assert _torsor_count(plan, B, context) == torsor_walk(plan, B), (plan, B)
+
+
+@pytest.mark.parametrize("name", list(KERNEL_FANS))
+@settings(max_examples=10, deadline=None)
+@given(schedule=SCHEDULES)
+def test_one_context_counts_a_schedule(name, schedule):
+    _check_shared_context(_torsor_plan(KERNEL_FANS[name]), schedule)
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+)
+@given(fan=subdivided_surfaces(max_blowups=5), schedule=SCHEDULES)
+def test_one_context_counts_a_schedule_on_nef_subdivisions(fan, schedule):
+    plan = _torsor_plan(fan)
+    assume(plan is not None)
+    _check_shared_context(plan, schedule)
+
+
+@pytest.mark.parametrize("size", [0, 1])
+def test_leaf_memo_size_changes_no_count(monkeypatch, size):
+    # the leaf sums are a cache too: past its size a sum is recomputed
+    plan = _torsor_plan(corpus_fan("dp6"))
+    want = [torsor_walk(plan, B) for B in (300, 100)]
+    monkeypatch.setattr(counting, "_LEAF_MEMO_SIZE", size)
+    context = _torsor_context(plan, 300)
+    assert [_torsor_count(plan, B, context) for B in (300, 100)] == want
+    assert len(context[2]) == size
+
+
+def test_context_of_a_smaller_top_is_not_reused():
+    # its sieve and its terms stop short of a larger B: a new context is built
+    plan = _torsor_plan(corpus_fan("dp6"))
+    small = _torsor_context(plan, 100)
+    _torsor_count(plan, 100, small)
+    kept = dict(small[2])
+    assert _torsor_count(plan, 300, small) == torsor_walk(plan, 300)
+    assert small[2] == kept
+
+
+@pytest.mark.parametrize("name", list(KERNEL_FANS) + ["dp6"])
+def test_cap_product_bounds_the_prefix_walk(name):
+    # each prefix coordinate under its own cap: the product of the caps
+    # bounds the walk, so _route skips the walk where it is under the budget
+    plan = _torsor_plan(KERNEL_FANS.get(name) or _fan(name))
+    for top in (1, 12, 100, 10**3, 10**4) + ((10**6,) if name == "dp6" else ()):
+        assert math.prod(_prefix_caps(plan, top)) >= _prefix_bound(plan, top, math.inf), (name, top)
+
+
+def test_no_bound_walk_under_the_cap_product(monkeypatch):
+    # at the benchmark's count bounds the cap product is under the budget
+    def walk(*args):
+        raise AssertionError("the prefix bound was walked")
+
+    monkeypatch.setattr(counting, "_prefix_bound", walk)
+    for fan, top in ((corpus_fan("hirzebruch1"), 1650), (corpus_fan("dp6"), 440), (DP7, 440)):
+        rep = asymptotic_report(fan, [top * 9 // 11, top], (1.0, 1.1))
+        assert rep.counts == [torsor_points(fan, B) for B in rep.schedule]
+
+
+def test_torsor_count_of_dp6_x_p1_is_the_convolution():
+    # an oracle for products, independent of the scan and of torsor_walk
+    dp6 = corpus_fan("dp6")
+    fan = KERNEL_FANS["dp6xP1"]
+    assert counter_for(fan) == "torsor"
+    for B in (10, 100, 1000, 3000):
+        assert count_points(fan, B) == p1_product_count(lambda b: count_points(dp6, b), B), B
 
 
 def test_kernel_compiled_once_per_plan(monkeypatch):
