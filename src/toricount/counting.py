@@ -26,6 +26,11 @@ position, with the plan's exponents and gcd conditions written into
 its source as integer literals and its remainders held in local
 variables.  The recursive walks it and its bound replaced are the test
 oracles in tests/oracles/torsor_walk.py, which walk the same order.
+The fan's automorphisms (fan.automorphisms) keep the set of vectors
+counted, so a plan may anchor an orbit of rays and walk a vector only
+where the anchor holds the orbit's largest value, counting 1/m for each
+of the m coordinates that hold it (_TorsorPlan): dp6's six rays form one
+orbit, which cuts its prefixes about sixfold.
 Each count_points or asymptotic_report call builds one context at its
 largest B (_torsor_context): the table of smallest prime factors, the
 memo of Moebius terms per radical, and a memo of the leaf's Moebius sums
@@ -50,9 +55,10 @@ Budgets.  A count over its budget is refused up front with
 BudgetExceededError: the scan's candidate tuples are counted exactly
 (candidate_estimate), and the torsor's prefixes are bounded by the
 product of the prefix coordinates' caps and, only where that product
-passes the budget, by the kernel's loops, in the plan's order, without
-the gcd pruning, generated into the same module from the same plan.
-All grow with B, so a schedule is checked once, at its largest B.  arith
+passes the budget, by the kernel's loops, in the plan's order, with its
+orbit caps and without the gcd pruning, generated into the same module
+from the same plan.  All grow with B, so a schedule is checked once, at
+its largest B.  arith
 refuses every table past arith.SIEVE_CAP entries as it allocates it (a
 sieve's, the torsor's smallest prime factors, the scan's totients), and
 a schedule is counted from its largest B down, so that refusal also
@@ -76,7 +82,7 @@ from .arith import (
     mobius_table,
     smallest_prime_factors,
 )
-from .fan import cone_pieces, primitive_collections, validate_fan
+from .fan import automorphisms, cone_pieces, primitive_collections, validate_fan
 from .heights import HeightEvaluator, TorusPoint
 from .picard import anticanonical, picard_data
 
@@ -333,18 +339,32 @@ class _TorsorPlan:
     coordinate set there must avoid that gcd's primes), in closes[i] when
     it ends at the last position and its other members end at i (their
     gcd's primes are then excluded from the last coordinate).
+
+    orbit is empty, or the positions of rays that the fan's automorphisms
+    permute transitively, the first, a, its anchor: each later orbit
+    coordinate is capped by z_a, and a vector counts 1/m for the m orbit
+    coordinates equal to z_a.  Automorphisms keep the vectors counted, so
+    each orbit coordinate is the largest as often, in that weighted sense,
+    and the count is |orbit| times the weighted sum.
     """
 
     caps: tuple
     avoids: tuple
     closes: tuple
     nforms: int
+    orbit: tuple = ()
 
 
-def _plan(fan, exps, order):
-    """The plan that takes the rays in order, the closed-form ray last."""
+def _plan(fan, exps, order, orbit=()):
+    """The plan that takes the rays in order, the closed-form ray last.
+
+    orbit, a set of rays that automorphisms permute transitively, is kept
+    as its positions when two of them are prefix positions: with only the
+    last coordinate capped, the walk is not cut.
+    """
     n = fan.nrays
     pos = {j: i for i, j in enumerate(order)}
+    orbit = tuple(sorted(pos[j] for j in orbit))
     avoids = [[] for _ in range(n - 1)]
     closes = [[] for _ in range(n - 1)]
     for coll in primitive_collections(fan):
@@ -360,6 +380,7 @@ def _plan(fan, exps, order):
         avoids=tuple(map(tuple, avoids)),
         closes=tuple(map(tuple, closes)),
         nforms=len(exps),
+        orbit=orbit if len(orbit) > 1 and orbit[1] < n - 1 else (),
     )
 
 
@@ -374,28 +395,45 @@ def _torsor_plan(fan):
     and the least is kept.  Moving an ordered pair of the others to the
     leaf replaces that order when its bound then takes fewer steps at
     that B (at 10^5 it runs 2.7-4.4x faster on dp6, dp7 and the cube); no
-    order changes the bound's value.  Each candidate's bound, without the
-    count kernel, is compiled uncached (_bound_only) and dropped, so only
-    the chosen plan's kernel is ever cached.
+    order changes the bound's value.  Each moved order also anchors the
+    orbit with the most prefix rays (_TorsorPlan), and wins over the first
+    order by fewer steps, or as many over fewer prefixes.  An automorphism
+    maps a plan onto one with the same bound and steps, so one closed-form
+    ray per orbit, and one moved order per class under the automorphisms
+    that fix it, are ranked.  Each candidate's bound, without the count
+    kernel, is compiled uncached (_bound_only) and dropped, so only the
+    chosen plan's kernel is ever cached.
     """
     forms, convex = _anticanonical_forms(fan)
     if not convex:
         return None
     exps = [[1 - sum(map(mul, m, r)) for r in fan.rays] for m in forms]
 
-    def ranked(order):
-        plan = _plan(fan, exps, order)
+    def ranked(order, orbit=()):
+        plan = _plan(fan, exps, order, orbit)
         bound, steps = _prefix_walk(plan, _PLAN_REFERENCE_B, math.inf, _bound_only)
         return bound, steps, order, plan
 
     n = fan.nrays
-    orders = (tuple(j for j in range(n) if j != last) + (last,) for last in range(n))
+    group = automorphisms(fan)
+    lasts = sorted({min(p[j] for p in group) for j in range(n)})
+    orders = (tuple(j for j in range(n) if j != last) + (last,) for last in lasts)
     first = min(map(ranked, orders), key=itemgetter(0))
     *rest, last = first[2]
+    orbit = max(({p[j] for p in group} for j in rest), key=lambda o: len(o - {last}))
+    stabilizer = [p for p in group if p[last] == last]
+    seen = {first[2]}
+
+    def unseen(order):
+        if order in seen:
+            return False
+        seen.update(tuple(p[j] for j in order) for p in stabilizer)
+        return True
+
     moved = (tuple(k for k in rest if k not in p) + p + (last,) for p in permutations(rest, 2))
-    # listed first, the first order wins ties (on F_1 a tie closes a gcd in the leaf loop)
-    ranks = chain([first], (ranked(o) for o in moved if o != first[2]))
-    return min(ranks, key=itemgetter(1))[3]
+    # listed first, the first order wins ties
+    ranks = chain([first], (ranked(o, orbit) for o in moved if unseen(o)))
+    return min(ranks, key=itemgetter(1, 0))[3]
 
 
 def _prefix_caps(plan, top):
@@ -485,21 +523,30 @@ def _torsor_count(plan, B, context=None):
     if context is None or context[0] < top:
         context = _torsor_context(plan, top)
     _, extend, sums = context
-    return _torsor_kernel(plan)[0](top, extend, sums, _LEAF_MEMO_SIZE)
+    total, visits = _torsor_kernel(plan)[0](top, extend, sums, _LEAF_MEMO_SIZE)
+    if not plan.orbit:
+        return total, visits
+    count, rest = divmod(len(plan.orbit) * total, math.lcm(*range(1, len(plan.orbit) + 1)))
+    if rest:
+        raise ArithmeticError("the orbit's weighted count is not a whole number of vectors")
+    return count, visits
 
 
 def _check_plan_ints(plan):
-    """Refuse a plan whose caps, avoids or closes hold anything but ints.
+    """Refuse a plan whose caps, avoids, closes or orbit hold anything but ints.
 
-    Each is a tuple per position of tuples of ints.  The kernel source
-    formats these integers and nothing else, so any other entry, or any
-    other depth of nesting, is refused before a line of it is written.
+    The first three are a tuple per position of tuples of ints, the orbit
+    a tuple of ints.  The kernel source formats these integers and nothing
+    else, so any other entry, or any other depth of nesting, is refused
+    before a line of it is written.
     """
-    for entries in (plan.caps, plan.avoids, plan.closes):
+    for entries in (plan.caps, plan.avoids, plan.closes, ((plan.orbit,),)):
         try:
             ints = [x for entry in entries for part in entry for x in part]
         except TypeError:
-            raise TypeError("a torsor plan holds tuples of int tuples per position") from None
+            raise TypeError(
+                "a torsor plan holds tuples of int tuples per position, and an orbit of ints"
+            ) from None
         if set(map(type, ints)) - {int}:
             bad = next(x for x in ints if type(x) is not int)
             raise TypeError("a torsor plan holds ints, not %r" % (bad,))
@@ -533,14 +580,28 @@ def _kernel_source(plan, count=True):
     it stops at the value the term-by-term sum reaches at the first z
     that does.  steps counts the z of the outer levels and the leaf's blocks.
 
+    Orbit (anchor z<a>): in both, each later orbit position's cap is
+    lowered to z<a>.  The kernel sums wt[e] = W // (e + 1), W = lcm(1..
+    |orbit|), for a vector with e later orbit coordinates equal to z<a>;
+    e<i> counts those ties through position i, and at the leaf they fall
+    on its last z alone, where w is reset.  With the last ray in the orbit
+    its L is capped by z<a> too, and a last coordinate equal to z<a> that
+    avoids the radical weighs dw = wt[e] - wt[e + 1] less.  _torsor_count
+    returns |orbit| * total / W.  The bound drops the cap of position n - 2
+    when a = n - 3 (it would grow with z), which leaves an upper bound.
+
     Minima are written as comparisons, which cost a fraction of a call
     to min.  Roots are monotone and fall as the exponent grows, so a
     radicand capped under several exponents keeps only its largest, and
     the radicands of one exponent share the root of their least.
     """
     _check_plan_ints(plan)
-    caps, avoids, closes = plan.caps, plan.avoids, plan.closes
+    caps, avoids, closes, orbit = plan.caps, plan.avoids, plan.closes, plan.orbit
     n = len(caps)
+    # the positions capped by the anchor z<a>, and the tie weights W // m
+    anchor, capped = "z%d" % orbit[0] if orbit else None, set(orbit[1:])
+    scale = math.lcm(*range(1, len(orbit) + 1))
+    weights = [scale // m for m in range(1, len(orbit) + 1)]
     forms = [{s for s, _ in ci} for ci in caps]
     lines = []
     rem, named = {}, {}
@@ -586,6 +647,8 @@ def _kernel_source(plan, count=True):
 
     def cap(depth, i):
         least(depth, "L%d" % i, [(rem[s], a) for s, a in caps[i]])
+        if i in capped:
+            emit(depth, "if %s < L%d: L%d = %s" % (anchor, i, i, anchor))
 
     def divide(depth, i, later):
         # the remainders once z<i> is divided out, of the forms later positions read
@@ -597,15 +660,24 @@ def _kernel_source(plan, count=True):
                     emit(depth, "%s = %s" % (named[expr], expr))
                 rem[s] = named[expr]
 
-    def leaf_caps(depth, i, j):
+    def leaf_caps(depth, i, j, extra=()):
         # position j's caps once position i holds z: fixed ones as f, the rest (x, a, b)
         at_i = dict(caps[i])
-        fixed = [(rem[s], a) for s, a in caps[j] if s not in at_i]
+        fixed = [(rem[s], a) for s, a in caps[j] if s not in at_i] + list(extra)
         moving = [(rem[s], a, at_i[s]) for s, a in caps[j] if s in at_i]
         if fixed:
             least(depth, "f", fixed)
             fixed = [("f", 1)]
         return fixed, moving
+
+    def weigh(depth, ties, more=0):
+        # w weighs a vector with ties + more + 1 orbit coordinates at the anchor's value
+        def at(k):
+            return "wt[%s]" % (k if ties == "0" else ties if k == 0 else "%s + %d" % (ties, k))
+
+        emit(depth, "w = %s" % at(more))
+        if n - 1 in capped:
+            emit(depth, "dw = w - %s" % at(more + 1))
 
     def gcd(positions):
         zs = ["z%d" % k for k in positions]
@@ -616,7 +688,9 @@ def _kernel_source(plan, count=True):
         emit(1, "total = visits = 0")
         if any(closes):
             emit(1, "t, r = [(1, 1)], 1")
-        terms, rad = "t", "r"
+        if orbit:
+            emit(1, "wt = %r" % (tuple(weights),))
+        terms, rad, ties = "t", "r", "0"
         depth = 1
         for i in range(n - 1):
             leaf = i == n - 2
@@ -627,6 +701,8 @@ def _kernel_source(plan, count=True):
                 fixed, moving = leaf_caps(depth, i, n - 1)
                 if not avoids[i]:
                     emit(depth, "visits += L%d" % i)
+                if orbit:
+                    weigh(depth, ties)
             emit(depth, "for z%d in range(1, L%d + 1):" % (i, i))
             depth += 1
             if avoids[i]:
@@ -641,15 +717,30 @@ def _kernel_source(plan, count=True):
                     emit(depth, "g = %s" % gcd(c))
                     emit(depth, "if g > 1:")
                     emit(depth + 1, "%s, %s = extend(%s, %s, g)" % (terms, rad, terms, rad))
+            if i in capped and not leaf:
+                tie = "z%d == %s" % (i, anchor)
+                emit(depth, "e%d = %s" % (i, tie if ties == "0" else "%s + (%s)" % (ties, tie)))
+                ties = "e%d" % i
             if not leaf:
                 divide(depth, i, set().union(*forms[i + 1 :]))
                 continue
+            if i in capped:
+                # z<i> <= the anchor, so it ties with it at the loop's last z alone
+                emit(depth, "if z%d == %s:" % (i, anchor))
+                weigh(depth + 1, ties, 1)
             least(depth, "L", fixed + [(over(x, "z%d" % i, b), a) for x, a, b in moving])
+            if n - 1 in capped:
+                # a last coordinate equal to the anchor weighs dw less
+                emit(depth, "if %s <= L:" % anchor)
+                emit(depth + 1, "L = %s" % anchor)
+                avoids_rad = "if gcd(%s, %s) == 1: " % (anchor, rad) if any(closes) else ""
+                emit(depth + 1, avoids_rad + "total -= dw")
+            weighted = "w * %s" if orbit else "%s"
             if not any(closes):
-                emit(depth, "total += L")
+                emit(depth, "total += " + weighted % "L")
                 continue
             emit(depth, "if %s == 1:" % rad)
-            emit(depth + 1, "total += L")
+            emit(depth + 1, "total += " + weighted % "L")
             emit(depth, "else:")
             emit(depth + 1, "s = sums.get((%s, L))" % rad)
             emit(depth + 1, "if s is None:")
@@ -658,7 +749,7 @@ def _kernel_source(plan, count=True):
             emit(depth + 3, "s += mu * (L // d)")
             emit(depth + 2, "if len(sums) < room:")
             emit(depth + 3, "sums[%s, L] = s" % rad)
-            emit(depth + 1, "total += s")
+            emit(depth + 1, "total += " + weighted % "s")
         emit(1, "return total, visits")
 
     start("def bound(top, limit):")
@@ -677,7 +768,9 @@ def _kernel_source(plan, count=True):
     else:
         i = n - 3
         cap(depth, i)
-        fixed, moving = leaf_caps(depth, i, i + 1)
+        # dropping a cap keeps an upper bound: the anchor at n - 3 would move with z
+        extra = [(anchor, 1)] if n - 2 in capped and orbit[0] < n - 3 else []
+        fixed, moving = leaf_caps(depth, i, i + 1, extra)
         emit(depth, "total%d = 0" % i)
         emit(depth, "z = 1")
         emit(depth, "while z <= L%d:" % i)

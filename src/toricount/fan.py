@@ -1,4 +1,4 @@
-"""Fans: lattice data model, validation, Galois actions, cone location.
+"""Fans: lattice data model, validation, Galois actions, automorphisms, cone location.
 
 A fan is given by its primitive ray generators and the ray-index sets of
 its maximal cones; faces are derived on demand and never stored.  All
@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd
-from operator import mul
+from operator import itemgetter, mul
 
 from .linalg import det, identity, mat_mul, mat_vec, unimodular_inverse
 
@@ -232,6 +232,52 @@ def locate_cone(fan, v):
         if all(sum(map(mul, u, v)) >= 0 for u in rows):
             return ci
     raise ValueError("no maximal cone contains the vector; fan incomplete?")
+
+
+@lru_cache(maxsize=None)
+def automorphisms(fan):
+    """The ray permutations of the lattice automorphisms of a regular fan.
+
+    perm[j] is the image of ray j.  An automorphism maps the ordered rays
+    of cone 0 onto some maximal cone in some order, and that fixes it, so
+    the |cones| * d! such maps are the candidates.  One is kept when it
+    permutes the rays and the maximal cones, and then, as the torsor
+    count reads them, the anticanonical exponent rows (as a set) and the
+    primitive collections.
+    """
+    # the rays off cone 0, in the basis of cone 0's rays
+    base = fan.max_cones[0]
+    coords = [
+        (j, tuple(sum(map(mul, u, r)) for u in _dual_bases(fan)[0]))
+        for j, r in enumerate(fan.rays)
+        if j not in base
+    ]
+    index = {r: j for j, r in enumerate(fan.rays)}
+    cones = set(map(frozenset, fan.max_cones))
+    collections = set(map(frozenset, primitive_collections(fan)))
+    forms = [m for _, m in cone_pieces(fan, (1,) * fan.nrays)]
+    exps = {tuple(1 - sum(map(mul, m, r)) for r in fan.rays) for m in forms}
+    found = []
+    for cone in fan.max_cones:
+        for images in permutations(cone):
+            matrix = list(zip(*(fan.rays[j] for j in images)))
+            perm = [0] * fan.nrays
+            for k, j in zip(base, images):
+                perm[k] = j
+            for k, c in coords:
+                j = index.get(tuple([sum(map(mul, row, c)) for row in matrix]))
+                if j is None:
+                    break
+                perm[k] = j
+            else:
+                image = perm.__getitem__
+                if all({frozenset(map(image, c)) for c in s} == s for s in (cones, collections)):
+                    # exps[s][j] moves to column perm[j]: read column j from perm^-1
+                    moved = itemgetter(*sorted(range(fan.nrays), key=image))
+                    if set(map(moved, exps)) == exps:
+                        found.append(tuple(perm))
+    # cone 0 onto itself in its own order comes first: the identity
+    return tuple(found)
 
 
 def galois_group(fan):

@@ -5,13 +5,15 @@ with one flat loop per prefix position, and its budget check runs a bound
 generated into the same module.  These are the walks they replaced: one
 recursion level per position, the remainders copied as lists and the
 caps looked up at run time.  They read the same plan and walk its
-positions in the same order, and torsor_walk must return the kernel's
-(count, visits), _walk_prefixes the bound's (bound, steps).
+positions in the same order, with the same caps by the orbit's anchor,
+and torsor_walk must return the kernel's (count, visits), _walk_prefixes
+the bound's (bound, steps).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 from toricount.arith import iroot, smallest_prime_factors
@@ -27,10 +29,17 @@ def torsor_walk(plan, B):
     holds (d, mu(d)) for the squarefree products d of the primes the last
     coordinate must avoid (rad is their product), so the last coordinate
     contributes sum mu(d) * (L // d) for its cap L.
+
+    With an orbit, each later orbit coordinate is capped by the anchor's,
+    at orbit[0], and a vector whose orbit coordinates take the anchor's
+    value m times counts 1/m: tally[m] holds those vectors, and the count
+    is len(orbit) * sum tally[m] / m.
     """
     top = max(math.floor(Fraction(B)), 0)
-    caps, avoids, closes = plan.caps, plan.avoids, plan.closes
+    caps, avoids, closes, orbit = plan.caps, plan.avoids, plan.closes, plan.orbit
     n = len(caps)
+    anchor, capped = (orbit[0], set(orbit[1:])) if orbit else (None, set())
+    tally = Counter()
     spf = smallest_prime_factors(max(_prefix_caps(plan, top)))
     dmax = min(iroot(top, a) for _, a in caps[-1])
     leaf = _next_caps(caps, n - 2)
@@ -54,10 +63,11 @@ def torsor_walk(plan, B):
         nonlocal visits
         ci = caps[i]
         L = min([iroot(R[s], a) for s, a in ci])
+        if i in capped:
+            L = min(L, zs[anchor])
         G = 1
         for c in avoids[i]:
             G *= math.gcd(*[zs[k] for k in c])
-        total = 0
         for z in range(1, L + 1):
             if G > 1 and math.gcd(z, G) > 1:
                 continue
@@ -72,14 +82,22 @@ def torsor_walk(plan, B):
                 R2 = list(R)
                 for s, a in ci:
                     R2[s] //= z**a
-                total += walk(i + 1, R2, t, r)
+                walk(i + 1, R2, t, r)
                 continue
             visits += 1
             L2 = min([iroot(R[s] // z**b, a) for s, a, b in leaf])
-            total += L2 if r == 1 else sum(mu * (L2 // d) for d, mu in t)
-        return total
+            m = 1 + sum(zs[k] == zs[anchor] for k in capped if k < n - 1)
+            if n - 1 in capped and L2 >= zs[anchor]:
+                L2 = zs[anchor]
+                if math.gcd(L2, r) == 1:
+                    tally[m] -= 1
+                    tally[m + 1] += 1
+            tally[m] += L2 if r == 1 else sum(mu * (L2 // d) for d, mu in t)
 
-    return walk(0, [top] * plan.nforms, [(1, 1)], 1), visits
+    walk(0, [top] * plan.nforms, [(1, 1)], 1)
+    count = max(len(orbit), 1) * sum(Fraction(v, m) for m, v in tally.items())
+    assert count.denominator == 1, count
+    return int(count), visits
 
 
 def _next_caps(caps, i):
@@ -99,10 +117,16 @@ def _walk_prefixes(plan, top, limit):
     every form s positive at some prefix position (the partial products
     only grow), so the bound does not depend on the plan's order, but
     its cost does.  The last two prefix positions form the leaf: the
-    first is summed in blocks, the second counted.
+    first is summed in blocks, the second counted.  Each later orbit
+    coordinate of the prefix is capped by the anchor's, but for the leaf's
+    second position when the anchor is its first (that cap would grow
+    with z); a dropped cap leaves an upper bound.
     """
     caps = plan.caps[:-1]
     m = len(caps)
+    orbit = plan.orbit
+    anchor, capped = (orbit[0], set(orbit[1:])) if orbit else (None, set())
+    zs = [0] * m
     # each prefix coordinate alone, the others at 1, makes this many prefixes
     single = max(_prefix_caps(plan, top))
     if m == 1 or single > limit:
@@ -114,13 +138,17 @@ def _walk_prefixes(plan, top, limit):
         nonlocal steps
         ci = caps[i]
         L = min([iroot(R[s], a) for s, a in ci])
+        if i in capped:
+            L = min(L, zs[anchor])
         if i == m - 2:
-            total, blocks = _leaf_sum(R, leaf, L, limit)
+            extra = zs[anchor] if m - 1 in capped and anchor < m - 2 else math.inf
+            total, blocks = _leaf_sum(R, leaf, L, limit, extra)
             steps += blocks
             return total
         total = 0
         for z in range(1, L + 1):
             steps += 1
+            zs[i] = z
             R2 = list(R)
             for s, a in ci:
                 R2[s] //= z**a
@@ -132,10 +160,10 @@ def _walk_prefixes(plan, top, limit):
     return walk(0, [top] * plan.nforms), steps
 
 
-def _leaf_sum(R, leaf, L, limit):
+def _leaf_sum(R, leaf, L, limit, extra=math.inf):
     """(sum_{z=1..L} h(z), blocks summed), stopped past limit.
 
-    h(z) is the least root(R[s] // z^b, a) over the leaf.  h is
+    h(z) is the least root(R[s] // z^b, a) over the leaf, and extra.  h is
     nonincreasing, so it is summed over the blocks on which it is
     constant: h(z) = v >= 1 holds on to the last z' with every cap still
     >= v, and a cap root(R[s] // z^b, a) with b > 0 stays >= v exactly
@@ -143,7 +171,7 @@ def _leaf_sum(R, leaf, L, limit):
     it stops at the value the term-by-term sum reaches at the first z
     that takes it past limit.
     """
-    fixed = min([iroot(R[s], a) for s, a, b in leaf if not b], default=math.inf)
+    fixed = min([iroot(R[s], a) for s, a, b in leaf if not b] + [extra])
     moving = [(R[s], a, b) for s, a, b in leaf if b]
     total, z, blocks = 0, 1, 0
     while z <= L:

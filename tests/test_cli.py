@@ -480,12 +480,21 @@ def test_cutoff_does_not_change_the_result(capsys, command):
 
 
 def test_torsor_budget_refusal_is_quick(capsys):
-    # dp6 at 10^6 has a prefix bound of 51.3M against the default 5*10^7
+    # dp6 at 10^7 has a prefix bound of 82.3M against the default 5*10^7
     start = time.perf_counter()
-    code, out, err = run(capsys, "count", "dp6", "--B-schedule", "1e6")
+    code, out, err = run(capsys, "count", "dp6", "--B-schedule", "1e7")
     assert time.perf_counter() - start < 2
     assert code == 3 and not out
-    assert err.startswith("budget exceeded: ") and "torsor prefixes" in err
+    assert err == (
+        "budget exceeded: work estimate of 50036339 torsor prefixes is over the budget of 50000000\n"
+    )
+
+
+def test_dp6_at_10_to_the_6_fits_the_budget(capsys):
+    # its prefix bound is 6.6M: the orbit of its six rays cut 51.3M
+    code, out, err = run(capsys, "count", "dp6", "--B-schedule", "1e6")
+    assert code == 0 and not err
+    assert out.splitlines()[1].startswith("1000000,132330484,")
 
 
 def test_count_underflowing_bound_k1(capsys):
@@ -563,9 +572,9 @@ def test_localcheck_refuses_a_large_q_at_once(tmp_path, capsys):
 
 
 def test_schedule_refused_at_its_top_is_quick(capsys):
-    # the budget is checked once, at 10^6, before 10^4 and 10^5 are counted
+    # the budget is checked once, at 10^7, before 10^4 and 10^5 are counted
     start = time.perf_counter()
-    code, out, err = run(capsys, "count", "dp6", "--B-schedule", "10000,100000,1000000")
+    code, out, err = run(capsys, "count", "dp6", "--B-schedule", "10000,100000,10000000")
     assert time.perf_counter() - start < 2.5
     assert code == 3 and not out
     assert "torsor prefixes" in err

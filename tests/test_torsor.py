@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles.product_count import p1_product_count
 from oracles.torsor_walk import _walk_prefixes, torsor_walk
 from test_cones import P3
-from test_height_oracles import CUBE, DP7, hirzebruch, subdivided_surfaces
+from test_height_oracles import CUBE, DP7, hirzebruch, subdivided_surfaces, surface
 from test_tamagawa import product_fan
 
 from toricount import arith, counting
@@ -35,7 +35,7 @@ from toricount.counting import (
     counter_for,
     enumerate_naive,
 )
-from toricount.fan import primitive_collections
+from toricount.fan import Fan, automorphisms, primitive_collections, validate_fan
 from toricount.tamagawa import theta
 
 BOUNDS = [Fraction(1, 2), Fraction(99, 100), 1, 2, Fraction(25, 2), 57, 100, 300]
@@ -81,10 +81,23 @@ KERNEL_FANS = {
 }
 
 
-def _plan_in(fan, order):
+def _plan_in(fan, order, orbit=()):
     """The torsor plan of a nef fan that takes its rays in order."""
     forms, _ = _anticanonical_forms(fan)
-    return _plan(fan, [[1 - sum(map(mul, m, r)) for r in fan.rays] for m in forms], order)
+    return _plan(fan, [[1 - sum(map(mul, m, r)) for r in fan.rays] for m in forms], order, orbit)
+
+
+def _largest_orbit(fan):
+    """The rays of the first largest orbit of the fan's automorphisms."""
+    return max((sorted({p[j] for p in automorphisms(fan)}) for j in range(fan.nrays)), key=len)
+
+
+def _check_count(plan, B):
+    # the kernel returns the walk's (count, visits), and the orbit's weights
+    # count what the whole walk counts
+    got = _torsor_count(plan, B)
+    assert got == torsor_walk(plan, B), (plan, B)
+    assert got[0] == torsor_walk(replace(plan, orbit=()), B)[0], (plan, B)
 
 
 def _check_bound(plan, top):
@@ -100,29 +113,38 @@ def _check_bound(plan, top):
 def _index_order_walk(fan, plan, top):
     """plan's prefix bound, walked with the other rays in index order.
 
-    The closed-form ray is the first one whose caps are plan's last caps:
-    rays with equal caps leave equal caps to the prefix, and the bound
-    reads nothing else.  One leaf term per z, no blocks.
+    plan's rays are found by their caps (no two rays have the same
+    exponents, since the forms span the dual space), and the closed-form
+    ray stays last.  Each ray plan's bound caps by its anchor ray stays
+    capped by it, wherever the two fall in index order: the anchor then
+    starts at the largest of them.  One leaf count per prefix, no blocks.
     """
     n = fan.nrays
-    last = _plan_in(fan, tuple(range(n))).caps.index(plan.caps[-1])
-    plan = _plan_in(fan, tuple(j for j in range(n) if j != last) + (last,))
-    caps = plan.caps
-    if n == 2:
-        return min(iroot(top, a) for _, a in caps[0])
-    at_i = dict(caps[n - 3])
-    leaf = [(s, a, at_i.get(s, 0)) for s, a in caps[n - 2]]
+    ray_of = {caps: j for j, caps in enumerate(_plan_in(fan, tuple(range(n))).caps)}
+    order = [ray_of[caps] for caps in plan.caps]
+    orbit = plan.orbit
+    anchor = order[orbit[0]] if orbit else None
+    # the bound drops the leaf's cap when the anchor is the position before it
+    capped = {order[i] for i in orbit[1:] if i < n - 2 or (i == n - 2 and orbit[0] < n - 3)}
+    rays = sorted(order[:-1])
+    caps = _plan_in(fan, tuple(rays) + (order[-1],)).caps
+    zs = {}
 
     def walk(i, R):
+        hi = min(iroot(R[s], a) for s, a in caps[i])
+        if rays[i] in capped and anchor in zs:
+            hi = min(hi, zs[anchor])
+        lo = max([zs[j] for j in capped if j in zs], default=1) if rays[i] == anchor else 1
+        if i == n - 2:
+            return max(hi - lo + 1, 0)
         total = 0
-        for z in range(1, min(iroot(R[s], a) for s, a in caps[i]) + 1):
-            if i == n - 3:
-                total += min(iroot(R[s] // z**b, a) for s, a, b in leaf)
-            else:
-                R2 = list(R)
-                for s, a in caps[i]:
-                    R2[s] //= z**a
-                total += walk(i + 1, R2)
+        for z in range(lo, hi + 1):
+            zs[rays[i]] = z
+            R2 = list(R)
+            for s, a in caps[i]:
+                R2[s] //= z**a
+            total += walk(i + 1, R2)
+        zs.pop(rays[i], None)
         return total
 
     return walk(0, [top] * plan.nforms)
@@ -134,20 +156,22 @@ def test_kernel_matches_the_recursive_walk(name):
     # and its bound takes the same steps in the same order
     plan = _torsor_plan(KERNEL_FANS[name])
     for B in BOUNDS:
-        assert _torsor_count(plan, B) == torsor_walk(plan, B), (name, B)
+        _check_count(plan, B)
     for top in (1, 2, 12, 100, 300):
         _check_bound(plan, top)
 
 
-# the order the plan search keeps: a pair moved to the leaf replaces index
-# order, the closed-form ray last, only when its bound takes fewer steps
+# the order and orbit the plan search keeps: a pair moved to the leaf, with
+# the orbit of most prefix rays anchored, replaces index order without
+# one, the closed-form ray last, only when its bound takes fewer steps (or
+# as many over fewer prefixes)
 PLAN_ORDERS = {
-    "dp6": (2, 3, 4, 1, 5, 0),
-    "dp7": (2, 3, 1, 4, 0),
-    "cube": (1, 3, 5, 2, 4, 0),
-    "hirzebruch1": (0, 1, 2, 3),
-    "F2": (0, 1, 2, 3),
-    "P3": (1, 2, 3, 0),
+    "dp6": ((2, 3, 4, 1, 5, 0), range(6)),
+    "dp7": ((2, 3, 1, 4, 0), (1, 3)),
+    "cube": ((1, 3, 5, 2, 4, 0), range(6)),
+    "hirzebruch1": ((2, 0, 1, 3), (0, 2)),
+    "F2": ((2, 0, 1, 3), (0, 2)),
+    "P3": ((3, 1, 2, 0), range(4)),
 }
 
 
@@ -155,9 +179,9 @@ PLAN_ORDERS = {
 def test_plan_takes_one_ray_order(name):
     fan = KERNEL_FANS.get(name) or _fan(name)
     plan = _torsor_plan(fan)
-    assert plan == _plan_in(fan, PLAN_ORDERS[name])
+    assert plan == _plan_in(fan, *PLAN_ORDERS[name])
     for B in (1, 12, 100, 1000):
-        assert _torsor_count(plan, B) == torsor_walk(plan, B), (name, B)
+        _check_count(plan, B)
         _check_bound(plan, B)
 
 
@@ -168,7 +192,76 @@ def test_plan_takes_one_ray_order(name):
 def test_kernel_matches_the_recursive_walk_on_nef_subdivisions(fan, B):
     plan = _torsor_plan(fan)
     assume(plan is not None)
-    assert _torsor_count(plan, B) == torsor_walk(plan, B)
+    _check_count(plan, B)
+
+
+RELABELED = {
+    name: KERNEL_FANS.get(name) or _fan(name)
+    for name in ("dp6", "cube", "P3", "F2", "dp6xP1")
+}
+
+
+@pytest.mark.parametrize("name", list(RELABELED))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data(), B=st.sampled_from([1, 12, 100, 300]))
+def test_orbit_count_does_not_depend_on_ray_labels(name, data, B):
+    # the same fan with its rays renumbered: its own automorphisms, orbit
+    # and plan, and the count of the whole walk
+    fan = RELABELED[name]
+    perm = data.draw(st.permutations(range(fan.nrays)))
+    where = {j: i for i, j in enumerate(perm)}
+    cones = [[where[j] for j in c] for c in fan.max_cones]
+    relabeled = Fan(fan.dim, [fan.rays[j] for j in perm], cones)
+    plan = _torsor_plan.__wrapped__(relabeled)
+    assert plan.orbit
+    _check_count(plan, B)
+    assert _torsor_count(plan, B)[0] == _torsor_count(_torsor_plan(fan), B)[0]
+
+
+AUTOMORPHISM_ORDERS = {
+    "dp6": (12, [6]),
+    "cube": (48, [6]),
+    "P3": (24, [4]),
+    "hirzebruch1": (2, [2, 1, 1]),
+    "F2": (2, [2, 1, 1]),
+    "dp7": (2, [2, 2, 1]),
+    "dp6xP1": (24, [6, 2]),
+}
+
+
+@pytest.mark.parametrize("name", list(AUTOMORPHISM_ORDERS))
+def test_automorphisms(name):
+    fan = KERNEL_FANS.get(name) or _fan(name)
+    group = automorphisms(fan)
+    assert group[0] == tuple(range(fan.nrays))
+    order, sizes = AUTOMORPHISM_ORDERS[name]
+    assert len(set(group)) == len(group) == order
+    orbits = {frozenset(p[j] for p in group) for j in range(fan.nrays)}
+    assert sorted(map(len, orbits), reverse=True) == sizes
+    # each permutes the exponent rows and the primitive collections
+    forms, _ = _anticanonical_forms(fan)
+    exps = {tuple(1 - sum(map(mul, m, r)) for r in fan.rays) for m in forms}
+    collections = {frozenset(c) for c in primitive_collections(fan)}
+    for p in group:
+        assert {tuple(e[p.index(j)] for j in range(fan.nrays)) for e in exps} == exps
+        assert {frozenset(p[j] for j in c) for c in collections} == collections
+
+
+def test_automorphisms_of_dp6_x_dp6_and_an_asymmetric_fan():
+    dp6 = corpus_fan("dp6")
+    group = automorphisms(product_fan(dp6, dp6))
+    assert len(group) == 288
+    assert {p[0] for p in group} == set(range(12))
+    # P^2 blown up in the cone of (1, 0) and (0, 1), then in the cone of
+    # (1, 0) and the new ray (1, 1): a nef surface with no symmetry left
+    fan = surface([(1, 0), (2, 1), (1, 1), (0, 1), (-1, -1)])
+    assert validate_fan(fan).ok
+    assert automorphisms(fan) == (tuple(range(5)),)
+    assert _torsor_plan(fan).orbit == ()
+
+
+def test_dp6_at_10_to_the_5():
+    assert count_points(corpus_fan("dp6"), 10**5) == 8_992_564
 
 
 def test_extend_memo_size_changes_no_count(monkeypatch):
@@ -313,10 +406,12 @@ def test_plan_ranking_compiles_bounds_only(monkeypatch, name):
 @settings(max_examples=10, deadline=None)
 @given(data=st.data(), top=st.sampled_from([1, 2, 12, 100, 300]))
 def test_bound_matches_the_recursive_walk(name, data, top):
-    # in any ray order, with any ray counted in closed form; the order of
-    # the others changes the bound's cost, not its value
+    # in any ray order, with any ray counted in closed form, with the
+    # largest orbit or none; the order of the others changes the bound's
+    # cost, not its value
     fan = KERNEL_FANS[name]
-    plan = _plan_in(fan, data.draw(st.permutations(range(fan.nrays))))
+    orbit = data.draw(st.sampled_from([(), _largest_orbit(fan)]))
+    plan = _plan_in(fan, data.draw(st.permutations(range(fan.nrays))), orbit)
     _check_bound(plan, top)
     assert _walk_prefixes(plan, top, math.inf)[0] == _index_order_walk(fan, plan, top)
 
@@ -331,7 +426,8 @@ def test_bound_matches_the_recursive_walk(name, data, top):
 )
 def test_bound_matches_the_recursive_walk_on_nef_subdivisions(fan, data, top):
     assume(_anticanonical_forms(fan)[1])
-    plan = _plan_in(fan, data.draw(st.permutations(range(fan.nrays))))
+    orbit = data.draw(st.sampled_from([(), _largest_orbit(fan)]))
+    plan = _plan_in(fan, data.draw(st.permutations(range(fan.nrays))), orbit)
     _check_bound(plan, top)
     assert _walk_prefixes(plan, top, math.inf)[0] == _index_order_walk(fan, plan, top)
 
@@ -344,6 +440,8 @@ def test_bound_matches_the_recursive_walk_on_nef_subdivisions(fan, data, top):
         ("caps", True),
         ("avoids", 1.0),
         ("closes", "z0"),
+        ("orbit", "0] or exec('') or wt[0"),
+        ("orbit", True),
     ],
 )
 def test_kernel_source_takes_plan_integers_only(monkeypatch, field, bad):
@@ -352,10 +450,14 @@ def test_kernel_source_takes_plan_integers_only(monkeypatch, field, bad):
     compiled = []
     monkeypatch.setattr(counting, "compile", lambda *args: compiled.append(args), raising=False)
     entries = getattr(plan, field)
-    # the last integer of the field's first nonempty entry becomes bad
-    i = next(i for i, entry in enumerate(entries) if entry)
-    *head, last = entries[i]
-    doctored = replace(plan, **{field: entries[:i] + ((*head, last[:-1] + (bad,)),) + entries[i + 1 :]})
+    if field == "orbit":
+        # the orbit is one tuple of positions: its last becomes bad
+        doctored = replace(plan, orbit=entries[:-1] + (bad,))
+    else:
+        # the last integer of the field's first nonempty entry becomes bad
+        i = next(i for i, entry in enumerate(entries) if entry)
+        *head, last = entries[i]
+        doctored = replace(plan, **{field: entries[:i] + ((*head, last[:-1] + (bad,)),) + entries[i + 1 :]})
     with pytest.raises(TypeError, match="ints"):
         _kernel_source(doctored)
     # True and Fraction(2) hash and compare like 1 and 2, so a cached kernel
@@ -366,12 +468,15 @@ def test_kernel_source_takes_plan_integers_only(monkeypatch, field, bad):
     assert compiled == []
 
 
-@pytest.mark.parametrize("field", ["caps", "avoids", "closes"])
+@pytest.mark.parametrize("field", ["caps", "avoids", "closes", "orbit"])
 def test_kernel_source_takes_plan_tuples_of_int_tuples(field):
     # an entry one level too shallow is refused by name, not by a bare
-    # "object is not iterable"
+    # "object is not iterable"; the orbit is one level shallower than the rest
     plan = _torsor_plan(corpus_fan("dp6"))
-    shallow = replace(plan, **{field: ((1, 2),) + getattr(plan, field)[1:]})
+    if field == "orbit":
+        shallow = replace(plan, orbit=5)
+    else:
+        shallow = replace(plan, **{field: ((1, 2),) + getattr(plan, field)[1:]})
     with pytest.raises(TypeError, match="tuples of int tuples"):
         _kernel_source(shallow)
 
@@ -438,9 +543,9 @@ def test_torsor_budget_refusal():
     dp6 = corpus_fan("dp6")
     # the bound stops early, at the first prefix total past the budget
     with pytest.raises(BudgetExceededError) as err:
-        count_points(dp6, 10**6)
+        count_points(dp6, 10**7)
     assert str(err.value) == (
-        "work estimate of 50001005 torsor prefixes is over the budget of 50000000"
+        "work estimate of 50036339 torsor prefixes is over the budget of 50000000"
     )
     with pytest.raises(BudgetExceededError):
         count_points(dp6, 1000, budget=1000)
