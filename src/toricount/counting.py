@@ -26,11 +26,12 @@ position, with the plan's exponents and gcd conditions written into
 its source as integer literals and its remainders held in local
 variables.  The recursive walks it and its bound replaced are the test
 oracles in tests/oracles/torsor_walk.py, which walk the same order.
-The fan's automorphisms (fan.automorphisms) keep the set of vectors
-counted, so a plan may anchor an orbit of rays and walk a vector only
-where the anchor holds the orbit's largest value, counting 1/m for each
-of the m coordinates that hold it (_TorsorPlan): dp6's six rays form one
-orbit, which cuts its prefixes about sixfold.
+The fan's automorphisms (fan.automorphisms) fix phi_Sigma and map faces
+to faces, so they permute the exponent rows and primitive collections
+and keep the set of vectors counted.  So a plan may anchor an orbit of
+rays and walk a vector only where the anchor holds the orbit's largest
+value, counting 1/m for each of the m coordinates that hold it
+(_TorsorPlan): dp6's six rays are one orbit, cutting its prefixes sixfold.
 Each count_points or asymptotic_report call builds one context at its
 largest B (_torsor_context): the table of smallest prime factors, the
 memo of Moebius terms per radical, and a memo of the leaf's Moebius sums
@@ -343,9 +344,9 @@ class _TorsorPlan:
     orbit is empty, or the positions of rays that the fan's automorphisms
     permute transitively, the first, a, its anchor: each later orbit
     coordinate is capped by z_a, and a vector counts 1/m for the m orbit
-    coordinates equal to z_a.  Automorphisms keep the vectors counted, so
-    each orbit coordinate is the largest as often, in that weighted sense,
-    and the count is |orbit| times the weighted sum.
+    coordinates equal to z_a.  Automorphisms permute the exponent rows and
+    primitive collections, so each orbit coordinate is the largest as
+    often, in that weighted sense: the count is |orbit| times that sum.
     """
 
     caps: tuple

@@ -13,6 +13,9 @@ cone (degree one).  Then radial projection onto S^(d-1) is a covering off
 the codimension-2 faces, of constant degree, set to 1 by that point: the
 cones tile R^d face to face.  A fan passes all three, and a failure of
 either face_intersection test always shows two overlapping cones.
+
+A lattice map taking rays to rays is a symmetry when it permutes the
+maximal cones, the one test (_cone_off_fan) of automorphisms and galois.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import gcd
-from operator import itemgetter, mul
+from operator import mul
 
 from .linalg import det, identity, mat_mul, mat_vec, unimodular_inverse
 
@@ -241,9 +244,7 @@ def automorphisms(fan):
     perm[j] is the image of ray j.  An automorphism maps the ordered rays
     of cone 0 onto some maximal cone in some order, and that fixes it, so
     the |cones| * d! such maps are the candidates.  One is kept when it
-    permutes the rays and the maximal cones, and then, as the torsor
-    count reads them, the anticanonical exponent rows (as a set) and the
-    primitive collections.
+    maps every ray to a ray and permutes the maximal cones.
     """
     # the rays off cone 0, in the basis of cone 0's rays
     base = fan.max_cones[0]
@@ -253,10 +254,6 @@ def automorphisms(fan):
         if j not in base
     ]
     index = {r: j for j, r in enumerate(fan.rays)}
-    cones = set(map(frozenset, fan.max_cones))
-    collections = set(map(frozenset, primitive_collections(fan)))
-    forms = [m for _, m in cone_pieces(fan, (1,) * fan.nrays)]
-    exps = {tuple(1 - sum(map(mul, m, r)) for r in fan.rays) for m in forms}
     found = []
     for cone in fan.max_cones:
         for images in permutations(cone):
@@ -270,14 +267,17 @@ def automorphisms(fan):
                     break
                 perm[k] = j
             else:
-                image = perm.__getitem__
-                if all({frozenset(map(image, c)) for c in s} == s for s in (cones, collections)):
-                    # exps[s][j] moves to column perm[j]: read column j from perm^-1
-                    moved = itemgetter(*sorted(range(fan.nrays), key=image))
-                    if set(map(moved, exps)) == exps:
-                        found.append(tuple(perm))
+                if _cone_off_fan(fan, perm) is None:
+                    found.append(tuple(perm))
     # cone 0 onto itself in its own order comes first: the identity
     return tuple(found)
+
+
+def _cone_off_fan(fan, perm):
+    """The first maximal cone that the ray map perm sends onto no maximal cone, or None."""
+    cones = set(fan.max_cones)
+    image = perm.__getitem__
+    return next((c for c in fan.max_cones if tuple(sorted(map(image, c))) not in cones), None)
 
 
 def galois_group(fan):
@@ -402,18 +402,15 @@ def validate_fan(fan):
         except ValueError as exc:
             bad = str(exc)
             group = []
-        cone_set = {frozenset(c) for c in fan.max_cones}
         for g in group:
-            if bad:
-                break
             perm = ray_permutation(fan, g)
             if perm is None:
                 bad = "group element %r does not permute the rays" % (g,)
                 break
-            for c in fan.max_cones:
-                if frozenset(perm[j] for j in c) not in cone_set:
-                    bad = "group element %r maps cone %r off the fan" % (g, c)
-                    break
+            c = _cone_off_fan(fan, perm)
+            if c is not None:
+                bad = "group element %r maps cone %r off the fan" % (g, c)
+                break
     checks.append(CheckResult("galois", bad is None, bad or ""))
 
     return ValidationReport(tuple(checks))

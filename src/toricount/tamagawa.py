@@ -110,7 +110,7 @@ def archimedean_density(fan) -> int:
     quadrature unit tests pin this formula.
     """
     fan.require_split("the archimedean density")
-    return 2**fan.dim * len(fan.max_cones)
+    return 2**fan.dim * fan.f_vector()[-1]
 
 
 def root_bound(coeffs) -> int:
@@ -353,14 +353,13 @@ def tau(fan, prime_cutoff=None) -> EulerProduct:
     """
     validate_fan(fan).require()
     fan.require_split("tau")
-    return _certified_tau(fan.f_vector())
+    return _certified_tau(fan.f_vector(), archimedean_density(fan))
 
 
 @lru_cache(maxsize=None)
-def _certified_tau(f_vector):
-    """tau's EulerProduct for a fan with this f-vector, certified once per f-vector."""
+def _certified_tau(f_vector, arch):
+    """tau's EulerProduct for this f-vector and arch, its archimedean density, built once."""
     coeffs = euler_coefficients(f_vector)
-    arch = 2 ** (len(f_vector) - 1) * f_vector[-1]
     D = len(coeffs) - 1
     R = root_bound(coeffs)
     P0 = 1 << (_P0_RATIO * R - 1).bit_length()

@@ -36,6 +36,7 @@ from toricount.counting import (
     enumerate_naive,
 )
 from toricount.fan import Fan, automorphisms, primitive_collections, validate_fan
+from toricount.linalg import det
 from toricount.tamagawa import theta
 
 BOUNDS = [Fraction(1, 2), Fraction(99, 100), 1, 2, Fraction(25, 2), 57, 100, 300]
@@ -238,20 +239,37 @@ def test_automorphisms(name):
     assert len(set(group)) == len(group) == order
     orbits = {frozenset(p[j] for p in group) for j in range(fan.nrays)}
     assert sorted(map(len, orbits), reverse=True) == sizes
-    # each permutes the exponent rows and the primitive collections
+    _check_automorphisms(fan, group)
+
+
+def _check_automorphisms(fan, group):
+    # each comes from a unimodular map and, implied by that and not
+    # tested by automorphisms, permutes the exponent rows and the
+    # primitive collections
     forms, _ = _anticanonical_forms(fan)
     exps = {tuple(1 - sum(map(mul, m, r)) for r in fan.rays) for m in forms}
     collections = {frozenset(c) for c in primitive_collections(fan)}
     for p in group:
+        assert abs(det([list(fan.rays[p[j]]) for j in fan.max_cones[0]])) == 1
         assert {tuple(e[p.index(j)] for j in range(fan.nrays)) for e in exps} == exps
         assert {frozenset(p[j] for j in c) for c in collections} == collections
 
 
+@settings(max_examples=40, deadline=None)
+@given(fan=subdivided_surfaces(max_blowups=6))
+def test_automorphisms_of_subdivisions(fan):
+    group = automorphisms(fan)
+    assert group[0] == tuple(range(fan.nrays))
+    _check_automorphisms(fan, group)
+
+
 def test_automorphisms_of_dp6_x_dp6_and_an_asymmetric_fan():
     dp6 = corpus_fan("dp6")
-    group = automorphisms(product_fan(dp6, dp6))
+    fan = product_fan(dp6, dp6)
+    group = automorphisms(fan)
     assert len(group) == 288
     assert {p[0] for p in group} == set(range(12))
+    _check_automorphisms(fan, group)
     # P^2 blown up in the cone of (1, 0) and (0, 1), then in the cone of
     # (1, 0) and the new ray (1, 1): a nef surface with no symmetry left
     fan = surface([(1, 0), (2, 1), (1, 1), (0, 1), (-1, -1)])
@@ -329,7 +347,10 @@ def test_cap_product_bounds_the_prefix_walk(name):
     # bounds the walk, so _route skips the walk where it is under the budget
     plan = _torsor_plan(KERNEL_FANS.get(name) or _fan(name))
     for top in (1, 12, 100, 10**3, 10**4) + ((10**6,) if name == "dp6" else ()):
-        assert math.prod(_prefix_caps(plan, top)) >= _prefix_bound(plan, top, math.inf), (name, top)
+        bound = _prefix_bound(plan, top, math.inf)
+        assert math.prod(_prefix_caps(plan, top)) >= bound, (name, top)
+        # and _prefix_walk refuses at once when one cap passes the limit
+        assert max(_prefix_caps(plan, top)) <= bound, (name, top)
 
 
 def test_no_bound_walk_under_the_cap_product(monkeypatch):
