@@ -81,11 +81,6 @@ def fan(name) -> Fan:
     return fan_from_dict(json.loads(_read("corpus/%s.json" % name)))
 
 
-def fan_json_path(name):
-    """Filesystem path of a bundled corpus file (for CLI tests)."""
-    return str(resources.files("toricount").joinpath("corpus/%s.json" % name))
-
-
 def golden_constants(name) -> dict:
     return json.loads(_read("corpus/golden/%s.constants.json" % name))
 

@@ -29,9 +29,10 @@ oracles in tests/oracles/torsor_walk.py, which walk the same order.
 The fan's automorphisms (fan.automorphisms) fix phi_Sigma and map faces
 to faces, so they permute the exponent rows and primitive collections
 and keep the set of vectors counted.  So a plan may anchor an orbit of
-rays and walk a vector only where the anchor holds the orbit's largest
-value, counting 1/m for each of the m coordinates that hold it
-(_TorsorPlan): dp6's six rays are one orbit, cutting its prefixes sixfold.
+rays (_TorsorPlan): the anchor is one more cap on each later orbit
+coordinate, and a vector walked with m orbit coordinates at the anchor's
+value counts |orbit| / m.  dp6's six rays are one orbit, cutting its
+prefixes sixfold.
 Each count_points or asymptotic_report call builds one context at its
 largest B (_torsor_context): the table of smallest prime factors, the
 memo of Moebius terms per radical, and a memo of the leaf's Moebius sums
@@ -342,11 +343,12 @@ class _TorsorPlan:
     gcd's primes are then excluded from the last coordinate).
 
     orbit is empty, or the positions of rays that the fan's automorphisms
-    permute transitively, the first, a, its anchor: each later orbit
-    coordinate is capped by z_a, and a vector counts 1/m for the m orbit
-    coordinates equal to z_a.  Automorphisms permute the exponent rows and
-    primitive collections, so each orbit coordinate is the largest as
-    often, in that weighted sense: the count is |orbit| times that sum.
+    permute transitively, the first, a, its anchor.  Each later orbit
+    coordinate has one more cap, z_j <= z_a, and a vector walked with m
+    orbit coordinates equal to z_a counts |orbit| / m.  Automorphisms
+    permute the exponent rows and primitive collections, so each orbit
+    coordinate is the largest as often, counting 1/m per tie: the count
+    is |orbit| times the walk's sum of 1/m.
     """
 
     caps: tuple
@@ -516,18 +518,22 @@ def _torsor_count(plan, B, context=None):
     """(positive Cox vectors of height <= B, (n-1)-prefixes visited).
 
     The vectors counted have gcd 1 on every primitive collection.  The
-    plan's kernel (_torsor_kernel) walks the prefixes with the memos of
-    context, a _torsor_context built at a top >= B; one built for a
-    smaller top is never used, and a new one is built at B instead.
+    plan's kernel (_torsor_kernel) tallies them by their ties with the
+    orbit's anchor, and only here are they weighed.  It walks the
+    prefixes with the memos of context, a _torsor_context built at a top
+    >= B; one built for a smaller top is never used, and a new one is
+    built at B instead.
     """
     top = max(math.floor(Fraction(B)), 0)
     if context is None or context[0] < top:
         context = _torsor_context(plan, top)
     _, extend, sums = context
-    total, visits = _torsor_kernel(plan)[0](top, extend, sums, _LEAF_MEMO_SIZE)
-    if not plan.orbit:
-        return total, visits
-    count, rest = divmod(len(plan.orbit) * total, math.lcm(*range(1, len(plan.orbit) + 1)))
+    tally, visits = _torsor_kernel(plan)[0](top, extend, sums, _LEAF_MEMO_SIZE)
+    # tally[m - 1] vectors have m orbit coordinates at the anchor's value,
+    # and each counts |orbit| / m, summed in units of 1 / lcm(1..|orbit|)
+    size = len(plan.orbit) or 1
+    scale = math.lcm(*range(1, size + 1))
+    count, rest = divmod(sum(size * scale // m * v for m, v in enumerate(tally, 1)), scale)
     if rest:
         raise ArithmeticError("the orbit's weighted count is not a whole number of vectors")
     return count, visits
@@ -554,7 +560,7 @@ def _check_plan_ints(plan):
 
 
 def _kernel_source(plan, count=True):
-    """Source of kernel(top, extend, sums, room) -> (count, visits) and bound(top, limit).
+    """Source of kernel(top, extend, sums, room) -> (tally, visits) and bound(top, limit).
 
     With count false only the bound is written.
 
@@ -581,15 +587,16 @@ def _kernel_source(plan, count=True):
     it stops at the value the term-by-term sum reaches at the first z
     that does.  steps counts the z of the outer levels and the leaf's blocks.
 
-    Orbit (anchor z<a>): in both, each later orbit position's cap is
-    lowered to z<a>.  The kernel sums wt[e] = W // (e + 1), W = lcm(1..
-    |orbit|), for a vector with e later orbit coordinates equal to z<a>;
-    e<i> counts those ties through position i, and at the leaf they fall
-    on its last z alone, where w is reset.  With the last ray in the orbit
-    its L is capped by z<a> too, and a last coordinate equal to z<a> that
-    avoids the radical weighs dw = wt[e] - wt[e + 1] less.  _torsor_count
-    returns |orbit| * total / W.  The bound drops the cap of position n - 2
-    when a = n - 3 (it would grow with z), which leaves an upper bound.
+    Orbit (anchor z<a>): in both, each later orbit position has one more
+    cap, (z<a>, exponent 1), emitted with its height caps.  A cap by the
+    coordinate a leaf sums over would grow with it, so it is dropped,
+    which leaves an upper bound: the bound's case when a = n - 3.  The
+    kernel adds each vector to tally[e], e the number of later orbit
+    coordinates equal to z<a>; e<i> counts those ties through position
+    i, and at the leaf they fall on its last z alone.  A last coordinate
+    equal to z<a> that avoids the radical moves one vector from tally[e]
+    to tally[e + 1].  _torsor_count weighs tally[e] by |orbit| / (e + 1).
+    Without an orbit the tally has one entry, the count.
 
     Minima are written as comparisons, which cost a fraction of a call
     to min.  Roots are monotone and fall as the exponent grows, so a
@@ -599,10 +606,9 @@ def _kernel_source(plan, count=True):
     _check_plan_ints(plan)
     caps, avoids, closes, orbit = plan.caps, plan.avoids, plan.closes, plan.orbit
     n = len(caps)
-    # the positions capped by the anchor z<a>, and the tie weights W // m
-    anchor, capped = "z%d" % orbit[0] if orbit else None, set(orbit[1:])
-    scale = math.lcm(*range(1, len(orbit) + 1))
-    weights = [scale // m for m in range(1, len(orbit) + 1)]
+    # the anchor z<a> caps each later orbit position by one more cap, (z<a>, 1)
+    anchor = "z%d" % orbit[0] if orbit else None
+    anchored = {i: [(anchor, 1)] for i in orbit[1:]}
     forms = [{s for s, _ in ci} for ci in caps]
     lines = []
     rem, named = {}, {}
@@ -647,9 +653,7 @@ def _kernel_source(plan, count=True):
         smallest(depth, name, roots)
 
     def cap(depth, i):
-        least(depth, "L%d" % i, [(rem[s], a) for s, a in caps[i]])
-        if i in capped:
-            emit(depth, "if %s < L%d: L%d = %s" % (anchor, i, i, anchor))
+        least(depth, "L%d" % i, [(rem[s], a) for s, a in caps[i]] + anchored.get(i, []))
 
     def divide(depth, i, later):
         # the remainders once z<i> is divided out, of the forms later positions read
@@ -661,24 +665,17 @@ def _kernel_source(plan, count=True):
                     emit(depth, "%s = %s" % (named[expr], expr))
                 rem[s] = named[expr]
 
-    def leaf_caps(depth, i, j, extra=()):
-        # position j's caps once position i holds z: fixed ones as f, the rest (x, a, b)
+    def leaf_caps(depth, i, j):
+        # position j's caps once position i holds z: fixed ones as f, the rest
+        # (x, a, b); a cap by z<i> itself would grow with z, and is dropped
         at_i = dict(caps[i])
-        fixed = [(rem[s], a) for s, a in caps[j] if s not in at_i] + list(extra)
+        fixed = [(rem[s], a) for s, a in caps[j] if s not in at_i]
+        fixed += [(x, a) for x, a in anchored.get(j, []) if x != "z%d" % i]
         moving = [(rem[s], a, at_i[s]) for s, a in caps[j] if s in at_i]
         if fixed:
             least(depth, "f", fixed)
             fixed = [("f", 1)]
         return fixed, moving
-
-    def weigh(depth, ties, more=0):
-        # w weighs a vector with ties + more + 1 orbit coordinates at the anchor's value
-        def at(k):
-            return "wt[%s]" % (k if ties == "0" else ties if k == 0 else "%s + %d" % (ties, k))
-
-        emit(depth, "w = %s" % at(more))
-        if n - 1 in capped:
-            emit(depth, "dw = w - %s" % at(more + 1))
 
     def gcd(positions):
         zs = ["z%d" % k for k in positions]
@@ -686,11 +683,9 @@ def _kernel_source(plan, count=True):
 
     if count:
         start("def kernel(top, extend, sums, room):")
-        emit(1, "total = visits = 0")
+        emit(1, "tally, visits = [0] * %d, 0" % max(len(orbit), 1))
         if any(closes):
             emit(1, "t, r = [(1, 1)], 1")
-        if orbit:
-            emit(1, "wt = %r" % (tuple(weights),))
         terms, rad, ties = "t", "r", "0"
         depth = 1
         for i in range(n - 1):
@@ -702,8 +697,8 @@ def _kernel_source(plan, count=True):
                 fixed, moving = leaf_caps(depth, i, n - 1)
                 if not avoids[i]:
                     emit(depth, "visits += L%d" % i)
-                if orbit:
-                    weigh(depth, ties)
+                if i in anchored:
+                    emit(depth, "e%d = %s" % (i, ties))
             emit(depth, "for z%d in range(1, L%d + 1):" % (i, i))
             depth += 1
             if avoids[i]:
@@ -718,30 +713,30 @@ def _kernel_source(plan, count=True):
                     emit(depth, "g = %s" % gcd(c))
                     emit(depth, "if g > 1:")
                     emit(depth + 1, "%s, %s = extend(%s, %s, g)" % (terms, rad, terms, rad))
-            if i in capped and not leaf:
+            if i in anchored:
+                # at the leaf, z<i> <= the anchor ties with it at the loop's last z alone
                 tie = "z%d == %s" % (i, anchor)
-                emit(depth, "e%d = %s" % (i, tie if ties == "0" else "%s + (%s)" % (ties, tie)))
+                if leaf:
+                    emit(depth, "if %s: e%d = %s + 1" % (tie, i, ties))
+                else:
+                    # "0 + " makes the first tie count an int: CPython's fast list index takes no bool
+                    emit(depth, "e%d = %s + (%s)" % (i, ties, tie))
                 ties = "e%d" % i
             if not leaf:
                 divide(depth, i, set().union(*forms[i + 1 :]))
                 continue
-            if i in capped:
-                # z<i> <= the anchor, so it ties with it at the loop's last z alone
-                emit(depth, "if z%d == %s:" % (i, anchor))
-                weigh(depth + 1, ties, 1)
             least(depth, "L", fixed + [(over(x, "z%d" % i, b), a) for x, a, b in moving])
-            if n - 1 in capped:
-                # a last coordinate equal to the anchor weighs dw less
-                emit(depth, "if %s <= L:" % anchor)
-                emit(depth + 1, "L = %s" % anchor)
-                avoids_rad = "if gcd(%s, %s) == 1: " % (anchor, rad) if any(closes) else ""
-                emit(depth + 1, avoids_rad + "total -= dw")
-            weighted = "w * %s" if orbit else "%s"
+            if n - 1 in anchored:
+                # a last coordinate equal to the anchor, if it avoids the radical, ties once more
+                avoids_rad = " and gcd(%s, %s) == 1" % (anchor, rad) if any(closes) else ""
+                emit(depth, "if L == %s%s:" % (anchor, avoids_rad))
+                emit(depth + 1, "tally[%s] -= 1" % ties)
+                emit(depth + 1, "tally[%s + 1] += 1" % ties)
             if not any(closes):
-                emit(depth, "total += " + weighted % "L")
+                emit(depth, "tally[%s] += L" % ties)
                 continue
             emit(depth, "if %s == 1:" % rad)
-            emit(depth + 1, "total += " + weighted % "L")
+            emit(depth + 1, "tally[%s] += L" % ties)
             emit(depth, "else:")
             emit(depth + 1, "s = sums.get((%s, L))" % rad)
             emit(depth + 1, "if s is None:")
@@ -750,8 +745,8 @@ def _kernel_source(plan, count=True):
             emit(depth + 3, "s += mu * (L // d)")
             emit(depth + 2, "if len(sums) < room:")
             emit(depth + 3, "sums[%s, L] = s" % rad)
-            emit(depth + 1, "total += " + weighted % "s")
-        emit(1, "return total, visits")
+            emit(depth + 1, "tally[%s] += s" % ties)
+        emit(1, "return tally, visits")
 
     start("def bound(top, limit):")
     emit(1, "steps = 0")
@@ -769,9 +764,7 @@ def _kernel_source(plan, count=True):
     else:
         i = n - 3
         cap(depth, i)
-        # dropping a cap keeps an upper bound: the anchor at n - 3 would move with z
-        extra = [(anchor, 1)] if n - 2 in capped and orbit[0] < n - 3 else []
-        fixed, moving = leaf_caps(depth, i, i + 1, extra)
+        fixed, moving = leaf_caps(depth, i, i + 1)
         emit(depth, "total%d = 0" % i)
         emit(depth, "z = 1")
         emit(depth, "while z <= L%d:" % i)

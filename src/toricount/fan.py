@@ -313,8 +313,9 @@ def ray_permutation(fan, matrix):
     """
     perm = []
     index = {r: i for i, r in enumerate(fan.rays)}
+    rows = [list(row) for row in matrix]
     for r in fan.rays:
-        img = tuple(mat_vec([list(row) for row in matrix], list(r)))
+        img = tuple(mat_vec(rows, list(r)))
         if img not in index:
             return None
         perm.append(index[img])

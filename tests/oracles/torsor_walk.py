@@ -5,9 +5,13 @@ with one flat loop per prefix position, and its budget check runs a bound
 generated into the same module.  These are the walks they replaced: one
 recursion level per position, the remainders copied as lists and the
 caps looked up at run time.  They read the same plan and walk its
-positions in the same order, with the same caps by the orbit's anchor,
-and torsor_walk must return the kernel's (count, visits), _walk_prefixes
-the bound's (bound, steps).
+positions in the same order, and follow the same two rules for the
+orbit.  Its anchor is one more cap: each later orbit coordinate is at
+most the anchor's, and the bound drops that cap where its leaf sums over
+the anchor.  A vector counts |orbit| / m for its m orbit coordinates at
+the anchor's value: torsor_tally must return the kernel's tally by m and
+its visits, torsor_walk the (count, visits) of _torsor_count, and
+_walk_prefixes the bound's (bound, steps).
 """
 
 from __future__ import annotations
@@ -23,7 +27,20 @@ from toricount.counting import _prefix_caps
 def torsor_walk(plan, B):
     """(positive Cox vectors of height <= B, (n-1)-prefixes visited).
 
-    The vectors counted have gcd 1 on every primitive collection.  R[s]
+    The vectors counted have gcd 1 on every primitive collection: each
+    vector torsor_tally walks counts |orbit| / m, in Fractions.
+    """
+    tally, visits = torsor_tally(plan, B)
+    count = max(len(plan.orbit), 1) * sum(Fraction(v, m) for m, v in tally.items())
+    assert count.denominator == 1, count
+    return int(count), visits
+
+
+def torsor_tally(plan, B):
+    """(tally, (n-1)-prefixes visited) of the vectors torsor_walk counts.
+
+    tally[m] is the number of vectors whose orbit coordinates take the
+    anchor's value m times (m = 1 for every vector without an orbit).  R[s]
     is what is left of top = floor(B) for form s once the prefix's partial product
     is divided out, so the next coordinate z obeys z^a <= R[s].  terms
     holds (d, mu(d)) for the squarefree products d of the primes the last
@@ -31,9 +48,7 @@ def torsor_walk(plan, B):
     contributes sum mu(d) * (L // d) for its cap L.
 
     With an orbit, each later orbit coordinate is capped by the anchor's,
-    at orbit[0], and a vector whose orbit coordinates take the anchor's
-    value m times counts 1/m: tally[m] holds those vectors, and the count
-    is len(orbit) * sum tally[m] / m.
+    at orbit[0], the last coordinate too.
     """
     top = max(math.floor(Fraction(B)), 0)
     caps, avoids, closes, orbit = plan.caps, plan.avoids, plan.closes, plan.orbit
@@ -95,9 +110,7 @@ def torsor_walk(plan, B):
             tally[m] += L2 if r == 1 else sum(mu * (L2 // d) for d, mu in t)
 
     walk(0, [top] * plan.nforms, [(1, 1)], 1)
-    count = max(len(orbit), 1) * sum(Fraction(v, m) for m, v in tally.items())
-    assert count.denominator == 1, count
-    return int(count), visits
+    return tally, visits
 
 
 def _next_caps(caps, i):

@@ -6,7 +6,14 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from toricount.cli import main
-from toricount.corpus import NAMES, fan_from_dict, fan_json_path, fan_to_dict, golden_constants
+from toricount.corpus import NAMES, fan_from_dict, fan_to_dict, golden_constants
+
+
+def fan_json_path(name):
+    """Filesystem path of a bundled corpus file."""
+    from importlib import resources
+
+    return str(resources.files("toricount").joinpath("corpus/%s.json" % name))
 
 
 def schema(name):

@@ -1,6 +1,7 @@
 """The universal-torsor counter against the naive scan, its budget and routing."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from operator import mul
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from oracles.product_count import p1_product_count
-from oracles.torsor_walk import _walk_prefixes, torsor_walk
+from oracles.torsor_walk import _walk_prefixes, torsor_tally, torsor_walk
 from test_cones import P3
 from test_height_oracles import CUBE, DP7, hirzebruch, subdivided_surfaces, surface
 from test_tamagawa import product_fan
@@ -94,11 +95,15 @@ def _largest_orbit(fan):
 
 
 def _check_count(plan, B):
-    # the kernel returns the walk's (count, visits), and the orbit's weights
-    # count what the whole walk counts
+    # the kernel returns the walk's (count, visits) and its tally of vectors by
+    # their ties with the anchor, and the orbit's weights count what the whole
+    # walk counts
     got = _torsor_count(plan, B)
     assert got == torsor_walk(plan, B), (plan, B)
     assert got[0] == torsor_walk(replace(plan, orbit=()), B)[0], (plan, B)
+    top = max(math.floor(Fraction(B)), 0)
+    tally = _torsor_kernel(plan)[0](*_torsor_context(plan, top), counting._LEAF_MEMO_SIZE)[0]
+    assert Counter(dict(enumerate(tally, 1))) == torsor_tally(plan, B)[0], (plan, B)
 
 
 def _check_bound(plan, top):
@@ -217,6 +222,20 @@ def test_orbit_count_does_not_depend_on_ray_labels(name, data, B):
     assert plan.orbit
     _check_count(plan, B)
     assert _torsor_count(plan, B)[0] == _torsor_count(_torsor_plan(fan), B)[0]
+
+
+def test_orbit_count_refuses_a_fraction_of_a_vector(monkeypatch):
+    # one vector with m = 4 of dp6's six orbit coordinates at the anchor's
+    # value counts 6/4: no whole number of vectors
+    plan = _torsor_plan(corpus_fan("dp6"))
+    assert len(plan.orbit) == 6
+
+    def kernel(top, extend, sums, room):
+        return [0, 0, 0, 1, 0, 0], 0
+
+    monkeypatch.setattr(counting, "_torsor_kernel", lambda plan: (kernel, None))
+    with pytest.raises(ArithmeticError, match="whole number"):
+        _torsor_count(plan, 100)
 
 
 AUTOMORPHISM_ORDERS = {
@@ -461,7 +480,7 @@ def test_bound_matches_the_recursive_walk_on_nef_subdivisions(fan, data, top):
         ("caps", True),
         ("avoids", 1.0),
         ("closes", "z0"),
-        ("orbit", "0] or exec('') or wt[0"),
+        ("orbit", "0] or exec('') or tally[0"),
         ("orbit", True),
     ],
 )
