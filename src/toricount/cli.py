@@ -4,11 +4,12 @@ Exit codes: 0 success, 1 failed checks or computation error, 2 unreadable
 or malformed input, 3 budget refusal (a sieve, a scan, a torsor count or a
 local sum past its cap).
 
-Each call opens and parses its fan file, a path or else a bundled corpus
-name, so an edited file is seen by the next call.  What depends on the
-fan's value alone is not redone: the argument parser is built once per
-process, and `validate_fan`, `theta` and the `constants --json` text are
-cached per fan value.
+Each call reads its fan file, a path or else a bundled corpus name, so an
+edited file is seen by the next call; the bytes are decoded into a Fan
+once per content.  What depends on the fan's value alone is not redone
+either: `validate_fan`, `theta` and the `constants --json` text are
+cached per fan value.  The argument parser is built once per process, and
+a plain command line is read from a table of its actions.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import lru_cache
 
 from .arith import PRIMALITY_LIMIT, BudgetExceededError, is_prime
 from .cones import PolyCone, xfunction
-from .corpus import NAMES, fan_from_dict, fan as corpus_fan
+from .corpus import NAMES, fan_from_bytes, fan as corpus_fan
 from .counting import DEFAULT_BUDGET, STRATEGIES, asymptotic_report
 from .fan import validate_fan
 from .localdata import local_integral, point_count_fp, qsigma_split
@@ -40,7 +41,8 @@ def _load_fan(path):
     """Fan from a JSON file path, or from a bundled corpus name.
 
     A file at `path` wins over the corpus fan of that name.  The file is
-    read on every call, so an edited fan is seen by the next one.
+    read on every call, so an edited fan is seen by the next one; its
+    bytes go through `fan_from_bytes`, which decodes each content once.
     """
     try:
         with open(path, "rb") as f:
@@ -49,12 +51,7 @@ def _load_fan(path):
         if path not in NAMES:
             raise
         return corpus_fan(path)
-    # decoded as a text-mode open would: strict UTF-8 and universal
-    # newlines, so JSON error offsets in a CRLF file stay the same
-    text = raw.decode("utf-8")
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return fan_from_dict(json.loads(text))
+    return fan_from_bytes(raw)
 
 
 def _fail_parse(exc):
@@ -267,19 +264,98 @@ def _parser():
     return build_parser()
 
 
-def _parse(argv):
-    """The namespace `_parser().parse_args(argv)` gives, parsed by the
-    subcommand's own parser when argv[0] names one and it takes every
-    argument; anything else (no command, a bad one, arguments left over)
-    goes through the whole tree, so usage lines and errors are argparse's."""
+# a value left to argparse, and the default of a required argument
+_REFUSED = object()
+
+
+@lru_cache(maxsize=1)
+def _argv_table():
+    """command -> (positionals, {option string: action}, defaults), read
+    from the subcommand parsers' own actions and defaults.
+
+    Only a store of one value and a flag are options here: any other
+    action, such as -h, is left to argparse.
+    """
     (commands,) = _parser()._subparsers._group_actions
-    command = commands.choices.get(argv[0]) if argv else None
-    if command is not None:
-        args, extras = command.parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
-            return args
-    return _parser().parse_args(argv)
+    table = {}
+    for name, parser in commands.choices.items():
+        positionals, options = [], {}
+        defaults = {"command": name}
+        for action in parser._actions:
+            if action.default is not argparse.SUPPRESS:
+                defaults[action.dest] = _REFUSED if action.required else action.default
+            if not action.option_strings:
+                positionals.append(action)
+            elif isinstance(action, argparse._StoreConstAction) or (
+                isinstance(action, argparse._StoreAction) and action.nargs is None
+            ):
+                options.update(dict.fromkeys(action.option_strings, action))
+        for dest, value in parser._defaults.items():
+            defaults.setdefault(dest, value)
+        table[name] = (positionals, options, defaults)
+    return table
+
+
+def _value(action, text):
+    """text converted by the action's type and checked against its choices,
+    as argparse does; _REFUSED for a value left to argparse: one that starts
+    with "-" (argparse takes "-1" but not "-x"), or a bad type or choice."""
+    if text.startswith("-"):
+        return _REFUSED
+    try:
+        value = text if action.type is None else action.type(text)
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return _REFUSED
+    if action.choices is not None and value not in action.choices:
+        return _REFUSED
+    return value
+
+
+def _read_plain(argv):
+    """The namespace of the plain form `<command> <path> (--option value |
+    --flag)*`, each option spelled out in full; None for any other argv."""
+    entry = _argv_table().get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    positionals, options, defaults = entry
+    given = list(zip(positionals, argv[1:]))
+    if len(given) < len(positionals):
+        return None
+    i = len(given) + 1
+    while i < len(argv):
+        action = options.get(argv[i])
+        if action is None:
+            return None
+        if action.nargs == 0:
+            given.append((action, None))
+            i += 1
+        elif i + 1 < len(argv):
+            given.append((action, argv[i + 1]))
+            i += 2
+        else:
+            return None
+    values = dict(defaults)
+    for action, text in given:
+        value = action.const if text is None else _value(action, text)
+        if value is _REFUSED:
+            return None
+        values[action.dest] = value
+    if _REFUSED in values.values():  # a required option is missing
+        return None
+    return argparse.Namespace(**values)
+
+
+def _parse(argv):
+    """The namespace `_parser().parse_args(argv)` gives.
+
+    A plain command line, `<command> <path>` then exact long options with
+    their values and flags, is read from `_argv_table()`, with each value
+    converted and checked by its action.  Anything else (`--opt=value`, an
+    abbreviation, a value that starts with "-", a bad type or choice, a
+    missing required option, -h, a stray argument) goes through the whole
+    tree, so usage lines and errors are argparse's.
+    """
+    return _read_plain(argv) or _parser().parse_args(argv)
 
 
 def main(argv=None):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from importlib import resources
 
 from .fan import Fan
@@ -69,18 +70,36 @@ def fan_to_dict(fan: Fan) -> dict:
     return out
 
 
-def _read(relative):
-    return (
-        resources.files("toricount").joinpath(relative).read_text(encoding="utf-8")
-    )
+# distinct fan files a process keeps decoded: a workload's dozen, with room
+DECODED_FANS = 32
+
+
+@lru_cache(maxsize=DECODED_FANS)
+def fan_from_bytes(raw) -> Fan:
+    """Fan from the bytes of its JSON file, decoded once per content.
+
+    Decoded as a text-mode open would: strict UTF-8 and universal
+    newlines, so JSON error offsets in a CRLF file stay the same.  Equal
+    bytes share one Fan, which is frozen; a raise is not cached, so a
+    malformed file raises the same error on every call.
+    """
+    text = raw.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return fan_from_dict(json.loads(text))
+
+
+def _resource(relative):
+    return resources.files("toricount").joinpath(relative)
 
 
 def fan(name) -> Fan:
     if name not in NAMES:
         raise KeyError("unknown corpus fan %r (have %s)" % (name, list(NAMES)))
-    return fan_from_dict(json.loads(_read("corpus/%s.json" % name)))
+    return fan_from_bytes(_resource("corpus/%s.json" % name).read_bytes())
 
 
 def golden_constants(name) -> dict:
-    return json.loads(_read("corpus/golden/%s.constants.json" % name))
+    golden = _resource("corpus/golden/%s.constants.json" % name)
+    return json.loads(golden.read_text(encoding="utf-8"))
 

@@ -2,6 +2,8 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -597,9 +599,74 @@ def _outcome(capsys, argv):
     return code, out.out, out.err
 
 
+# each command's options, or None for a flag: (values of a plain argv,
+# values that send it to argparse: a bad type or choice, or a leading "-")
+ARGV_OPTIONS = {
+    "validate": {"--json": None},
+    "constants": {"--cutoff": (["500", "100", "99"], ["-1", "x", "1e3"]), "--json": None},
+    "count": {
+        "--B-schedule": (["10", "5,20", "1/2,8", "0", "1/0", ""], ["-1", "-2,5"]),
+        "--strategy": (["auto", "naive", "specialized"], ["nope", "-n"]),
+        "--out": (["csv", "json"], ["xml"]),
+        "--cutoff": (["200"], ["-5", "x"]),
+        "--budget": (["100000", "0"], ["-1", "x"]),
+    },
+    "xfunction": {"--json": None},
+    "localcheck": {
+        "--prime": (["2", "3", "4"], ["-3", "x"]),
+        "--s": (["1", "2", "0"], ["-1"]),
+        "--truncation": (["3", "0"], ["-2", "x"]),
+    },
+}
+
+
+# a refused value is drawn most: it is the one defect with many forms
+DEFECTS = ["refused"] * 4 + ["bare", "equals", "abbrev", "stray", "-h", "no path", "path last",
+                            "no schedule", "bogus"]
+
+
+@st.composite
+def cli_argvs(draw):
+    """A plain argv, `<command> <path> (--option value | --flag)*` with the
+    options in any order and repeated and each value a plain one, then up
+    to two defects of DEFECTS: a value that is not plain or a missing one,
+    `--opt=value`, an abbreviation, a stray argument, -h, no path or one
+    after the options, no --B-schedule, or a bogus command."""
+    command = draw(st.sampled_from(sorted(ARGV_OPTIONS) + ["count"]))
+    options = ARGV_OPTIONS[command]
+    names = draw(st.lists(st.sampled_from(sorted(options)), max_size=5))
+    if command == "count":
+        names.insert(draw(st.integers(0, len(names))), "--B-schedule")
+    pieces = [[n] if options[n] is None else [n, draw(st.sampled_from(options[n][0]))] for n in names]
+    path = [draw(st.sampled_from(["p1", "p2"]))]
+    valued = sorted(n for n in options if options[n] is not None)
+    for defect in draw(st.lists(st.sampled_from(DEFECTS), max_size=2)):
+        piece = pieces[draw(st.integers(0, len(pieces) - 1))] if pieces else ["--json"]
+        if defect in ("refused", "bare") and valued:
+            name = draw(st.sampled_from(valued))
+            piece = [name, draw(st.sampled_from(options[name][1]))]
+            pieces.insert(draw(st.integers(0, len(pieces))), piece[: 1 + (defect == "refused")])
+        elif defect == "equals":
+            piece[:] = ["=".join(piece + ["1"] * (len(piece) == 1))]
+        elif defect == "abbrev" and len(piece[0]) > 3:
+            piece[0] = piece[0][: draw(st.integers(3, len(piece[0]) - 1))]
+        elif defect in ("stray", "-h"):
+            pieces.insert(draw(st.integers(0, len(pieces))), [defect])
+        elif defect == "no path":
+            path = []
+        elif defect == "path last":
+            pieces.append(path)
+            path = []
+        elif defect == "no schedule":
+            pieces = [p for p in pieces if p[0] != "--B-schedule"]
+        elif defect == "bogus":
+            command = "bogus"
+    return [command] + path + [token for piece in pieces for token in piece]
+
+
 def test_cached_parser_carries_nothing_between_calls(capsys, monkeypatch):
-    # main builds its parser once per process and parses with the named
-    # subcommand's parser from that tree: each call sees its own flags and
+    # main builds its parser once per process and reads a plain argv from a
+    # table of the subcommands' actions: each call sees its own flags and
     # the defaults, never a flag of an earlier call, and every argv ends as
     # it would through the whole tree, usage lines and errors included
     import toricount.cli as cli
@@ -624,18 +691,37 @@ def test_cached_parser_carries_nothing_between_calls(capsys, monkeypatch):
         ("constants", "p1", "--bogus"),
         ("count", "p1"),
         ("count", "p1", "--B-schedule", "10", "--strategy", "nope"),
+        ("count", "p1", "--B-schedule", "-2,5"),
+        ("count", "p1", "--out", "json", "--B-schedule"),
+        ("constants", "p1", "--cutoff", "x"),
         ("constants", "-h"),
         ("-h",),
         ("bogus", "p1"),
         (),
     ]
+
+    def full_parse(argv):
+        return build_parser().parse_args(argv)
+
     fast = [_outcome(capsys, argv) for argv in calls + refused]
-    monkeypatch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))
-    full = [_outcome(capsys, argv) for argv in calls + refused]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parse", full_parse)
+        full = [_outcome(capsys, argv) for argv in calls + refused]
     for argv, a, b in zip(calls + refused, fast, full):
         assert a == b, argv
     assert fast[len(calls)][2].startswith("usage: toricount [-h] {validate,")
     assert fast[len(calls)][2].endswith("toricount: error: unrecognized arguments: --bogus\n")
+
+    # and on drawn argvs of every command, plain or one or two defects away
+    @settings(max_examples=300, deadline=None)
+    @given(argv=cli_argvs())
+    def same_outcome(argv):
+        fast = _outcome(capsys, argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parse", full_parse)
+            assert _outcome(capsys, argv) == fast, argv
+
+    same_outcome()
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -667,6 +753,65 @@ def test_a_repeated_constants_json_is_rendered_once(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(cli.json, "dumps", lambda *a, **k: calls.append(a) or dumps(*a, **k))
     assert run(capsys, "constants", str(second), "--json") == (0, out, "")
     assert calls == []
+
+
+def test_a_fan_file_is_decoded_once_per_content(tmp_path, capsys, monkeypatch):
+    # the file is read on every call and its bytes decoded once: a repeat
+    # read of the same bytes parses no JSON, and a rewrite is seen at once
+    import toricount.corpus as corpus
+
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(P2, indent=5))
+    p2 = run(capsys, "constants", str(path), "--json")
+    assert p2 == run(capsys, "constants", "p2", "--json")
+    p1xp1 = run(capsys, "constants", "p1xp1", "--json")
+    rewrite = json.dumps(fan_to_dict(corpus.fan("p1xp1")), indent=5)
+    loads = []
+    parse = corpus.json.loads
+    monkeypatch.setattr(corpus.json, "loads", lambda *a, **k: loads.append(a) or parse(*a, **k))
+    assert run(capsys, "constants", str(path), "--json") == p2
+    assert loads == []
+    path.write_text(rewrite)
+    assert run(capsys, "constants", str(path), "--json") == p1xp1 != p2
+    assert len(loads) == 1
+
+
+def test_a_malformed_fan_file_fails_alike_on_every_call(tmp_path, capsys, monkeypatch):
+    # a raise is not cached: each call decodes the bytes again and prints
+    # the same message and JSON offset
+    import toricount.corpus as corpus
+
+    path = _write_bytes(tmp_path, "bad.json", b'{"dim": 2,\r\n "rays": oops}')
+    loads = []
+    parse = corpus.json.loads
+    monkeypatch.setattr(corpus.json, "loads", lambda *a, **k: loads.append(a) or parse(*a, **k))
+    err = "error: Expecting value: line 2 column 10 (char 20)\n"
+    for calls in (1, 2, 3):
+        assert run(capsys, "validate", path) == (2, "", err)
+        assert len(loads) == calls
+
+
+def test_a_fan_file_and_its_corpus_name_share_one_decode(tmp_path, monkeypatch):
+    # corpus.fan sends the bundled bytes through the same decoder, so a file
+    # with those bytes gives the very Fan the name gives
+    from importlib import resources
+    from toricount.cli import _load_fan
+
+    monkeypatch.chdir(tmp_path)
+    for name in NAMES:
+        raw = resources.files("toricount").joinpath("corpus/%s.json" % name).read_bytes()
+        path = _write_bytes(tmp_path, name + ".json", raw)
+        assert _load_fan(path) is _load_fan(name) == fan_from_dict(json.loads(raw))
+
+
+def test_the_decoded_fans_stay_within_their_bound():
+    from toricount.corpus import DECODED_FANS, fan_from_bytes
+
+    for indent in range(DECODED_FANS + 5):
+        assert fan_from_bytes(json.dumps(P2, indent=indent).encode()) == fan_from_dict(P2)
+        info = fan_from_bytes.cache_info()
+        assert info.maxsize == DECODED_FANS and info.currsize <= DECODED_FANS
+    assert info.currsize == DECODED_FANS
 
 
 def test_fan_from_dict_checks_a_row_at_once(monkeypatch):
