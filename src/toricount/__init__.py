@@ -7,49 +7,71 @@ alpha, the cohomological factor beta, and a certified Tamagawa Euler
 product tau.  For split fans over Q it also enumerates the points of
 bounded height exactly and compares the measured growth against the
 prediction.
+
+Importing the package loads none of its modules.  A public name, or a
+module such as `toricount.counting`, is imported on its first use
+(PEP 562), so a command line reaches through the package only the
+modules its command runs.
 """
 
-from .cones import ConeRationalFunction, PolyCone, alpha, xfunction
-from .corpus import fan as corpus_fan
-from .counting import CountReport, asymptotic_report, count_points, enumerate_naive
-from .fan import Fan, OrbitDecomposition, galois_orbits, locate_cone, validate_fan
-from .heights import TorusPoint, global_height, local_height
-from .localdata import LocalDensity, QSigmaPolynomial, local_integral, point_count_fp, qsigma
-from .picard import PLFunction, PicardData, picard_data, pl_evaluate
-from .tamagawa import EulerProduct, ThetaReport, archimedean_density, tau, theta
+from importlib import import_module
 
-__all__ = [
-    "Fan",
-    "OrbitDecomposition",
-    "validate_fan",
-    "galois_orbits",
-    "locate_cone",
-    "PLFunction",
-    "PicardData",
-    "pl_evaluate",
-    "picard_data",
-    "PolyCone",
-    "ConeRationalFunction",
-    "xfunction",
-    "alpha",
-    "QSigmaPolynomial",
-    "LocalDensity",
-    "qsigma",
-    "local_integral",
-    "point_count_fp",
-    "TorusPoint",
-    "local_height",
-    "global_height",
-    "EulerProduct",
-    "ThetaReport",
-    "archimedean_density",
-    "tau",
-    "theta",
-    "CountReport",
-    "enumerate_naive",
-    "count_points",
-    "asymptotic_report",
-    "corpus_fan",
-]
+# public name -> (module, attribute)
+_EXPORTS = {
+    "Fan": ("fan", "Fan"),
+    "OrbitDecomposition": ("fan", "OrbitDecomposition"),
+    "validate_fan": ("fan", "validate_fan"),
+    "galois_orbits": ("fan", "galois_orbits"),
+    "locate_cone": ("fan", "locate_cone"),
+    "PLFunction": ("picard", "PLFunction"),
+    "PicardData": ("picard", "PicardData"),
+    "pl_evaluate": ("picard", "pl_evaluate"),
+    "picard_data": ("picard", "picard_data"),
+    "PolyCone": ("cones", "PolyCone"),
+    "ConeRationalFunction": ("cones", "ConeRationalFunction"),
+    "xfunction": ("cones", "xfunction"),
+    "alpha": ("cones", "alpha"),
+    "QSigmaPolynomial": ("localdata", "QSigmaPolynomial"),
+    "LocalDensity": ("localdata", "LocalDensity"),
+    "qsigma": ("localdata", "qsigma"),
+    "local_integral": ("localdata", "local_integral"),
+    "point_count_fp": ("localdata", "point_count_fp"),
+    "TorusPoint": ("heights", "TorusPoint"),
+    "local_height": ("heights", "local_height"),
+    "global_height": ("heights", "global_height"),
+    "EulerProduct": ("tamagawa", "EulerProduct"),
+    "ThetaReport": ("tamagawa", "ThetaReport"),
+    "archimedean_density": ("tamagawa", "archimedean_density"),
+    "tau": ("tamagawa", "tau"),
+    "theta": ("tamagawa", "theta"),
+    "CountReport": ("counting", "CountReport"),
+    "enumerate_naive": ("counting", "enumerate_naive"),
+    "count_points": ("counting", "count_points"),
+    "asymptotic_report": ("counting", "asymptotic_report"),
+    "corpus_fan": ("corpus", "fan"),
+}
+
+_MODULES = frozenset((
+    "arith", "cli", "cones", "corpus", "counting", "dd", "fan", "heights",
+    "linalg", "localdata", "picard", "tamagawa",
+))
+
+__all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """A module of the package, or a public name, imported on first use."""
+    if name in _MODULES:
+        # importing a module binds it here, so this runs once per module
+        return import_module("." + name, __name__)
+    if name not in _EXPORTS:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    module, attribute = _EXPORTS[name]
+    value = globals()[name] = getattr(import_module("." + module, __name__), attribute)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | _MODULES)

@@ -8,6 +8,10 @@ slice assignment over the primes up to sqrt(n), and Euler phi and Moebius
 follow from the smallest prime factors by their multiplicative
 recurrences.  Integer roots use Newton's method on integers, so they are
 exact for arbitrarily large ints and Fractions and never touch a float.
+
+BudgetExceededError, the refusal of every capped computation, lives here
+beside the counters' DEFAULT_BUDGET and STRATEGIES, so the command line
+builds its parser without loading the counters.
 """
 
 from __future__ import annotations
@@ -34,6 +38,11 @@ class BudgetExceededError(RuntimeError):
         )
         self.estimate = estimate
         self.budget = budget
+
+
+# the counters' default budget, in scan candidates or torsor prefixes
+DEFAULT_BUDGET = 50_000_000
+STRATEGIES = ("auto", "naive", "specialized")
 
 
 def _prime_flags(n):

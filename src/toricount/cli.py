@@ -10,6 +10,12 @@ once per content.  What depends on the fan's value alone is not redone
 either: `validate_fan`, `theta` and the `constants --json` text are
 cached per fan value.  The argument parser is built once per process, and
 a plain command line is read from a table of its actions.
+
+This module imports only what every command uses (arith, corpus, fan).
+A command reaches its own modules through the package, as in
+`toricount.tamagawa.theta`, which imports them on first use: a fresh
+process that validates a fan never loads the counters or the Euler
+products.
 """
 
 from __future__ import annotations
@@ -21,14 +27,11 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import PRIMALITY_LIMIT, BudgetExceededError, is_prime
-from .cones import PolyCone, xfunction
+import toricount
+
+from .arith import DEFAULT_BUDGET, PRIMALITY_LIMIT, STRATEGIES, BudgetExceededError, is_prime
 from .corpus import NAMES, fan_from_bytes, fan as corpus_fan
-from .counting import DEFAULT_BUDGET, STRATEGIES, asymptotic_report
 from .fan import validate_fan
-from .localdata import local_integral, point_count_fp, qsigma_split
-from .picard import PLFunction, picard_data
-from .tamagawa import theta
 
 # --cutoff is still read and checked, but tau no longer depends on it
 MIN_CUTOFF = 100
@@ -88,7 +91,7 @@ def _constants_json(fan):
     theta shares one frozen report per fan value, so this is keyed by the
     fan, which hashes far faster than the report's exact tau enclosure.
     """
-    return json.dumps(theta(fan).to_json_dict(), indent=1)
+    return json.dumps(toricount.tamagawa.theta(fan).to_json_dict(), indent=1)
 
 
 def cmd_constants(args, fan):
@@ -97,7 +100,7 @@ def cmd_constants(args, fan):
     if args.json:
         print(_constants_json(fan))
         return 0
-    report = theta(fan)
+    report = toricount.tamagawa.theta(fan)
     print("alpha = %s" % report.alpha)
     print("beta  = %d" % report.beta)
     print("k     = %d" % report.k)
@@ -145,8 +148,8 @@ def cmd_count(args, fan):
         return 2
     if args.budget < 0:
         return _fail_parse("--budget must be >= 0, got %d" % args.budget)
-    th = theta(fan)
-    report = asymptotic_report(
+    th = toricount.tamagawa.theta(fan)
+    report = toricount.counting.asymptotic_report(
         fan,
         schedule,
         (th.theta_lo, th.theta_hi),
@@ -162,8 +165,9 @@ def cmd_count(args, fan):
 
 
 def cmd_xfunction(args, fan):
-    pd = picard_data(fan)
-    xf = xfunction(PolyCone(pd.rank_K, pd.eff_generators_G))
+    pd = toricount.picard.picard_data(fan)
+    cone = toricount.cones.PolyCone(pd.rank_K, pd.eff_generators_G)
+    xf = toricount.cones.xfunction(cone)
     payload = xf.to_json_dict()
     payload["ambient_rank"] = pd.rank_K
     payload["generators"] = [list(g) for g in pd.eff_generators_G]
@@ -184,8 +188,9 @@ def cmd_localcheck(args, fan):
         return _fail_parse("--s and --truncation must be >= 1")
     fan.require_split("localcheck")
     # Q, then local_integral, each refuse over their caps before any work
-    q = qsigma_split(fan)
-    li = local_integral(fan, p, PLFunction((s,) * fan.nrays), truncation=args.truncation)
+    q = toricount.localdata.qsigma_split(fan)
+    phi = toricount.picard.PLFunction((s,) * fan.nrays)
+    li = toricount.localdata.local_integral(fan, p, phi, truncation=args.truncation)
     results = [("Q - 1 only has monomials of degree >= 2", q.degree_ge_two_away_from_one())]
 
     gap = li.closed_form - li.truncated
@@ -199,7 +204,7 @@ def cmd_localcheck(args, fan):
     results.append(("diagonal factorization into L-factors",
                     li.closed_form == rhs))
 
-    density = point_count_fp(fan, p)
+    density = toricount.localdata.point_count_fp(fan, p)
     results.append(("density * convergence factor = Q(1/p,...,1/p)",
                     density.euler_factor == q.evaluate([Fraction(1, p)] * fan.nrays)))
 

@@ -1,10 +1,15 @@
-"""Bundled corpus fans and their golden constants files."""
+"""Bundled corpus fans and their golden constants files.
+
+A bundled file is read by this module's own loader, on a path beside
+it, as pkgutil.get_data does: that works from a zip as from a
+directory, and imports nothing more.
+"""
 
 from __future__ import annotations
 
 import json
+import os
 from functools import lru_cache
-from importlib import resources
 
 from .fan import Fan
 
@@ -89,17 +94,20 @@ def fan_from_bytes(raw) -> Fan:
     return fan_from_dict(json.loads(text))
 
 
-def _resource(relative):
-    return resources.files("toricount").joinpath(relative)
+_HERE = os.path.dirname(__file__)
+
+
+def _bundled(relative):
+    """The bytes of the bundled file at the "/"-separated relative path."""
+    return __spec__.loader.get_data(os.path.join(_HERE, *relative.split("/")))
 
 
 def fan(name) -> Fan:
     if name not in NAMES:
         raise KeyError("unknown corpus fan %r (have %s)" % (name, list(NAMES)))
-    return fan_from_bytes(_resource("corpus/%s.json" % name).read_bytes())
+    return fan_from_bytes(_bundled("corpus/%s.json" % name))
 
 
 def golden_constants(name) -> dict:
-    golden = _resource("corpus/golden/%s.constants.json" % name)
-    return json.loads(golden.read_text(encoding="utf-8"))
+    return json.loads(_bundled("corpus/golden/%s.constants.json" % name).decode("utf-8"))
 

@@ -78,6 +78,8 @@ from itertools import product as iter_product
 from operator import itemgetter, mul
 
 from .arith import (
+    DEFAULT_BUDGET,
+    STRATEGIES,
     BudgetExceededError,
     euler_phi_table,
     iroot,
@@ -87,8 +89,6 @@ from .arith import (
 from .fan import automorphisms, cone_pieces, primitive_collections, validate_fan
 from .heights import HeightEvaluator, TorusPoint
 from .picard import anticanonical, picard_data
-
-DEFAULT_BUDGET = 50_000_000
 
 
 def _product_cap(fan, B):
@@ -803,8 +803,6 @@ def _torsor_kernel(plan, count=True):
 
 # ---------------------------------------------------------------------------
 # routing
-
-STRATEGIES = ("auto", "naive", "specialized")
 
 
 def _route(fan, strategy, top, budget):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, prod
+from math import prod
 
 from .arith import BudgetExceededError
 from .fan import OrbitDecomposition, cone_pieces, validate_fan
@@ -108,34 +108,6 @@ def qsigma(fan, decomposition: OrbitDecomposition) -> QSigmaPolynomial:
 def qsigma_split(fan):
     """Q for the trivial decomposition subgroup (one variable per ray)."""
     return qsigma(fan, OrbitDecomposition(tuple((j,) for j in range(fan.nrays))))
-
-
-def euler_polynomial(fan):
-    """Coefficients, low degree first, of the Euler polynomial of a split fan.
-
-    f(x) = (1 - x)^k * sum_i f_i x^i (1 - x)^(d - i), with (f_0, ..., f_d)
-    the f-vector and k = n - d, is qsigma_split(fan) on the diagonal, and
-    f(1/p) = (1 - 1/p)^k * Card(X(F_p)) / p^d.  It depends on the f-vector
-    alone (euler_coefficients).
-    """
-    fan.require_split("the Euler polynomial")
-    return euler_coefficients(fan.f_vector())
-
-
-def euler_coefficients(f_vector):
-    """euler_polynomial from the f-vector (f_0, ..., f_d) of a complete fan.
-
-    Every ray spans a cone, so n = f_1.  The x^j coefficient is
-    sum_i f_i (-1)^(j - i) C(n - i, j - i); trailing zeros are dropped.
-    """
-    n = f_vector[1]
-    coeffs = [
-        sum((-1) ** (j - i) * comb(n - i, j - i) * fi for i, fi in enumerate(f_vector[: j + 1]))
-        for j in range(n + 1)
-    ]
-    while coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
 
 
 @dataclass(frozen=True)

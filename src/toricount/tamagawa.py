@@ -5,7 +5,7 @@ For a split fan over Q the per-prime factor is the exact rational
     (1 - 1/p)^k * Card(X(F_p)) / p^d  =  f(1/p),
     f(x) = (1 - x)^k * sum_i f_i x^i (1 - x)^(d - i),
 
-where (f_0, ..., f_d) is the fan's f-vector (localdata.euler_polynomial).
+where (f_0, ..., f_d) is the fan's f-vector (tamagawa.euler_polynomial).
 f(0) = 1 and f'(0) = 0, so f is a formal product
 
     f(x) = prod_{n >= 2} (1 - x^n)^(a_n),   a_n integers,
@@ -25,7 +25,7 @@ counts; the end-to-end ratio tests are its arbiter, and the report
 carries that provenance.
 
 tau is therefore a function of the f-vector alone: f comes from the f_i
-(localdata.euler_coefficients) and arch = 2^d * f_d.  It is certified
+(tamagawa.euler_coefficients) and arch = 2^d * f_d.  It is certified
 once per f-vector and shared by every fan that has it, such as all
 n-ray smooth complete surfaces, or a fan and its relabelings.
 
@@ -46,7 +46,6 @@ from functools import lru_cache
 from .arith import iroot, mobius_table, primes_upto
 from .cones import alpha
 from .fan import validate_fan
-from .localdata import euler_coefficients
 from .picard import picard_data
 
 # tau is certified to this many bits, relative: the tail and the zeta
@@ -402,6 +401,37 @@ def _certified_tau(f_vector, arch):
         hi=_float_up(ends[1]),
         enclosure=ends,
     )
+
+
+def euler_polynomial(fan):
+    """Coefficients, low degree first, of the Euler polynomial of a split fan.
+
+    f(x) = (1 - x)^k * sum_i f_i x^i (1 - x)^(d - i), with (f_0, ..., f_d)
+    the f-vector and k = n - d, is localdata.qsigma_split(fan) on the
+    diagonal, and f(1/p) = (1 - 1/p)^k * Card(X(F_p)) / p^d.  It depends on
+    the f-vector alone (euler_coefficients).
+    """
+    fan.require_split("the Euler polynomial")
+    return euler_coefficients(fan.f_vector())
+
+
+def euler_coefficients(f_vector):
+    """euler_polynomial from the f-vector (f_0, ..., f_d) of a complete fan.
+
+    Every ray spans a cone, so n = f_1.  The x^j coefficient is
+    sum_i f_i (-1)^(j - i) C(n - i, j - i); trailing zeros are dropped.
+    """
+    n = f_vector[1]
+    coeffs = [
+        sum(
+            (-1) ** (j - i) * math.comb(n - i, j - i) * fi
+            for i, fi in enumerate(f_vector[: j + 1])
+        )
+        for j in range(n + 1)
+    ]
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 def _float_down(x):

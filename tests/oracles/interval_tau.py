@@ -17,7 +17,6 @@ import mpmath
 from mpmath import libmp
 
 from toricount.arith import primes_upto
-from toricount.localdata import euler_polynomial
 from toricount.tamagawa import (
     _GUARD_BITS,
     _P0_RATIO,
@@ -25,6 +24,7 @@ from toricount.tamagawa import (
     _rough_zeta,
     _tail_log_bound,
     archimedean_density,
+    euler_polynomial,
     factor_exponents,
     root_bound,
 )

@@ -2,10 +2,13 @@
 module level, and need no numpy, scipy or mpmath."""
 
 import ast
+import json
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 import toricount
 
@@ -138,6 +141,66 @@ def test_cli_import_leaves_mpmath_unloaded():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+# a command on a bundled fan -> the package modules its fresh process must not load
+UNLOADED = {
+    ("validate", "dp6"): {"cones", "counting", "dd", "heights", "localdata", "picard", "tamagawa"},
+    ("constants", "dp6", "--json"): {"counting", "heights", "localdata"},
+    ("count", "p1", "--B-schedule", "100"): {"localdata"},
+    ("xfunction", "p2"): {"counting", "heights", "localdata"},
+    ("localcheck", "p2", "--prime", "3"): {"counting", "heights", "cones", "tamagawa"},
+}
+
+# runs main on its argv; prints [exit code, stdout, the package modules loaded]
+_RUN_MAIN = """
+import contextlib, io, json, sys
+from toricount.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(sys.argv[1:])
+print(json.dumps([code, out.getvalue(), sorted(
+    m.split(".", 1)[1] for m in sys.modules if m.startswith("toricount."))]))
+"""
+
+# the package alone loads none of its modules, and binds every export on use
+_IMPORT_ALL = """
+import sys
+import toricount
+assert not [m for m in sys.modules if m.startswith("toricount.")], sorted(sys.modules)
+from toricount import *
+for name in toricount.__all__:
+    module, attribute = toricount._EXPORTS[name]
+    assert globals()[name] is getattr(sys.modules["toricount." + module], attribute), name
+"""
+
+
+def _fresh(code, *argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_each_command_runs_alone_and_loads_only_its_modules(capsys):
+    # a fresh process imports what its command needs on first use, so a
+    # command must not lean on a module that another command imported
+    from toricount.cli import main
+
+    for argv, unloaded in UNLOADED.items():
+        proc = _fresh(_RUN_MAIN, *argv)
+        assert proc.returncode == 0, proc.stderr
+        code, out, loaded = json.loads(proc.stdout)
+        assert main(list(argv)) == code, argv
+        assert capsys.readouterr().out == out, argv
+        assert unloaded.isdisjoint(loaded), (argv, loaded)
+
+    proc = _fresh(_IMPORT_ALL)
+    assert proc.returncode == 0, proc.stderr
+    assert toricount._MODULES == {path.stem for path in MODULES} - {"__init__"}
+    with pytest.raises(AttributeError):
+        getattr(toricount, "no_such_name")
 
 
 def test_package_imports_only_at_module_level():

@@ -15,13 +15,13 @@ from toricount.arith import BudgetExceededError, primes_upto
 from toricount.fan import Fan, OrbitDecomposition, galois_group, galois_orbits, validate_fan
 from toricount.localdata import (
     QSIGMA_MONOMIALS_CAP,
-    euler_polynomial,
     local_integral,
     point_count_fp,
     qsigma,
     qsigma_split,
 )
 from toricount.picard import PLFunction, picard_data
+from toricount.tamagawa import euler_polynomial
 
 
 def test_qsigma_p1_split(p1):

@@ -12,7 +12,7 @@ from test_height_oracles import DP7, F0_RAYS, P2_RAYS, blown_up_p2, subdivided_s
 
 from toricount.corpus import fan_from_dict, fan_to_dict
 from toricount.fan import Fan, validate_fan
-from toricount.localdata import euler_polynomial, point_count_fp
+from toricount.localdata import point_count_fp
 from toricount.tamagawa import (
     _bernoulli_ratio,
     _certified_tau,
@@ -22,6 +22,7 @@ from toricount.tamagawa import (
     _log1p_bound,
     _theta,
     archimedean_density,
+    euler_polynomial,
     factor_exponents,
     root_bound,
     tau,
