@@ -9,7 +9,7 @@ edited file is seen by the next call; the bytes are decoded into a Fan
 once per content.  What depends on the fan's value alone is not redone
 either: `validate_fan`, `theta` and the `constants --json` text are
 cached per fan value.  The argument parser is built once per process, and
-a plain command line is read from a table of its actions.
+a parse is memoized per argv.
 
 This module imports only what every command uses (arith, corpus, fan).
 A command reaches its own modules through the package, as in
@@ -269,98 +269,24 @@ def _parser():
     return build_parser()
 
 
-# a value left to argparse, and the default of a required argument
-_REFUSED = object()
+# distinct argvs a process keeps parsed: a workload's few dozen, with room
+PARSED_ARGVS = 64
 
 
-@lru_cache(maxsize=1)
-def _argv_table():
-    """command -> (positionals, {option string: action}, defaults), read
-    from the subcommand parsers' own actions and defaults.
+@lru_cache(maxsize=PARSED_ARGVS)
+def _parsed(argv):
+    """vars of `_parser().parse_args(argv)`, parsed once per argv tuple.
 
-    Only a store of one value and a flag are options here: any other
-    action, such as -h, is left to argparse.
+    Parsing is a pure function of the argv.  A refused argv, or -h,
+    raises SystemExit, which is not cached: its usage lines, errors and
+    help are argparse's own on every call.
     """
-    (commands,) = _parser()._subparsers._group_actions
-    table = {}
-    for name, parser in commands.choices.items():
-        positionals, options = [], {}
-        defaults = {"command": name}
-        for action in parser._actions:
-            if action.default is not argparse.SUPPRESS:
-                defaults[action.dest] = _REFUSED if action.required else action.default
-            if not action.option_strings:
-                positionals.append(action)
-            elif isinstance(action, argparse._StoreConstAction) or (
-                isinstance(action, argparse._StoreAction) and action.nargs is None
-            ):
-                options.update(dict.fromkeys(action.option_strings, action))
-        for dest, value in parser._defaults.items():
-            defaults.setdefault(dest, value)
-        table[name] = (positionals, options, defaults)
-    return table
-
-
-def _value(action, text):
-    """text converted by the action's type and checked against its choices,
-    as argparse does; _REFUSED for a value left to argparse: one that starts
-    with "-" (argparse takes "-1" but not "-x"), or a bad type or choice."""
-    if text.startswith("-"):
-        return _REFUSED
-    try:
-        value = text if action.type is None else action.type(text)
-    except (argparse.ArgumentTypeError, TypeError, ValueError):
-        return _REFUSED
-    if action.choices is not None and value not in action.choices:
-        return _REFUSED
-    return value
-
-
-def _read_plain(argv):
-    """The namespace of the plain form `<command> <path> (--option value |
-    --flag)*`, each option spelled out in full; None for any other argv."""
-    entry = _argv_table().get(argv[0]) if argv else None
-    if entry is None:
-        return None
-    positionals, options, defaults = entry
-    given = list(zip(positionals, argv[1:]))
-    if len(given) < len(positionals):
-        return None
-    i = len(given) + 1
-    while i < len(argv):
-        action = options.get(argv[i])
-        if action is None:
-            return None
-        if action.nargs == 0:
-            given.append((action, None))
-            i += 1
-        elif i + 1 < len(argv):
-            given.append((action, argv[i + 1]))
-            i += 2
-        else:
-            return None
-    values = dict(defaults)
-    for action, text in given:
-        value = action.const if text is None else _value(action, text)
-        if value is _REFUSED:
-            return None
-        values[action.dest] = value
-    if _REFUSED in values.values():  # a required option is missing
-        return None
-    return argparse.Namespace(**values)
+    return vars(_parser().parse_args(list(argv)))
 
 
 def _parse(argv):
-    """The namespace `_parser().parse_args(argv)` gives.
-
-    A plain command line, `<command> <path>` then exact long options with
-    their values and flags, is read from `_argv_table()`, with each value
-    converted and checked by its action.  Anything else (`--opt=value`, an
-    abbreviation, a value that starts with "-", a bad type or choice, a
-    missing required option, -h, a stray argument) goes through the whole
-    tree, so usage lines and errors are argparse's.
-    """
-    return _read_plain(argv) or _parser().parse_args(argv)
+    """The namespace `_parser().parse_args(argv)` gives, a fresh one per call."""
+    return argparse.Namespace(**_parsed(tuple(argv)))
 
 
 def main(argv=None):

@@ -281,10 +281,19 @@ def _cone_off_fan(fan, perm):
 
 
 def galois_group(fan):
-    """All elements of the group generated by the Galois matrices.
+    """All elements of the group generated by the Galois matrices, sorted."""
+    return [g for g, _ in galois_action(fan)]
 
-    Closure with a hard cap; realistic inputs are small subgroups of
-    GL(d, Z), anything larger signals a non-finite action.
+
+@lru_cache(maxsize=None)
+def galois_action(fan):
+    """(element, ray permutation) for each element of the group generated by
+    the Galois matrices, in sorted order, once per fan value.
+
+    perm[j] is the index of g * e_j within the ray list, and perm is None
+    if some image is not a ray of the fan.  Closure with a hard cap;
+    realistic inputs are small subgroups of GL(d, Z), anything larger
+    signals a non-finite action, refused on every call.
     """
     ident = tuple(map(tuple, identity(fan.dim)))
     group = {ident}
@@ -303,35 +312,20 @@ def galois_group(fan):
                             "action looks non-finite" % GALOIS_GROUP_CAP
                         )
         frontier = nxt
-    return sorted(group)
-
-
-def ray_permutation(fan, matrix):
-    """The permutation j -> index of matrix * e_j within the ray list.
-
-    Returns None if some image is not a ray of the fan.
-    """
-    perm = []
     index = {r: i for i, r in enumerate(fan.rays)}
-    rows = [list(row) for row in matrix]
-    for r in fan.rays:
-        img = tuple(mat_vec(rows, list(r)))
-        if img not in index:
-            return None
-        perm.append(index[img])
-    return perm
+    action = []
+    for g in sorted(group):
+        images = [index.get(tuple(mat_vec(g, r))) for r in fan.rays]
+        action.append((g, None if None in images else tuple(images)))
+    return tuple(action)
 
 
 def galois_orbits(fan):
     """Orbit decomposition of the ray set, sorted by smallest member."""
-    group = galois_group(fan)
+    perms = [p for _, p in galois_action(fan)]
+    if None in perms:
+        raise ValueError("Galois matrix does not permute the rays")
     n = fan.nrays
-    perms = []
-    for g in group:
-        p = ray_permutation(fan, g)
-        if p is None:
-            raise ValueError("Galois matrix does not permute the rays")
-        perms.append(p)
     seen = set()
     orbits = []
     for j in range(n):
@@ -399,12 +393,11 @@ def validate_fan(fan):
             break
     if bad is None and fan.galois:
         try:
-            group = galois_group(fan)
+            action = galois_action(fan)
         except ValueError as exc:
             bad = str(exc)
-            group = []
-        for g in group:
-            perm = ray_permutation(fan, g)
+            action = ()
+        for g, perm in action:
             if perm is None:
                 bad = "group element %r does not permute the rays" % (g,)
                 break

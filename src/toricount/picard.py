@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .fan import cone_pieces, galois_group, galois_orbits, locate_cone, ray_permutation, validate_fan
+from .fan import cone_pieces, galois_action, galois_group, galois_orbits, locate_cone, validate_fan
 from .linalg import (
     identity,
     invariant_factors,
@@ -281,11 +281,12 @@ def _invariant_effective_cone(fan, orbits, mg_basis):
 def _induced_pic_action(fan, project, lift, g):
     """Matrix of the g-action on Pic = Z^n / M in the quotient basis.
 
-    g permutes the rays; on value vectors it acts by (g phi)_j =
-    phi_{pi^{-1}(j)}.  Well-defined on the quotient because the embedding
-    of M is equivariant; the stray block vanishing is asserted.
+    g, an element of the fan's Galois group, permutes the rays; on value
+    vectors it acts by (g phi)_j = phi_{pi^{-1}(j)}.  Well-defined on the
+    quotient because the embedding of M is equivariant; the stray block
+    vanishing is asserted.
     """
-    perm = ray_permutation(fan, g)
+    perm = dict(galois_action(fan))[g]
     n = fan.nrays
     k = len(project)
     inv = [0] * n

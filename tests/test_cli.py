@@ -600,7 +600,7 @@ def _outcome(capsys, argv):
 
 
 # each command's options, or None for a flag: (values of a plain argv,
-# values that send it to argparse: a bad type or choice, or a leading "-")
+# values with a defect: a bad type or choice, or a leading "-")
 ARGV_OPTIONS = {
     "validate": {"--json": None},
     "constants": {"--cutoff": (["500", "100", "99"], ["-1", "x", "1e3"]), "--json": None},
@@ -665,10 +665,10 @@ def cli_argvs(draw):
 
 
 def test_cached_parser_carries_nothing_between_calls(capsys, monkeypatch):
-    # main builds its parser once per process and reads a plain argv from a
-    # table of the subcommands' actions: each call sees its own flags and
-    # the defaults, never a flag of an earlier call, and every argv ends as
-    # it would through the whole tree, usage lines and errors included
+    # main builds its parser once per process and memoizes a parse per argv:
+    # each call sees its own flags and the defaults, never a flag of an
+    # earlier call or a change made to an earlier namespace, and every argv
+    # ends as it would through a fresh parser, usage lines and errors included
     import toricount.cli as cli
     from toricount.cli import _parse, _parser, build_parser
 
@@ -704,6 +704,14 @@ def test_cached_parser_carries_nothing_between_calls(capsys, monkeypatch):
         return build_parser().parse_args(argv)
 
     fast = [_outcome(capsys, argv) for argv in calls + refused]
+    # a refusal is not cached: a second run exits and prints the same
+    assert [_outcome(capsys, argv) for argv in refused] == fast[len(calls):]
+    # each namespace _parse returns is its own: changing it leaves the next parse alone
+    for argv in calls:
+        args = _parse(argv)
+        args.json = not getattr(args, "json", False)
+        args.stray = 1
+        assert vars(_parse(argv)) == vars(build_parser().parse_args(argv)), argv
     with monkeypatch.context() as m:
         m.setattr(cli, "_parse", full_parse)
         full = [_outcome(capsys, argv) for argv in calls + refused]

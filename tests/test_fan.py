@@ -339,6 +339,43 @@ def test_group_cap():
         galois_group(fan)
 
 
+def test_galois_group_is_closed_once_per_fan(corpus, monkeypatch):
+    # validate_fan, galois_orbits, picard_data and theta share one closure
+    # of the group and one ray map per element: on a fan value no other
+    # test builds, each nonsplit corpus fan with its generators listed
+    # twice, they cost one product per element and generator, and one
+    # image per element and ray, and agree with the corpus fan
+    import toricount.fan as fan_module
+
+    calls = dict.fromkeys(("mat_mul", "mat_vec"), 0)
+
+    def counted(name):
+        real = getattr(fan_module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    def facts(fan):
+        pd, th = picard_data(fan), theta(fan)
+        return validate_fan(fan), galois_orbits(fan), pd.beta, pd.h, th.beta, th.h
+
+    for name in calls:
+        monkeypatch.setattr(fan_module, name, counted(name))
+    for name, f in corpus.items():
+        if f.is_split():
+            continue
+        expected = facts(f)
+        twin = Fan(f.dim, f.rays, f.max_cones, galois=f.galois * 2)
+        calls.update(dict.fromkeys(calls, 0))
+        got = facts(twin)
+        order = len(galois_group(twin))
+        assert got == expected, name
+        assert calls == {"mat_mul": order * len(twin.galois), "mat_vec": order * twin.nrays}, name
+
+
 def test_locate_cone_examples(p2):
     assert p2.max_cones[locate_cone(p2, (2, 3))] == (0, 1)
     assert locate_cone(p2, (0, 0)) == 0  # apex: smallest index
