@@ -9,7 +9,11 @@ edited file is seen by the next call; the bytes are decoded into a Fan
 once per content.  What depends on the fan's value alone is not redone
 either: `validate_fan`, `theta` and the `constants --json` text are
 cached per fan value.  The argument parser is built once per process, and
-a parse is memoized per argv.
+a parse is memoized per argv.  A warm `count` also reuses the counter
+chosen for the fan and strategy, and the torsor plan's counting context
+(its table of smallest prime factors and its Moebius memos) while the
+schedule's largest B is at most the one it was built at; each bound is
+still counted.
 
 This module imports only what every command uses (arith, corpus, fan).
 A command reaches its own modules through the package, as in

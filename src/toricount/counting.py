@@ -33,10 +33,15 @@ rays (_TorsorPlan): the anchor is one more cap on each later orbit
 coordinate, and a vector walked with m orbit coordinates at the anchor's
 value counts |orbit| / m.  dp6's six rays are one orbit, cutting its
 prefixes sixfold.
-Each count_points or asymptotic_report call builds one context at its
-largest B (_torsor_context): the table of smallest prime factors, the
-memo of Moebius terms per radical, and a memo of the leaf's Moebius sums
-by (radical, cap), which every smaller B shares exactly.
+A plan's counts share one context (_torsor_context): the table of
+smallest prime factors, the memo of Moebius terms per radical, and a memo
+of the leaf's Moebius sums by (radical, cap), which every B up to the
+context's top shares exactly.  The contexts of the last TORSOR_CONTEXTS
+plans counted are kept across calls (_stored_context), so a call whose
+largest B is at most the stored top starts on warm memos; a larger B
+builds a new context at it, which keeps the leaf sums and replaces the
+old one.  Which counter a fan gets is decided once per (fan, strategy)
+(_counter).
 Non-nef fans (such as F_3) have negative exponents and no such caps:
 they stay on the naive scan.
 
@@ -327,6 +332,13 @@ _EXTEND_MEMO_SIZE = 4096
 # it and peaks about 1 MB higher, dp6 at 10^5 meets 10,101
 _LEAF_MEMO_SIZE = 8192
 
+# the torsor plans whose contexts a process keeps across calls: a
+# workload's few fans, with room.  A context's table of smallest prime
+# factors stops at arith.SIEVE_CAP entries, 20.8 MB (tracemalloc), so the
+# store keeps at most about 83 MB of tables, plus each context's memos
+# (F_1's at 10^9, with both memos full, keep 4.1 MB with its table)
+TORSOR_CONTEXTS = 4
+
 
 @dataclass(frozen=True)
 class _TorsorPlan:
@@ -473,7 +485,7 @@ def _prefix_bound(plan, top, limit):
     return _prefix_walk(plan, top, limit, _torsor_kernel)[0]
 
 
-def _torsor_context(plan, top):
+def _torsor_context(plan, top, sums=None):
     """(top, extend, sums): what the plan's counts at every B <= top share.
 
     terms holds (d, mu(d)) for the squarefree products d of the primes
@@ -489,7 +501,9 @@ def _torsor_context(plan, top):
     all their terms took that count from 23 to 43 MB of peak RSS.  A
     count at B <= top has L <= that cap, so the terms past L add zero and
     the leaf's sum depends on (rad, L) alone: sums memoizes it for every
-    such B, its first _LEAF_MEMO_SIZE entries.
+    such B, its first _LEAF_MEMO_SIZE entries.  That sum does not depend
+    on top either, so the sums of a context built at a smaller top may be
+    passed on to this one.
     """
     spf = smallest_prime_factors(max(_prefix_caps(plan, top)))
     dmax = iroot(top, max(a for _, a in plan.caps[-1]))
@@ -511,7 +525,28 @@ def _torsor_context(plan, top):
                 memo[rad, g] = out
         return out
 
-    return top, extend, {}
+    return top, extend, {} if sums is None else sums
+
+
+@lru_cache(maxsize=TORSOR_CONTEXTS)
+def _context_slot(plan):
+    """A one-item list that holds the plan's stored context, None until one is built."""
+    return [None]
+
+
+def _stored_context(plan, top):
+    """The plan's stored _torsor_context, or a new one at top if it stops short.
+
+    A stored context built at a top >= top is reused.  Otherwise one is
+    built at top, with the stored one's leaf sums, and replaces it; the
+    extend memo is not kept, since its terms stop at the old top's cap.
+    The store keeps the contexts of the last TORSOR_CONTEXTS plans used.
+    """
+    slot = _context_slot(plan)
+    context = slot[0]
+    if context is None or context[0] < top:
+        context = slot[0] = _torsor_context(plan, top, None if context is None else context[2])
+    return context
 
 
 def _torsor_count(plan, B, context=None):
@@ -521,12 +556,12 @@ def _torsor_count(plan, B, context=None):
     plan's kernel (_torsor_kernel) tallies them by their ties with the
     orbit's anchor, and only here are they weighed.  It walks the
     prefixes with the memos of context, a _torsor_context built at a top
-    >= B; one built for a smaller top is never used, and a new one is
-    built at B instead.
+    >= B; without one, or with one built for a smaller top, it takes the
+    plan's stored context (_stored_context).
     """
     top = max(math.floor(Fraction(B)), 0)
     if context is None or context[0] < top:
-        context = _torsor_context(plan, top)
+        context = _stored_context(plan, top)
     _, extend, sums = context
     tally, visits = _torsor_kernel(plan)[0](top, extend, sums, _LEAF_MEMO_SIZE)
     # tally[m - 1] vectors have m orbit coordinates at the anchor's value,
@@ -805,14 +840,13 @@ def _torsor_kernel(plan, count=True):
 # routing
 
 
-def _route(fan, strategy, top, budget):
-    """(counter name, N as a function of B <= top), refused up front at top.
+@lru_cache(maxsize=None)
+def _counter(fan, strategy):
+    """("sieve", its id), ("torsor", its plan) or ("naive", None) for the fan.
 
-    The name is "sieve", "torsor" or "naive", as counter_for reports it.
-    The torsor's prefix bound and the scan's candidate count grow with B,
-    so the one check at top covers every smaller B, and the function
-    returned checks nothing.  The torsor's counts of every B share one
-    context (_torsor_context), built at top.
+    Decided once per (fan, strategy).  A refusal raises on every call, as
+    lru_cache keeps no exception: an unknown strategy, an invalid or
+    nonsplit fan, and a "specialized" fan with no sieve.
     """
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy %r" % strategy)
@@ -821,13 +855,31 @@ def _route(fan, strategy, top, budget):
     fan.require_split("counting")
     sid = None if strategy == "naive" else specialized_id_for(fan)
     if sid is not None:
-        return "sieve", SPECIALIZED[sid]
+        return "sieve", sid
     if strategy == "specialized":
         raise ValueError("fan is not registered for specialized counting")
     plan = None if strategy == "naive" else _torsor_plan(fan)
-    if plan is None:
+    return ("naive", None) if plan is None else ("torsor", plan)
+
+
+def _route(fan, strategy, top, budget):
+    """(counter name, N as a function of B <= top), refused up front at top.
+
+    The name is "sieve", "torsor" or "naive" (_counter).  The torsor's
+    prefix bound and the scan's candidate count grow with B, so the one
+    check at top covers every smaller B, and the function returned checks
+    nothing.  The check runs on every call, before any context is read.
+    The torsor's counts of every B share the plan's stored context
+    (_stored_context), reused when its top is at least top and otherwise
+    built at top.
+    """
+    name, choice = _counter(fan, strategy)
+    if name == "sieve":
+        return name, SPECIALIZED[choice]
+    if name == "naive":
         _check_scan(fan, top, budget)
-        return "naive", lambda B: 2**fan.dim * sum(1 for _ in _scan(fan, B))
+        return name, lambda B: 2**fan.dim * sum(1 for _ in _scan(fan, B))
+    plan = choice
     top = max(math.floor(Fraction(top)), 0)
     # the product of the prefix caps bounds the walk's value: under the
     # budget, the walk could not refuse
@@ -835,14 +887,13 @@ def _route(fan, strategy, top, budget):
         bound = _prefix_bound(plan, top, budget)
         if bound > budget:
             raise BudgetExceededError(bound, budget, "torsor prefixes")
-    context = _torsor_context(plan, top)
-    return "torsor", lambda B: 2**fan.dim * _torsor_count(plan, B, context)[0]
+    context = _stored_context(plan, top)
+    return name, lambda B: 2**fan.dim * _torsor_count(plan, B, context)[0]
 
 
 def counter_for(fan, strategy="auto"):
     """The counter count_points runs: "sieve", "torsor" or "naive"."""
-    # nothing is counted at B = 0, so no budget applies
-    return _route(fan, strategy, 0, 0)[0]
+    return _counter(fan, strategy)[0]
 
 
 def count_points(fan, B, strategy="auto", budget=DEFAULT_BUDGET):

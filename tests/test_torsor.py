@@ -36,6 +36,7 @@ from toricount.counting import (
     count_points,
     counter_for,
     enumerate_naive,
+    specialized_id_for,
 )
 from toricount.fan import Fan, automorphisms, primitive_collections, validate_fan
 from toricount.linalg import det
@@ -368,6 +369,116 @@ def test_context_of_a_smaller_top_is_not_reused():
     kept = dict(small[2])
     assert _torsor_count(plan, 300, small) == torsor_walk(plan, 300)
     assert small[2] == kept
+
+
+def _stored(plan):
+    """The plan's stored context, None if the store holds none."""
+    return counting._context_slot(plan)[0]
+
+
+# calls as a warm process meets them: rising, falling and repeated bounds
+CALLS = st.lists(
+    st.one_of(st.sampled_from(BOUNDS), st.fractions(0, 300, max_denominator=3)), min_size=1, max_size=4
+).flatmap(lambda bs: st.sampled_from([sorted(bs) + bs[:1], sorted(bs, reverse=True), bs + bs[::-1]]))
+
+
+def _check_stored_contexts(plan, calls):
+    # each call counts with the plan's stored context, which grows to the
+    # largest B seen so far and counts what a fresh context and the walk count
+    counting._context_slot.cache_clear()
+    seen = []
+    for B in calls:
+        seen.append(max(math.floor(Fraction(B)), 0))
+        fresh = _torsor_context(plan, seen[-1])
+        assert _torsor_count(plan, B) == _torsor_count(plan, B, fresh) == torsor_walk(plan, B), (plan, B)
+        assert _stored(plan)[0] == max(seen), (plan, calls)
+
+
+@pytest.mark.parametrize("name", list(KERNEL_FANS))
+@settings(max_examples=10, deadline=None)
+@given(calls=CALLS)
+def test_stored_context_counts_a_sequence_of_calls(name, calls):
+    _check_stored_contexts(_torsor_plan(KERNEL_FANS[name]), calls)
+
+
+@settings(
+    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+)
+@given(fan=subdivided_surfaces(max_blowups=5), calls=CALLS)
+def test_stored_context_counts_a_sequence_of_calls_on_nef_subdivisions(fan, calls):
+    plan = _torsor_plan(fan)
+    assume(plan is not None)
+    _check_stored_contexts(plan, calls)
+
+
+def test_stored_context_is_reused_up_to_its_top():
+    dp6 = corpus_fan("dp6")
+    plan = _torsor_plan(dp6)
+    want = count_points(dp6, 300)
+    stored = _stored(plan)
+    assert stored[0] == 300
+    for B in (300, 100, Fraction(601, 2), 0):
+        count_points(dp6, B)
+        assert _stored(plan) is stored, B
+    assert count_points(dp6, 300) == want
+    # a larger B builds a new context at it, which keeps the leaf sums
+    assert _torsor_count(plan, 301) == torsor_walk(plan, 301)
+    grown = _stored(plan)
+    assert grown is not stored and grown[0] == 301 and grown[2] is stored[2]
+    # the store keeps the last TORSOR_CONTEXTS plans used, dp6 among them
+    others = [KERNEL_FANS[name] for name in list(KERNEL_FANS)[: counting.TORSOR_CONTEXTS]]
+    for fan in others[:-1]:
+        count_points(fan, 10)
+    count_points(dp6, 10)
+    count_points(others[-1], 10)
+    assert counting._context_slot.cache_info().currsize == counting.TORSOR_CONTEXTS
+    assert _stored(plan) is grown
+    assert _stored(_torsor_plan(others[0])) is None
+
+
+def test_refusals_leave_the_store_unchanged(monkeypatch):
+    dp6, f1 = corpus_fan("dp6"), corpus_fan("hirzebruch1")
+    count_points(dp6, 300)
+    count_points(f1, 10**5)
+    plans = [_torsor_plan(dp6), _torsor_plan(f1)]
+    before = [_stored(plan) for plan in plans]
+    # the budget is checked at the top before the store is read
+    with pytest.raises(BudgetExceededError):
+        count_points(dp6, 10**7)
+    with pytest.raises(BudgetExceededError):
+        count_points(dp6, 1000, budget=1000)
+    with pytest.raises(BudgetExceededError):
+        count_points(DP7, 1000, budget=10)
+    # a larger table than the cap is refused as it is allocated, and the
+    # context built at the smaller top stays
+    monkeypatch.setattr(arith, "SIEVE_CAP", 1000)
+    with pytest.raises(BudgetExceededError, match="sieve entries"):
+        count_points(f1, 10**7)
+    assert counting._context_slot.cache_info().currsize == 2
+    assert all(_stored(plan) is context for plan, context in zip(plans, before))
+
+
+def test_counter_decided_once_per_fan_and_strategy(monkeypatch):
+    # the decision is cached, a refusal is raised on every call
+    calls = []
+
+    def spy(fan):
+        calls.append(fan)
+        return specialized_id_for(fan)
+
+    monkeypatch.setattr(counting, "specialized_id_for", spy)
+    counting._counter.cache_clear()
+    dp6 = corpus_fan("dp6")
+    for B in (10, 100, 10):
+        count_points(dp6, B)
+    assert counter_for(dp6) == "torsor"
+    assert calls == [dp6]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not registered"):
+            count_points(dp6, 10, strategy="specialized")
+        with pytest.raises(ValueError, match="unknown strategy"):
+            count_points(dp6, 10, strategy="fast")
+    assert calls == [dp6, dp6, dp6]
 
 
 @pytest.mark.parametrize("name", list(KERNEL_FANS) + ["dp6"])
