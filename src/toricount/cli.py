@@ -12,8 +12,8 @@ cached per fan value.  The argument parser is built once per process, and
 a parse is memoized per argv.  A warm `count` also reuses the counter
 chosen for the fan and strategy, and the torsor plan's counting context
 (its table of smallest prime factors and its Moebius memos) while the
-schedule's largest B is at most the one it was built at; each bound is
-still counted.
+schedule's largest B is at most the one it was built at and its memo of
+Moebius sums has room; each bound is still counted.
 
 This module imports only what every command uses (arith, corpus, fan).
 A command reaches its own modules through the package, as in

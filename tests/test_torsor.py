@@ -421,10 +421,10 @@ def test_stored_context_is_reused_up_to_its_top():
         count_points(dp6, B)
         assert _stored(plan) is stored, B
     assert count_points(dp6, 300) == want
-    # a larger B builds a new context at it, which keeps the leaf sums
+    # a larger B builds a new context at it, with memos of its own
     assert _torsor_count(plan, 301) == torsor_walk(plan, 301)
     grown = _stored(plan)
-    assert grown is not stored and grown[0] == 301 and grown[2] is stored[2]
+    assert grown is not stored and grown[0] == 301 and grown[2] is not stored[2]
     # the store keeps the last TORSOR_CONTEXTS plans used, dp6 among them
     others = [KERNEL_FANS[name] for name in list(KERNEL_FANS)[: counting.TORSOR_CONTEXTS]]
     for fan in others[:-1]:
@@ -434,6 +434,24 @@ def test_stored_context_is_reused_up_to_its_top():
     assert counting._context_slot.cache_info().currsize == counting.TORSOR_CONTEXTS
     assert _stored(plan) is grown
     assert _stored(_torsor_plan(others[0])) is None
+
+
+def test_stored_context_with_full_leaf_sums_is_replaced(monkeypatch):
+    # a full memo holds the keys of the counts that filled it: a smaller B
+    # counts with a new context at it, which replaces the full one
+    monkeypatch.setattr(counting, "_LEAF_MEMO_SIZE", 5)
+    dp6 = corpus_fan("dp6")
+    plan = _torsor_plan(dp6)
+    count_points(dp6, 300)
+    full = _stored(plan)
+    assert len(full[2]) == 5
+    assert _torsor_count(plan, 200) == torsor_walk(plan, 200)
+    assert _stored(plan) is not full and _stored(plan)[0] == 200
+    # a context whose memo has room is kept
+    monkeypatch.setattr(counting, "_LEAF_MEMO_SIZE", 10**6)
+    kept = _stored(plan)
+    assert _torsor_count(plan, 150) == torsor_walk(plan, 150)
+    assert _stored(plan) is kept
 
 
 def test_refusals_leave_the_store_unchanged(monkeypatch):
