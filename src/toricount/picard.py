@@ -1,12 +1,13 @@
-"""Piecewise-linear functions, the Picard lattice, and cyclic cohomology.
+"""Piecewise-linear functions, the Picard lattice, and Galois cohomology.
 
 The Picard group over the splitting field is realized as the quotient of
 the value lattice Z^n (one coordinate per ray) by the dual lattice M,
 embedded via m -> (<m, e_j>)_j.  Smith normal form certifies the quotient
-is torsion free; that is asserted, not assumed.  H^1 of cyclic actions is
-computed from the 2-periodic resolution; the tests check it against an
-independent cocycle route.  A split fan is the case of the trivial group,
-and takes the same path.
+is torsion free; that is asserted, not assumed.  H^1 of any finite Galois
+group is the torsion of one Smith form, that of the matrices g - 1 of its
+generators stacked; the tests check it against two oracles, the periodic
+resolution for cyclic groups and a cocycle route over the whole group.  A
+split fan is the case of the trivial group, and takes the same path.
 """
 
 from __future__ import annotations
@@ -16,16 +17,13 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .fan import cone_pieces, galois_action, galois_group, galois_orbits, locate_cone, validate_fan
+from .fan import cone_pieces, galois_action, galois_orbits, locate_cone, validate_fan
 from .linalg import (
     identity,
     invariant_factors,
     kernel_basis,
-    mat_mul,
     mat_vec,
     quotient_map,
-    rank,
-    smith_normal_form,
     transpose,
     unimodular_inverse,
 )
@@ -125,91 +123,37 @@ def _dual_action(g):
     return transpose(unimodular_inverse(g))
 
 
-def _cyclic_generator(group):
-    """A generator of a cyclic matrix group, or None if not cyclic."""
-    order = len(group)
-    ident = identity(len(group[0]))
-    for g in group:
-        power = ident
-        for k in range(1, order + 1):
-            power = mat_mul(power, g)
-            if power == ident:
-                if k == order:
-                    return g
-                break
-    return None
+def _stacked_minus_one(generators):
+    """The matrices g - 1 of the generators, stacked into one (|S| m) x m matrix."""
+    return [
+        [x - (i == j) for j, x in enumerate(row)] for g in generators for i, row in enumerate(g)
+    ]
 
 
-def h1_cyclic(action, order):
-    """Invariant factors of H^1(<g>, Z^m) = ker(Norm)/im(g - 1).
+def h1(generators):
+    """Invariant factors > 1 of H^1(G, Z^m), G the finite group the m x m
+    matrices `generators` generate; no generators is the trivial group.
 
-    `action` is the matrix of a generator g, `order` the order of the
-    group (which may exceed the order of the matrix when the module is
-    not faithful).
+    A cocycle is fixed by its values on the generators, and the tuples of
+    values that obey G's relations form a kernel: a saturated lattice Z^1
+    in (Z^m)^S.  The coboundaries B^1, the columns of the stacked g - 1,
+    span it over Q, since H^1 of a finite group is finite.  So Z^1 / B^1
+    is the torsion of (Z^m)^S / B^1: the invariant factors > 1 of the
+    stacked matrix.  The trivial group takes no Smith form.
     """
-    m = len(action)
-    a = [list(row) for row in action]
-    norm = [[0] * m for _ in range(m)]
-    power = identity(m)
-    for _ in range(order):
-        for i in range(m):
-            for j in range(m):
-                norm[i][j] += power[i][j]
-        power = mat_mul(power, a)
-    if power != identity(m):
-        raise ValueError("matrix order does not divide the given group order")
-    if order == 1:
-        # H^1 of the trivial group vanishes
+    if not generators:
         return ()
-    ker = kernel_basis(norm)
-    if not ker:
-        return ()
-    gm1 = [[a[i][j] - (1 if i == j else 0) for j in range(m)] for i in range(m)]
-    # coordinates of the (g-1)-image inside the kernel lattice; integral
-    # because im(g-1) <= ker(Norm) and the kernel basis is a lattice basis
-    basis_cols = transpose(ker)
-    mat = transpose([_solve_in_lattice(basis_cols, col) for col in transpose(gm1)])
-    if rank(mat) != len(ker):
-        raise ValueError("H^1 is infinite; the action is not of finite order")
-    return tuple(f for f in invariant_factors(mat) if f != 1)
-
-
-def _solve_in_lattice(basis_cols, target):
-    """Integral coordinates of target in the lattice spanned by basis columns.
-
-    With U*A*V = D in Smith form, A x = t reads D y = U t for y = V^-1 x;
-    t lies in the lattice exactly when each d_i divides (U t)_i and the
-    rows past the rank vanish.
-    """
-    u, d, v = smith_normal_form(basis_cols)
-    s = len(v)
-    y = [0] * s
-    for i, c in enumerate(mat_vec(u, target)):
-        di = d[i][i] if i < s else 0
-        if di:
-            y[i], c = divmod(c, di)
-        if c:
-            raise ValueError("vector not in lattice span")
-    return mat_vec(v, y)
-
-
-def _require_cyclic(fan):
-    """(generator, order) of the Galois group; a split fan gives (identity, 1)."""
-    group = galois_group(fan)
-    gen = _cyclic_generator(group)
-    if gen is None:
-        raise ValueError(
-            "Galois group of order %d is not cyclic; H^1 unsupported" % len(group)
-        )
-    return gen, len(group)
+    return tuple(f for f in invariant_factors(_stacked_minus_one(generators)) if f != 1)
 
 
 @lru_cache(maxsize=None)
 def picard_data(fan):
     """Ranks, effective generators, and H^1 data for the fan's variety, once per fan.
 
-    The Galois group must be cyclic.  A split fan is the trivial group:
-    PL^G / M^G is Pic itself, the Gale dual is the rays, both H^1 vanish.
+    Any finite Galois group: M^G is the kernel of the stacked g - 1 of the
+    dual actions of its generators, and both H^1 come from `h1`.  A split
+    fan is the trivial group: M^G is M, PL^G / M^G is Pic itself, the
+    Gale dual is the rays, and both H^1 vanish without a Smith form.
     Refuses an invalid fan; the cache spares a warm call the check.
     """
     validate_fan(fan).require()
@@ -217,7 +161,6 @@ def picard_data(fan):
     r = orbits.r
     d = fan.dim
     n = fan.nrays
-    gen, order = _require_cyclic(fan)
 
     project, lift = picard_quotient(fan)
     rank_split = n - d
@@ -229,13 +172,11 @@ def picard_data(fan):
         eff.append(tuple(mat_vec(project, vec)))
     antican = tuple(mat_vec(project, [1] * n))
 
-    dual = _dual_action(gen)
-    gm1 = [[dual[i][j] - (1 if i == j else 0) for j in range(d)] for i in range(d)]
-    t = d - rank(gm1)
-    h1_gm = h1_cyclic(tuple(tuple(row) for row in dual), order)
-    hat = _induced_pic_action(fan, project, lift, gen)
-    h1_gpic = h1_cyclic(hat, order)
-    eff_g, antican_g, gale = _invariant_effective_cone(fan, orbits, kernel_basis(gm1))
+    dual = [_dual_action(g) for g in fan.galois]
+    mg_basis = kernel_basis(_stacked_minus_one(dual)) if dual else identity(d)
+    t = len(mg_basis)
+    h1_gpic = h1([_induced_pic_action(fan, project, lift, g) for g in fan.galois])
+    eff_g, antican_g, gale = _invariant_effective_cone(fan, orbits, mg_basis)
 
     return PicardData(
         rank_split=rank_split,
@@ -244,7 +185,7 @@ def picard_data(fan):
         r=r,
         eff_generators=tuple(eff),
         anticanonical_class=antican,
-        h1_GM=h1_gm,
+        h1_GM=h1(dual),
         h1_GPic=h1_gpic,
         eff_generators_G=eff_g,
         anticanonical_G=antican_g,

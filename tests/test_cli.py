@@ -123,6 +123,33 @@ def test_constants_nonsplit_refuses_tau(capsys):
     assert "alpha = 1/2" in out
 
 
+S3_P2 = {
+    "dim": 2,
+    "rays": [[1, 0], [0, 1], [-1, -1]],
+    "max_cones": [[0, 1], [1, 2], [2, 0]],
+    "galois": [[[0, -1], [1, -1]], [[0, 1], [1, 0]]],
+}
+
+
+def test_noncyclic_galois_group_gets_its_constants(capsys, tmp_path):
+    # S_3 on P^2: alpha, beta and h for a noncyclic group, tau refused as
+    # for every nonsplit fan, and counting refused for want of a split fan
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps(S3_P2))
+    code, out, _ = run(capsys, "constants", str(path))
+    assert code == 0
+    assert "h     = 3" in out and "beta  = 1" in out and "tau   : refused" in out
+    code, out, _ = run(capsys, "constants", str(path), "--json")
+    assert code == 0
+    jsonschema.validate(json.loads(out), schema("constants"))
+    code, out, _ = run(capsys, "xfunction", str(path))
+    assert code == 0
+    jsonschema.validate(json.loads(out), schema("xfunction"))
+    code, _, err = run(capsys, "count", str(path), "--B-schedule", "10")
+    assert code == 1
+    assert err.startswith("error: ") and "counting needs a split fan" in err
+
+
 def test_count_csv(capsys):
     code, out, _ = run(
         capsys, "count", "p1", "--B-schedule", "1e2,1e3,1e4,1e5"

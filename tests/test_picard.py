@@ -4,18 +4,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles.exact import from_character, h1_cyclic_cocycle, solve_exact
+from oracles.exact import from_character, h1_cocycle, h1_cyclic, solve_exact, solve_in_lattice
 
-from toricount.fan import Fan, galois_orbits
+from toricount.cones import alpha
+from toricount.fan import Fan, galois_group, galois_orbits, validate_fan
 from toricount.heights import HeightEvaluator, TorusPoint, global_height
-from toricount.linalg import identity, mat_mul, mat_vec, rank
+from toricount.linalg import identity, mat_mul, mat_vec, rank, unimodular_inverse
 from toricount.localdata import local_integral
 from toricount.picard import (
     PLFunction,
-    _solve_in_lattice,
+    _dual_action,
+    _induced_pic_action,
     anticanonical,
-    h1_cyclic,
+    h1,
     picard_data,
+    picard_quotient,
     pl_evaluate,
 )
 
@@ -152,15 +155,19 @@ def _random_finite_order_matrix(rng, size, order):
             q = rng.randint(-2, 2)
             for t in range(size):
                 u[i][t] += q * u[j][t]
-    from toricount.linalg import unimodular_inverse
-
-    return mat_mul(mat_mul(u, a), unimodular_inverse(u))
+    return _conjugate(u, a)
 
 
-def test_h1_two_routes_agree_on_random_cyclic_modules():
+def _conjugate(u, a):
+    """u a u^-1, for a unimodular u."""
+    return tuple(map(tuple, mat_mul(mat_mul(u, a), unimodular_inverse(u))))
+
+
+def test_h1_three_routes_agree_on_random_cyclic_modules():
+    # the stacked Smith form, the periodic resolution and the cocycle route
     rng = random.Random(2024)
     done = 0
-    while done < 50:
+    while done < 100:
         size = rng.randint(1, 4)
         order = rng.choice([1, 2, 3, 4, 5, 6])
         a = _random_finite_order_matrix(rng, size, order)
@@ -169,22 +176,46 @@ def test_h1_two_routes_agree_on_random_cyclic_modules():
             power = mat_mul(power, a)
         if power != identity(size):
             continue
-        route1 = 1
-        for f in h1_cyclic(tuple(tuple(r) for r in a), order):
-            route1 *= f
-        route2 = h1_cyclic_cocycle(tuple(tuple(r) for r in a), order)
-        assert route1 == route2, (a, order)
+        assert h1([a]) == h1_cyclic(a, order) == h1_cocycle([a]), (a, order)
         done += 1
 
 
+@st.composite
+def signed_permutation_groups(draw):
+    """(generators, u): 2-3 signed permutation matrices of one size <= 3,
+    which generate a finite group, and a unimodular u to conjugate by."""
+    size = draw(st.integers(1, 3))
+    signs = st.lists(st.sampled_from((1, -1)), min_size=size, max_size=size)
+    signed_permutations = st.tuples(st.permutations(range(size)), signs)
+    gens = [
+        tuple(tuple(sign[i] * (perm[i] == j) for j in range(size)) for i in range(size))
+        for perm, sign in draw(st.lists(signed_permutations, min_size=2, max_size=3))
+    ]
+    index = st.integers(0, size - 1)
+    u = identity(size)
+    for i, j, q in draw(st.lists(st.tuples(index, index, st.integers(-2, 2)), max_size=4)):
+        if i != j:
+            u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+    return gens, u
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_permutation_groups())
+def test_h1_stacked_smith_form_matches_the_cocycle_route(group):
+    # any finite group, and the same module in a random basis
+    gens, u = group
+    assert h1(gens) == h1_cocycle(gens) == h1([_conjugate(u, g) for g in gens])
+
+
 def test_h1_permutation_module_is_trivial():
-    # Shapiro: a cyclic group permuting a basis has no H^1
+    # Shapiro: a group permuting a basis has no H^1, cyclic or not
     cyc = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
-    assert h1_cyclic(cyc, 3) == ()
-    assert h1_cyclic_cocycle(cyc, 3) == 1
+    swap = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+    assert h1([cyc]) == h1_cyclic(cyc, 3) == h1_cocycle([cyc]) == ()
+    assert h1([cyc, swap]) == h1_cocycle([cyc, swap]) == ()
 
 
-def test_h1_of_the_trivial_group_takes_no_smith_form(monkeypatch):
+def test_h1_of_the_trivial_group_takes_no_smith_form(monkeypatch, p2):
     import toricount.picard as picard
 
     def refuse(a):
@@ -192,15 +223,14 @@ def test_h1_of_the_trivial_group_takes_no_smith_form(monkeypatch):
 
     monkeypatch.setattr(picard, "kernel_basis", refuse)
     monkeypatch.setattr(picard, "invariant_factors", refuse)
-    assert h1_cyclic(((1, 0), (0, 1)), 1) == ()
-    # the order is still checked: a nontrivial matrix is no trivial action
-    with pytest.raises(ValueError, match="order"):
-        h1_cyclic(((0, 1), (1, 0)), 1)
+    assert h1([]) == ()
+    # nor does a split fan's group part, past the cache
+    pd = picard.picard_data.__wrapped__(p2)
+    assert (pd.t, pd.h1_GM, pd.h1_GPic) == (2, (), ())
 
 
 def test_h1_norm_one_module():
-    assert h1_cyclic(((-1,),), 2) == (2,)
-    assert h1_cyclic_cocycle(((-1,),), 2) == 2
+    assert h1([((-1,),)]) == h1_cyclic(((-1,),), 2) == h1_cocycle([((-1,),)]) == (2,)
 
 
 def test_order_four_rotation_on_p1xp1():
@@ -216,8 +246,6 @@ def test_order_four_rotation_on_p1xp1():
     assert (pd.r, pd.t, pd.rank_K) == (1, 0, 1)
     assert pd.h == 2
     assert pd.beta == 1
-    from toricount.cones import alpha
-
     # Pic over the ground field is generated by the invariant class with
     # -K twice that class, so alpha must come out 1/2
     assert alpha(fan) == Fraction(1, 2)
@@ -230,23 +258,22 @@ def test_order_six_rotation_on_dp6():
         [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)],
         galois=[[[1, -1], [1, 0]]],
     )
-    from toricount.fan import validate_fan
-
     assert validate_fan(fan).ok
     pd = picard_data(fan)
     assert (pd.r, pd.t, pd.rank_K) == (1, 0, 1)
     assert pd.h == 1
-    from toricount.cones import alpha
-
     # -K generates the ground-field Picard lattice here
     assert alpha(fan) == Fraction(1, 1)
 
 
-def test_beta_agrees_with_cocycle_route_on_pic_actions():
-    # both cohomology routes on the induced Picard action itself
-    from toricount.fan import galois_group
-    from toricount.picard import _cyclic_generator, _induced_pic_action, picard_quotient
+def _pic_actions(fan):
+    """The induced action on Pic of each of the fan's Galois generators."""
+    project, lift = picard_quotient(fan)
+    return [_induced_pic_action(fan, project, lift, g) for g in fan.galois]
 
+
+def test_beta_agrees_with_cocycle_route_on_pic_actions():
+    # all three cohomology routes on the induced Picard action itself
     cases = [
         Fan(1, [(1,), (-1,)], [(0,), (1,)], galois=[[[-1]]]),
         Fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1)],
@@ -260,29 +287,40 @@ def test_beta_agrees_with_cocycle_route_on_pic_actions():
             galois=[[[1, -1], [1, 0]]]),
     ]
     for fan in cases:
-        group = galois_group(fan)
-        gen = _cyclic_generator(group)
-        project, lift = picard_quotient(fan)
-        hat = _induced_pic_action(fan, project, lift, gen)
-        route1 = 1
-        for f in h1_cyclic(hat, len(group)):
-            route1 *= f
-        assert route1 == h1_cyclic_cocycle(hat, len(group))
-        assert route1 == picard_data(fan).beta
+        (hat,) = _pic_actions(fan)
+        got = h1([hat])
+        assert got == h1_cyclic(hat, len(galois_group(fan))) == h1_cocycle([hat])
+        assert got == picard_data(fan).h1_GPic
 
 
-def test_noncyclic_rejected():
-    # Klein four group acting on Z^2 by sign flips
-    fan = Fan(
-        2,
-        [(1, 0), (0, 1), (-1, 0), (0, -1)],
-        [(0, 1), (1, 2), (2, 3), (3, 0)],
-        galois=[[[-1, 0], [0, 1]], [[1, 0], [0, -1]]],
-    )
-    with pytest.raises(ValueError, match="not cyclic"):
-        picard_data(fan)
-    # orbit computation still works for the non-cyclic action
-    assert galois_orbits(fan).orbits == ((0, 2), (1, 3))
+SQUARE = ([(1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1), (1, 2), (2, 3), (3, 0)])
+HEXAGON = (
+    [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)],
+    [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)],
+)
+TRIANGLE = ([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (2, 0)])
+
+
+@pytest.mark.parametrize(
+    "shape, galois, order, h1_gm, beta, k, alpha_",
+    [
+        # Klein four by sign flips on P^1 x P^1
+        (SQUARE, [[[-1, 0], [0, 1]], [[1, 0], [0, -1]]], 4, (2, 2), 1, 2, Fraction(1, 4)),
+        # S_3 on P^2
+        (TRIANGLE, [[[0, -1], [1, -1]], [[0, 1], [1, 0]]], 6, (3,), 1, 1, Fraction(1, 3)),
+        # D_6, the whole symmetry group of dp6
+        (HEXAGON, [[[1, -1], [1, 0]], [[0, 1], [1, 0]]], 12, (), 1, 1, Fraction(1)),
+    ],
+    ids=["klein4-p1xp1", "s3-p2", "d6-dp6"],
+)
+def test_noncyclic_groups_give_pinned_values(shape, galois, order, h1_gm, beta, k, alpha_):
+    fan = Fan(2, *shape, galois=galois)
+    assert validate_fan(fan).ok and len(galois_group(fan)) == order
+    pd = picard_data(fan)
+    assert (pd.h1_GM, pd.beta, pd.rank_K, alpha(fan)) == (h1_gm, beta, k, alpha_)
+    # the cocycle route on both the M action and the Pic action
+    assert h1_cocycle([_dual_action(g) for g in fan.galois]) == pd.h1_GM
+    assert h1_cocycle(_pic_actions(fan)) == pd.h1_GPic
 
 
 def test_pl_evaluate_vanishes_at_apex(corpus):
@@ -293,8 +331,6 @@ def test_pl_evaluate_vanishes_at_apex(corpus):
 
 
 def test_pic_quotient_torsion_free(corpus):
-    from toricount.picard import picard_quotient
-
     for name, fan in corpus.items():
         project, lift = picard_quotient(fan)
         assert len(project) == fan.nrays - fan.dim, name
@@ -327,10 +363,10 @@ def test_solve_in_lattice_against_scaled_basis(problem):
     a, b, k, x = problem
     target = mat_vec(b, x)
     if all(xj % kj == 0 for xj, kj in zip(x, k)):
-        assert _solve_in_lattice(a, target) == [xj // kj for xj, kj in zip(x, k)]
+        assert solve_in_lattice(a, target) == [xj // kj for xj, kj in zip(x, k)]
     else:
         with pytest.raises(ValueError):
-            _solve_in_lattice(a, target)
+            solve_in_lattice(a, target)
 
 
 @settings(max_examples=100, deadline=None)
@@ -341,7 +377,7 @@ def test_solve_in_lattice_rejects_targets_off_the_span(problem, w):
     assume(rank([row + [wi] for row, wi in zip(a, w)]) > len(a[0]))
     target = [t + wi for t, wi in zip(mat_vec(a, x), w)]
     with pytest.raises(ValueError):
-        _solve_in_lattice(a, target)
+        solve_in_lattice(a, target)
 
 
 def _pl_fraction_oracle(fan, phi, v):
@@ -385,9 +421,6 @@ def _product(a, b):
 
 
 def test_picard_data_on_a_20_ray_product():
-    from toricount.fan import validate_fan
-    from toricount.picard import picard_quotient
-
     fan = _product(_subdivided_p2(7), _subdivided_p2(7))
     assert fan.nrays == 20 and validate_fan(fan).ok
     project, lift = picard_quotient(fan)
