@@ -61,6 +61,42 @@ def _load_fan(path):
     return fan_from_bytes(raw)
 
 
+def _json_text(value, indent="\n"):
+    """json.dumps(value, indent=1), for JSON values whose dict keys are str.
+
+    An indent turns the json module's C encoder off, and its Python one
+    costs a tenth of a warm `count --out json`.  This writes the same text
+    from the C string escaper and the int and float reprs, with json's
+    spellings of NaN and the infinities.
+    """
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return "NaN" if value != value else _INFINITIES.get(value) or float.__repr__(value)
+    inner = indent + " "
+    if isinstance(value, (list, tuple)):
+        items = [_json_text(v, inner) for v in value]
+        return "[%s%s%s]" % (inner, ("," + inner).join(items), indent) if items else "[]"
+    if isinstance(value, dict):
+        if any(type(k) is not str for k in value):
+            raise TypeError("JSON object keys must be str here")
+        items = [_escape(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+        return "{%s%s%s}" % (inner, ("," + inner).join(items), indent) if items else "{}"
+    raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
+
+
+_escape = json.encoder.encode_basestring_ascii
+_INFINITIES = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
+
+
 def _fail_parse(exc):
     print("error: %s" % exc, file=sys.stderr)
     return 2
@@ -76,7 +112,7 @@ def cmd_validate(args, fan):
                 for c in report.checks
             ],
         }
-        print(json.dumps(payload, indent=1))
+        print(_json_text(payload))
     else:
         print(report)
     return 0 if report.ok else 1
@@ -95,7 +131,7 @@ def _constants_json(fan):
     theta shares one frozen report per fan value, so this is keyed by the
     fan, which hashes far faster than the report's exact tau enclosure.
     """
-    return json.dumps(toricount.tamagawa.theta(fan).to_json_dict(), indent=1)
+    return _json_text(toricount.tamagawa.theta(fan).to_json_dict())
 
 
 def cmd_constants(args, fan):
@@ -162,7 +198,7 @@ def cmd_count(args, fan):
         budget=args.budget,
     )
     if args.out == "json":
-        print(json.dumps(report.to_json_dict(), indent=1))
+        print(_json_text(report.to_json_dict()))
     else:
         sys.stdout.write(report.to_csv())
     return 0
@@ -177,7 +213,7 @@ def cmd_xfunction(args, fan):
     payload["generators"] = [list(g) for g in pd.eff_generators_G]
     payload["anticanonical"] = list(pd.anticanonical_G)
     payload["h"] = pd.h
-    print(json.dumps(payload, indent=1))
+    print(_json_text(payload))
     return 0
 
 

@@ -280,11 +280,6 @@ def _cone_off_fan(fan, perm):
     return next((c for c in fan.max_cones if tuple(sorted(map(image, c))) not in cones), None)
 
 
-def galois_group(fan):
-    """All elements of the group generated by the Galois matrices, sorted."""
-    return [g for g, _ in galois_action(fan)]
-
-
 @lru_cache(maxsize=None)
 def galois_action(fan):
     """(element, ray permutation) for each element of the group generated by

@@ -6,10 +6,10 @@ generated into the same module.  These are the walks they replaced: one
 recursion level per position, the remainders copied as lists and the
 caps looked up at run time.  They read the same plan and walk its
 positions in the same order, and follow the same two rules for the
-orbit.  Its anchor is one more cap: each later orbit coordinate is at
-most the anchor's, and the bound drops that cap where its leaf sums over
-the anchor.  A vector counts |orbit| / m for its m orbit coordinates at
-the anchor's value: torsor_tally must return the kernel's tally by m and
+chain.  Each level's anchor is one more cap: each later coordinate of
+the level is at most the anchor's, also where the bound's leaf sums
+over the anchor.  A vector counts |O1| |O2| / m for its tie
+sum m (tie_sum): torsor_tally must return the kernel's tally by m and
 its visits, torsor_walk the (count, visits) of _torsor_count, and
 _walk_prefixes the bound's (bound, steps).
 """
@@ -28,36 +28,84 @@ def torsor_walk(plan, B):
     """(positive Cox vectors of height <= B, (n-1)-prefixes visited).
 
     The vectors counted have gcd 1 on every primitive collection: each
-    vector torsor_tally walks counts |orbit| / m, in Fractions.
+    vector torsor_tally walks counts |O1| |O2| / m, in Fractions.
     """
     tally, visits = torsor_tally(plan, B)
-    count = max(len(plan.orbit), 1) * sum(Fraction(v, m) for m, v in tally.items())
+    size = math.prod(len(level) for level in plan.chain[:2])
+    count = size * sum(Fraction(v, m) for m, v in tally.items())
     assert count.denominator == 1, count
     return int(count), visits
+
+
+def tie_sum(chain, zs):
+    """The sum of m_c over the orbit positions c whose coordinate ties the anchor's.
+
+    chain[0] is the orbit O1, its anchor first, and chain[1 + k] the
+    positions O2(c) below its k-th position c; m_c is the number of
+    coordinates of O2(c) at their largest value, and 1 with one level.
+    """
+    orbit, below = chain[0], chain[1:]
+    total = 0
+    for k, c in enumerate(orbit):
+        if zs[c] != zs[orbit[0]]:
+            continue
+        if below:
+            values = [zs[j] for j in below[k]]
+            total += values.count(max(values))
+        else:
+            total += 1
+    return total
 
 
 def torsor_tally(plan, B):
     """(tally, (n-1)-prefixes visited) of the vectors torsor_walk counts.
 
-    tally[m] is the number of vectors whose orbit coordinates take the
-    anchor's value m times (m = 1 for every vector without an orbit).  R[s]
-    is what is left of top = floor(B) for form s once the prefix's partial product
-    is divided out, so the next coordinate z obeys z^a <= R[s].  terms
-    holds (d, mu(d)) for the squarefree products d of the primes the last
-    coordinate must avoid (rad is their product), so the last coordinate
-    contributes sum mu(d) * (L // d) for its cap L.
+    tally[m] is the number of vectors of tie sum m (tie_sum; m = 1 for
+    every vector without a chain).  With a chain, each vector's last
+    coordinate is walked one by one.
+    """
+    tally = Counter()
 
-    With an orbit, each later orbit coordinate is capped by the anchor's,
-    at orbit[0], the last coordinate too.
+    def leaf(zs, L, terms, rad):
+        if not plan.chain:
+            tally[1] += L if rad == 1 else sum(mu * (L // d) for d, mu in terms)
+            return
+        for z in range(1, L + 1):
+            if math.gcd(z, rad) == 1:
+                zs[-1] = z
+                tally[tie_sum(plan.chain, zs)] += 1
+
+    return tally, torsor_prefixes(plan, B, leaf)
+
+
+def _anchors(plan):
+    """{position: the anchors that cap it}, over the chain's levels."""
+    out = {}
+    for level in plan.chain[:2]:
+        for j in level[1:]:
+            out.setdefault(j, []).append(level[0])
+    return out
+
+
+def torsor_prefixes(plan, B, leaf):
+    """The (n-1)-prefixes visited, each handed to leaf(zs, L, terms, rad).
+
+    zs holds the coordinates by position, the last one free, and L is the
+    last coordinate's cap.  R[s] is what is left of top = floor(B) for
+    form s once the prefix's partial product is divided out, so the next
+    coordinate z obeys z^a <= R[s].  terms holds (d, mu(d)) for the
+    squarefree products d of the primes the last coordinate must avoid
+    (rad is their product), so the last coordinate contributes sum mu(d)
+    * (L // d) for its cap L.  Each later coordinate of a chain level is
+    capped by the level's anchor, the last coordinate too.
     """
     top = max(math.floor(Fraction(B)), 0)
-    caps, avoids, closes, orbit = plan.caps, plan.avoids, plan.closes, plan.orbit
+    caps, avoids, closes = plan.caps, plan.avoids, plan.closes
     n = len(caps)
-    anchor, capped = (orbit[0], set(orbit[1:])) if orbit else (None, set())
-    tally = Counter()
+    anchors = _anchors(plan)
     spf = smallest_prime_factors(max(_prefix_caps(plan, top)))
     dmax = min(iroot(top, a) for _, a in caps[-1])
-    leaf = _next_caps(caps, n - 2)
+    last = _next_caps(caps, n - 2)
     radicals = {}
     zs = [0] * n
     visits = 0
@@ -77,9 +125,7 @@ def torsor_tally(plan, B):
     def walk(i, R, terms, rad):
         nonlocal visits
         ci = caps[i]
-        L = min([iroot(R[s], a) for s, a in ci])
-        if i in capped:
-            L = min(L, zs[anchor])
+        L = min([iroot(R[s], a) for s, a in ci] + [zs[k] for k in anchors.get(i, ())])
         G = 1
         for c in avoids[i]:
             G *= math.gcd(*[zs[k] for k in c])
@@ -100,17 +146,11 @@ def torsor_tally(plan, B):
                 walk(i + 1, R2, t, r)
                 continue
             visits += 1
-            L2 = min([iroot(R[s] // z**b, a) for s, a, b in leaf])
-            m = 1 + sum(zs[k] == zs[anchor] for k in capped if k < n - 1)
-            if n - 1 in capped and L2 >= zs[anchor]:
-                L2 = zs[anchor]
-                if math.gcd(L2, r) == 1:
-                    tally[m] -= 1
-                    tally[m + 1] += 1
-            tally[m] += L2 if r == 1 else sum(mu * (L2 // d) for d, mu in t)
+            L2 = min([iroot(R[s] // z**b, a) for s, a, b in last] + [zs[k] for k in anchors.get(n - 1, ())])
+            leaf(zs, L2, t, r)
 
     walk(0, [top] * plan.nforms, [(1, 1)], 1)
-    return tally, visits
+    return visits
 
 
 def _next_caps(caps, i):
@@ -130,15 +170,14 @@ def _walk_prefixes(plan, top, limit):
     every form s positive at some prefix position (the partial products
     only grow), so the bound does not depend on the plan's order, but
     its cost does.  The last two prefix positions form the leaf: the
-    first is summed in blocks, the second counted.  Each later orbit
-    coordinate of the prefix is capped by the anchor's, but for the leaf's
-    second position when the anchor is its first (that cap would grow
-    with z); a dropped cap leaves an upper bound.
+    first is summed in blocks, the second counted.  Each later coordinate
+    of a chain level in the prefix is capped by the level's anchor; where
+    the leaf's first position anchors its second, that cap is kept as
+    blocks of one z each (_leaf_sum's below_z).
     """
     caps = plan.caps[:-1]
     m = len(caps)
-    orbit = plan.orbit
-    anchor, capped = (orbit[0], set(orbit[1:])) if orbit else (None, set())
+    anchors = _anchors(plan)
     zs = [0] * m
     # each prefix coordinate alone, the others at 1, makes this many prefixes
     single = max(_prefix_caps(plan, top))
@@ -150,12 +189,10 @@ def _walk_prefixes(plan, top, limit):
     def walk(i, R):
         nonlocal steps
         ci = caps[i]
-        L = min([iroot(R[s], a) for s, a in ci])
-        if i in capped:
-            L = min(L, zs[anchor])
+        L = min([iroot(R[s], a) for s, a in ci] + [zs[k] for k in anchors.get(i, ())])
         if i == m - 2:
-            extra = zs[anchor] if m - 1 in capped and anchor < m - 2 else math.inf
-            total, blocks = _leaf_sum(R, leaf, L, limit, extra)
+            extra = min([zs[k] for k in anchors.get(m - 1, ()) if k < m - 2], default=math.inf)
+            total, blocks = _leaf_sum(R, leaf, L, limit, extra, m - 2 in anchors.get(m - 1, ()))
             steps += blocks
             return total
         total = 0
@@ -173,7 +210,7 @@ def _walk_prefixes(plan, top, limit):
     return walk(0, [top] * plan.nforms), steps
 
 
-def _leaf_sum(R, leaf, L, limit, extra=math.inf):
+def _leaf_sum(R, leaf, L, limit, extra=math.inf, below_z=False):
     """(sum_{z=1..L} h(z), blocks summed), stopped past limit.
 
     h(z) is the least root(R[s] // z^b, a) over the leaf, and extra.  h is
@@ -182,7 +219,8 @@ def _leaf_sum(R, leaf, L, limit, extra=math.inf):
     >= v, and a cap root(R[s] // z^b, a) with b > 0 stays >= v exactly
     while z^b <= R[s] // v^a (caps with b = 0 never change).  Past limit
     it stops at the value the term-by-term sum reaches at the first z
-    that takes it past limit.
+    that takes it past limit.  With below_z the leaf's second coordinate
+    is also at most z, so a z below h(z) is a block of its own, of value z.
     """
     fixed = min([iroot(R[s], a) for s, a, b in leaf if not b] + [extra])
     moving = [(R[s], a, b) for s, a, b in leaf if b]
@@ -193,6 +231,8 @@ def _leaf_sum(R, leaf, L, limit, extra=math.inf):
         if v == 0:
             break
         end = min([L] + [iroot(x // v**a, b) for x, a, b in moving])
+        if below_z and z < v:
+            v = end = z
         if total + v * (end - z + 1) > limit:
             return total + v * ((limit - total) // v + 1), blocks
         total += v * (end - z + 1)

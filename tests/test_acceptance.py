@@ -25,7 +25,7 @@ from toricount.counting import (
     enumerate_naive,
     fit_leading_coefficient,
 )
-from toricount.fan import Fan, galois_group, galois_orbits
+from toricount.fan import Fan, galois_action, galois_orbits
 from toricount.heights import TorusPoint, global_height
 from toricount.linalg import identity, mat_mul, mat_vec, quotient_map
 from toricount.localdata import local_integral, qsigma
@@ -117,7 +117,7 @@ def test_a3_q_degree_property():
     ):
         f = fan(name)
         seen = set()
-        for g in galois_group(f):
+        for g, _ in galois_action(f):
             orb = galois_orbits(Fan(f.dim, f.rays, f.max_cones, galois=[g]))
             if orb.orbits in seen:
                 continue

@@ -2,12 +2,12 @@ import json
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from toricount.cli import main
+from toricount.cli import _json_text, main
 from toricount.corpus import NAMES, fan_from_dict, fan_to_dict, golden_constants
 
 
@@ -33,6 +33,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# JSON values as the commands print them: str keys, any nesting
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([-0.0, 1e300, float("nan"), float("inf"), float("-inf")])
+    | st.text(),
+    lambda children: st.lists(children) | st.lists(children).map(tuple) | st.dictionaries(st.text(), children),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300)
+@given(JSON_VALUES)
+@example({"": [], "\u00e9\u4e2d": {}, "x": [True, False, None, -0.0, 1e300, float("nan"), float("inf"), -float("inf")]})
+def test_json_text_is_json_dumps_with_indent_1(value):
+    assert _json_text(value) == json.dumps(value, indent=1)
 
 
 def test_validate_ok(capsys):
@@ -516,18 +536,18 @@ def test_cutoff_does_not_change_the_result(capsys, command):
 
 
 def test_torsor_budget_refusal_is_quick(capsys):
-    # dp6 at 10^7 has a prefix bound of 82.3M against the default 5*10^7
+    # dp6's prefix bound passes the default 5*10^7 between 10^7 and 10^8
     start = time.perf_counter()
-    code, out, err = run(capsys, "count", "dp6", "--B-schedule", "1e7")
+    code, out, err = run(capsys, "count", "dp6", "--B-schedule", "1e8")
     assert time.perf_counter() - start < 2
     assert code == 3 and not out
     assert err == (
-        "budget exceeded: work estimate of 50036339 torsor prefixes is over the budget of 50000000\n"
+        "budget exceeded: work estimate of 50136612 torsor prefixes is over the budget of 50000000\n"
     )
 
 
 def test_dp6_at_10_to_the_6_fits_the_budget(capsys):
-    # its prefix bound is 6.6M: the orbit of its six rays cut 51.3M
+    # its prefix bound is 2.66M: the chain of its 12 automorphisms cut 51.3M
     code, out, err = run(capsys, "count", "dp6", "--B-schedule", "1e6")
     assert code == 0 and not err
     assert out.splitlines()[1].startswith("1000000,132330484,")
@@ -608,9 +628,9 @@ def test_localcheck_refuses_a_large_q_at_once(tmp_path, capsys):
 
 
 def test_schedule_refused_at_its_top_is_quick(capsys):
-    # the budget is checked once, at 10^7, before 10^4 and 10^5 are counted
+    # the budget is checked once, at 10^8, before 10^4 and 10^5 are counted
     start = time.perf_counter()
-    code, out, err = run(capsys, "count", "dp6", "--B-schedule", "10000,100000,10000000")
+    code, out, err = run(capsys, "count", "dp6", "--B-schedule", "10000,100000,100000000")
     assert time.perf_counter() - start < 2.5
     assert code == 3 and not out
     assert "torsor prefixes" in err

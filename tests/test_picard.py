@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from oracles.exact import from_character, h1_cocycle, h1_cyclic, solve_exact, solve_in_lattice
 
 from toricount.cones import alpha
-from toricount.fan import Fan, galois_group, galois_orbits, validate_fan
+from toricount.fan import Fan, galois_action, galois_orbits, validate_fan
 from toricount.heights import HeightEvaluator, TorusPoint, global_height
 from toricount.linalg import identity, mat_mul, mat_vec, rank, unimodular_inverse
 from toricount.localdata import local_integral
@@ -289,7 +289,7 @@ def test_beta_agrees_with_cocycle_route_on_pic_actions():
     for fan in cases:
         (hat,) = _pic_actions(fan)
         got = h1([hat])
-        assert got == h1_cyclic(hat, len(galois_group(fan))) == h1_cocycle([hat])
+        assert got == h1_cyclic(hat, len(galois_action(fan))) == h1_cocycle([hat])
         assert got == picard_data(fan).h1_GPic
 
 
@@ -315,7 +315,7 @@ TRIANGLE = ([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (2, 0)])
 )
 def test_noncyclic_groups_give_pinned_values(shape, galois, order, h1_gm, beta, k, alpha_):
     fan = Fan(2, *shape, galois=galois)
-    assert validate_fan(fan).ok and len(galois_group(fan)) == order
+    assert validate_fan(fan).ok and len(galois_action(fan)) == order
     pd = picard_data(fan)
     assert (pd.h1_GM, pd.beta, pd.rank_K, alpha(fan)) == (h1_gm, beta, k, alpha_)
     # the cocycle route on both the M action and the Pic action

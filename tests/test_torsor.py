@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from oracles.product_count import p1_product_count
-from oracles.torsor_walk import _walk_prefixes, torsor_tally, torsor_walk
+from oracles.torsor_walk import _walk_prefixes, torsor_prefixes, torsor_tally, torsor_walk
 from test_cones import P3
 from test_height_oracles import CUBE, DP7, hirzebruch, subdivided_surfaces, surface
 from test_tamagawa import product_fan
@@ -27,6 +27,7 @@ from toricount.counting import (
     _prefix_bound,
     _prefix_caps,
     _prefix_walk,
+    _stabilizer_orbit,
     _torsor_context,
     _torsor_count,
     _torsor_kernel,
@@ -94,10 +95,10 @@ KERNEL_FANS = {
 }
 
 
-def _plan_in(fan, order, orbit=()):
-    """The torsor plan of a nef fan that takes its rays in order."""
+def _plan_in(fan, order, orbits=()):
+    """The torsor plan of a nef fan that takes its rays in order, with a chain of ray orbits."""
     forms, _ = _anticanonical_forms(fan)
-    return _plan(fan, [[1 - sum(map(mul, m, r)) for r in fan.rays] for m in forms], order, orbit)
+    return _plan(fan, [[1 - sum(map(mul, m, r)) for r in fan.rays] for m in forms], order, orbits)
 
 
 def _largest_orbit(fan):
@@ -105,13 +106,20 @@ def _largest_orbit(fan):
     return max((sorted({p[j] for p in automorphisms(fan)}) for j in range(fan.nrays)), key=len)
 
 
+def _chains(fan, order):
+    """No chain, the largest orbit, and it with the orbit below its anchor in order."""
+    orbit = _largest_orbit(fan)
+    return [(), (orbit,), (orbit, _stabilizer_orbit(fan, order, orbit))]
+
+
 def _check_count(plan, B):
     # the kernel returns the walk's (count, visits) and its tally of vectors by
-    # their ties with the anchor, and the orbit's weights count what the whole
-    # walk counts
+    # their tie sums, and the chain's weights count what the whole walk
+    # counts, as do those of its first level alone
     got = _torsor_count(plan, B)
     assert got == torsor_walk(plan, B), (plan, B)
-    assert got[0] == torsor_walk(replace(plan, orbit=()), B)[0], (plan, B)
+    assert got[0] == torsor_walk(replace(plan, chain=()), B)[0], (plan, B)
+    assert got[0] == _torsor_count(replace(plan, chain=plan.chain[:1]), B)[0], (plan, B)
     top = max(math.floor(Fraction(B)), 0)
     tally = _torsor_kernel(plan)[0](*_torsor_context(plan, top), counting._LEAF_MEMO_SIZE)[0]
     assert Counter(dict(enumerate(tally, 1))) == torsor_tally(plan, B)[0], (plan, B)
@@ -132,26 +140,22 @@ def _index_order_walk(fan, plan, top):
 
     plan's rays are found by their caps (no two rays have the same
     exponents, since the forms span the dual space), and the closed-form
-    ray stays last.  Each ray plan's bound caps by its anchor ray stays
-    capped by it, wherever the two fall in index order: the anchor then
-    starts at the largest of them.  One leaf count per prefix, no blocks.
+    ray stays last.  Each prefix ray the plan's bound caps by an anchor ray
+    stays capped by it, wherever the two fall in index order: an anchor
+    then starts at the largest of the rays it caps.  One leaf count per
+    prefix, no blocks.
     """
     n = fan.nrays
-    ray_of = {caps: j for j, caps in enumerate(_plan_in(fan, tuple(range(n))).caps)}
-    order = [ray_of[caps] for caps in plan.caps]
-    orbit = plan.orbit
-    anchor = order[orbit[0]] if orbit else None
-    # the bound drops the leaf's cap when the anchor is the position before it
-    capped = {order[i] for i in orbit[1:] if i < n - 2 or (i == n - 2 and orbit[0] < n - 3)}
+    order = _order_of(fan, plan)
+    # (anchor ray, ray it caps) over the chain's levels
+    pairs = [(order[level[0]], order[i]) for level in plan.chain[:2] for i in level[1:] if i < n - 1]
     rays = sorted(order[:-1])
     caps = _plan_in(fan, tuple(rays) + (order[-1],)).caps
     zs = {}
 
     def walk(i, R):
-        hi = min(iroot(R[s], a) for s, a in caps[i])
-        if rays[i] in capped and anchor in zs:
-            hi = min(hi, zs[anchor])
-        lo = max([zs[j] for j in capped if j in zs], default=1) if rays[i] == anchor else 1
+        hi = min([iroot(R[s], a) for s, a in caps[i]] + [zs[x] for x, y in pairs if y == rays[i] and x in zs])
+        lo = max([zs[y] for x, y in pairs if x == rays[i] and y in zs], default=1)
         if i == n - 2:
             return max(hi - lo + 1, 0)
         total = 0
@@ -167,6 +171,12 @@ def _index_order_walk(fan, plan, top):
     return walk(0, [top] * plan.nforms)
 
 
+def _order_of(fan, plan):
+    """The ray order of a plan, found by its caps."""
+    ray_of = {caps: j for j, caps in enumerate(_plan_in(fan, tuple(range(fan.nrays))).caps)}
+    return [ray_of[caps] for caps in plan.caps]
+
+
 @pytest.mark.parametrize("name", list(KERNEL_FANS))
 def test_kernel_matches_the_recursive_walk(name):
     # the generated kernel visits the same prefixes as the walk it replaced,
@@ -178,17 +188,20 @@ def test_kernel_matches_the_recursive_walk(name):
         _check_bound(plan, top)
 
 
-# the order and orbit the plan search keeps: a pair moved to the leaf, with
+# the order and chain the plan search keeps: a pair moved to the leaf, with
 # the orbit of most prefix rays anchored, replaces index order without
 # one, the closed-form ray last, only when its bound takes fewer steps (or
-# as many over fewer prefixes)
+# as many over fewer prefixes).  Below the anchor, the orbit of the rays
+# that fix it with the most prefix rays: dp6's two hexagon neighbours of
+# ray 2, the cube's four rays off the axis of ray 1, P^3's other three
+# rays.  F_1, F_2 and dp7 have none that cuts the walk.
 PLAN_ORDERS = {
-    "dp6": ((2, 3, 4, 1, 5, 0), range(6)),
-    "dp7": ((2, 3, 1, 4, 0), (1, 3)),
-    "cube": ((1, 3, 5, 2, 4, 0), range(6)),
-    "hirzebruch1": ((2, 0, 1, 3), (0, 2)),
-    "F2": ((2, 0, 1, 3), (0, 2)),
-    "P3": ((3, 1, 2, 0), range(4)),
+    "dp6": ((2, 3, 4, 1, 5, 0), (range(6), (1, 3))),
+    "dp7": ((2, 3, 1, 4, 0), ((1, 3),)),
+    "cube": ((1, 3, 5, 2, 4, 0), (range(6), (2, 3, 4, 5))),
+    "hirzebruch1": ((2, 0, 1, 3), ((0, 2),)),
+    "F2": ((2, 0, 1, 3), ((0, 2),)),
+    "P3": ((3, 1, 2, 0), (range(4), (0, 1, 2))),
 }
 
 
@@ -196,7 +209,10 @@ PLAN_ORDERS = {
 def test_plan_takes_one_ray_order(name):
     fan = KERNEL_FANS.get(name) or _fan(name)
     plan = _torsor_plan(fan)
-    assert plan == _plan_in(fan, *PLAN_ORDERS[name])
+    order, chain = PLAN_ORDERS[name]
+    assert plan == _plan_in(fan, order, chain)
+    if len(chain) > 1:
+        assert set(chain[1]) == _stabilizer_orbit(fan, order, chain[0])
     for B in (1, 12, 100, 1000):
         _check_count(plan, B)
         _check_bound(plan, B)
@@ -205,11 +221,25 @@ def test_plan_takes_one_ray_order(name):
 @settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
 )
-@given(fan=subdivided_surfaces(max_blowups=5), B=st.sampled_from(BOUNDS))
-def test_kernel_matches_the_recursive_walk_on_nef_subdivisions(fan, B):
+@given(fan=subdivided_surfaces(max_blowups=5), data=st.data(), B=st.sampled_from(BOUNDS))
+def test_kernel_matches_the_recursive_walk_on_nef_subdivisions(fan, data, B):
     plan = _torsor_plan(fan)
     assume(plan is not None)
     _check_count(plan, B)
+    # and in any order, with the orbit below the anchor where one cuts the walk
+    order = data.draw(st.permutations(range(fan.nrays)))
+    _check_count(_plan_in(fan, order, _chains(fan, order)[2]), B)
+
+
+@pytest.mark.parametrize("name", list(KERNEL_FANS) + ["dp6"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), B=st.sampled_from([12, 100, 300]))
+def test_kernel_matches_the_recursive_walk_in_any_order(name, data, B):
+    # the last coordinate, in any order, can fall in O1, in O2 and in the
+    # O2(c) of other orbit rays, where its ties change the tie sum
+    fan = KERNEL_FANS.get(name) or _fan(name)
+    order = data.draw(st.permutations(range(fan.nrays)))
+    _check_count(_plan_in(fan, order, _chains(fan, order)[2]), B)
 
 
 RELABELED = {
@@ -222,7 +252,7 @@ RELABELED = {
 @settings(max_examples=8, deadline=None)
 @given(data=st.data(), B=st.sampled_from([1, 12, 100, 300]))
 def test_orbit_count_does_not_depend_on_ray_labels(name, data, B):
-    # the same fan with its rays renumbered: its own automorphisms, orbit
+    # the same fan with its rays renumbered: its own automorphisms, chain
     # and plan, and the count of the whole walk
     fan = RELABELED[name]
     perm = data.draw(st.permutations(range(fan.nrays)))
@@ -230,23 +260,68 @@ def test_orbit_count_does_not_depend_on_ray_labels(name, data, B):
     cones = [[where[j] for j in c] for c in fan.max_cones]
     relabeled = Fan(fan.dim, [fan.rays[j] for j in perm], cones)
     plan = _torsor_plan.__wrapped__(relabeled)
-    assert plan.orbit
+    assert len(plan.chain) == len(_torsor_plan(fan).chain) > 0
     _check_count(plan, B)
     assert _torsor_count(plan, B)[0] == _torsor_count(_torsor_plan(fan), B)[0]
 
 
 def test_orbit_count_refuses_a_fraction_of_a_vector(monkeypatch):
-    # one vector with m = 4 of dp6's six orbit coordinates at the anchor's
-    # value counts 6/4: no whole number of vectors
+    # one vector of tie sum 5 counts 12/5 on dp6, whose chain uses its 12
+    # automorphisms: no whole number of vectors
     plan = _torsor_plan(corpus_fan("dp6"))
-    assert len(plan.orbit) == 6
+    assert list(map(len, plan.chain)) == [6] + [2] * 6
 
     def kernel(top, extend, sums, room):
-        return [0, 0, 0, 1, 0, 0], 0
+        return [0, 0, 0, 0, 1] + [0] * 7, 0
 
     monkeypatch.setattr(counting, "_torsor_kernel", lambda plan: (kernel, None))
     with pytest.raises(ArithmeticError, match="whole number"):
         _torsor_count(plan, 100)
+
+
+@pytest.mark.parametrize("name", ["dp6", "cube", "P3", "dp6xP1", "F2"])
+def test_chain_weights_count_each_vector_once(name):
+    # each vector z the plan walks, in its domain D, weighs |G| / #{h in G :
+    # h.z in D}, with #{...} found by applying every automorphism: summed,
+    # they count what the walk without a chain counts
+    fan = KERNEL_FANS.get(name) or _fan(name)
+    plan = _torsor_plan(fan)
+    order = _order_of(fan, plan)
+    where = {j: i for i, j in enumerate(order)}
+    # h moves the coordinate at position i to position moves[i]
+    group = [[where[p[j]] for j in order] for p in automorphisms(fan)]
+    capped = [(level[0], i) for level in plan.chain[:2] for i in level[1:]]
+    for B in (12, 100, 300):
+        total = Fraction(0)
+
+        def leaf(zs, L, terms, rad):
+            nonlocal total
+            for x in range(1, L + 1):
+                if math.gcd(x, rad) == 1:
+                    zs[-1] = x
+                    images = 0
+                    for moves in group:
+                        hz = [0] * len(zs)
+                        for i, z in zip(moves, zs):
+                            hz[i] = z
+                        images += all(hz[i] <= hz[a] for a, i in capped)
+                    total += Fraction(len(group), images)
+
+        torsor_prefixes(plan, B, leaf)
+        assert total == torsor_walk(replace(plan, chain=()), B)[0], (name, B)
+
+
+def test_stabilizer_level_cuts_the_prefix_bound():
+    # dp6's bound at 10^7 fits the default budget, and each bound is the one
+    # a walk with the anchor and one stabilizer level takes, still over the
+    # prefixes the count visits
+    dp6 = corpus_fan("dp6")
+    assert _prefix_bound(_torsor_plan(dp6), 10**7, math.inf) == 29_071_824 < DEFAULT_BUDGET
+    for fan, top, bound in ((dp6, 10**6, 2_655_627), (CUBE, 10**5, 12_159), (P3, 10**4, 220)):
+        plan = _torsor_plan(fan)
+        assert _prefix_bound(plan, top, math.inf) == bound
+        if fan is not dp6:
+            assert _torsor_count(plan, top)[1] <= bound
 
 
 AUTOMORPHISM_ORDERS = {
@@ -305,7 +380,7 @@ def test_automorphisms_of_dp6_x_dp6_and_an_asymmetric_fan():
     fan = surface([(1, 0), (2, 1), (1, 1), (0, 1), (-1, -1)])
     assert validate_fan(fan).ok
     assert automorphisms(fan) == (tuple(range(5)),)
-    assert _torsor_plan(fan).orbit == ()
+    assert _torsor_plan(fan).chain == ()
 
 
 def test_dp6_at_10_to_the_5():
@@ -462,7 +537,7 @@ def test_refusals_leave_the_store_unchanged(monkeypatch):
     before = [_stored(plan) for plan in plans]
     # the budget is checked at the top before the store is read
     with pytest.raises(BudgetExceededError):
-        count_points(dp6, 10**7)
+        count_points(dp6, 10**8)
     with pytest.raises(BudgetExceededError):
         count_points(dp6, 1000, budget=1000)
     with pytest.raises(BudgetExceededError):
@@ -585,12 +660,12 @@ def test_plan_ranking_compiles_bounds_only(monkeypatch, name):
 @settings(max_examples=10, deadline=None)
 @given(data=st.data(), top=st.sampled_from([1, 2, 12, 100, 300]))
 def test_bound_matches_the_recursive_walk(name, data, top):
-    # in any ray order, with any ray counted in closed form, with the
-    # largest orbit or none; the order of the others changes the bound's
-    # cost, not its value
+    # in any ray order, with any ray counted in closed form, with no chain,
+    # the largest orbit, or it and the orbit below its anchor; the order of
+    # the others changes the bound's cost, not its value
     fan = KERNEL_FANS[name]
-    orbit = data.draw(st.sampled_from([(), _largest_orbit(fan)]))
-    plan = _plan_in(fan, data.draw(st.permutations(range(fan.nrays))), orbit)
+    order = data.draw(st.permutations(range(fan.nrays)))
+    plan = _plan_in(fan, order, data.draw(st.sampled_from(_chains(fan, order))))
     _check_bound(plan, top)
     assert _walk_prefixes(plan, top, math.inf)[0] == _index_order_walk(fan, plan, top)
 
@@ -605,8 +680,8 @@ def test_bound_matches_the_recursive_walk(name, data, top):
 )
 def test_bound_matches_the_recursive_walk_on_nef_subdivisions(fan, data, top):
     assume(_anticanonical_forms(fan)[1])
-    orbit = data.draw(st.sampled_from([(), _largest_orbit(fan)]))
-    plan = _plan_in(fan, data.draw(st.permutations(range(fan.nrays))), orbit)
+    order = data.draw(st.permutations(range(fan.nrays)))
+    plan = _plan_in(fan, order, data.draw(st.sampled_from(_chains(fan, order))))
     _check_bound(plan, top)
     assert _walk_prefixes(plan, top, math.inf)[0] == _index_order_walk(fan, plan, top)
 
@@ -619,8 +694,8 @@ def test_bound_matches_the_recursive_walk_on_nef_subdivisions(fan, data, top):
         ("caps", True),
         ("avoids", 1.0),
         ("closes", "z0"),
-        ("orbit", "0] or exec('') or tally[0"),
-        ("orbit", True),
+        ("chain", "0] or exec('') or tally[0"),
+        ("chain", True),
     ],
 )
 def test_kernel_source_takes_plan_integers_only(monkeypatch, field, bad):
@@ -629,9 +704,9 @@ def test_kernel_source_takes_plan_integers_only(monkeypatch, field, bad):
     compiled = []
     monkeypatch.setattr(counting, "compile", lambda *args: compiled.append(args), raising=False)
     entries = getattr(plan, field)
-    if field == "orbit":
-        # the orbit is one tuple of positions: its last becomes bad
-        doctored = replace(plan, orbit=entries[:-1] + (bad,))
+    if field == "chain":
+        # the chain is one tuple of position tuples: the last of its last becomes bad
+        doctored = replace(plan, chain=entries[:-1] + (entries[-1][:-1] + (bad,),))
     else:
         # the last integer of the field's first nonempty entry becomes bad
         i = next(i for i, entry in enumerate(entries) if entry)
@@ -647,13 +722,13 @@ def test_kernel_source_takes_plan_integers_only(monkeypatch, field, bad):
     assert compiled == []
 
 
-@pytest.mark.parametrize("field", ["caps", "avoids", "closes", "orbit"])
+@pytest.mark.parametrize("field", ["caps", "avoids", "closes", "chain"])
 def test_kernel_source_takes_plan_tuples_of_int_tuples(field):
     # an entry one level too shallow is refused by name, not by a bare
-    # "object is not iterable"; the orbit is one level shallower than the rest
+    # "object is not iterable"; the chain is one level shallower than the rest
     plan = _torsor_plan(corpus_fan("dp6"))
-    if field == "orbit":
-        shallow = replace(plan, orbit=5)
+    if field == "chain":
+        shallow = replace(plan, chain=(1, 2))
     else:
         shallow = replace(plan, **{field: ((1, 2),) + getattr(plan, field)[1:]})
     with pytest.raises(TypeError, match="tuples of int tuples"):
@@ -722,9 +797,9 @@ def test_torsor_budget_refusal():
     dp6 = corpus_fan("dp6")
     # the bound stops early, at the first prefix total past the budget
     with pytest.raises(BudgetExceededError) as err:
-        count_points(dp6, 10**7)
+        count_points(dp6, 10**8)
     assert str(err.value) == (
-        "work estimate of 50036339 torsor prefixes is over the budget of 50000000"
+        "work estimate of 50136612 torsor prefixes is over the budget of 50000000"
     )
     with pytest.raises(BudgetExceededError):
         count_points(dp6, 1000, budget=1000)
