@@ -86,12 +86,17 @@ def fan_from_bytes(raw) -> Fan:
     Decoded as a text-mode open would: strict UTF-8 and universal
     newlines, so JSON error offsets in a CRLF file stay the same.  Equal
     bytes share one Fan, which is frozen; a raise is not cached, so a
-    malformed file raises the same error on every call.
+    malformed file raises the same error on every call.  JSON nested past
+    the decoder's recursion limit is malformed input too.
     """
     text = raw.decode("utf-8")
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return fan_from_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("the fan file nests its JSON too deeply to decode") from None
+    return fan_from_dict(data)
 
 
 _HERE = os.path.dirname(__file__)

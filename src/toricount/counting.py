@@ -67,8 +67,10 @@ BudgetExceededError: the scan's candidate tuples are counted exactly
 product of the prefix coordinates' caps and, only where that product
 passes the budget, by the kernel's loops, in the plan's order, with its
 chain's caps and without the gcd pruning, generated into the same module
-from the same plan.  All grow with B, so a schedule is checked once, at
-its largest B.  arith
+from the same plan.  A schedule is refused when these bounds, summed
+over its distinct B, pass the budget; as all grow with B, it is
+accepted at once when its number of distinct B times the bound at its
+largest B is within the budget.  arith
 refuses every table past arith.SIEVE_CAP entries as it allocates it (a
 sieve's, the torsor's smallest prime factors, the scan's totients), and
 a schedule is counted from its largest B down, so that refusal also
@@ -167,6 +169,7 @@ def _scan_plan(fan, B):
 
 def candidate_estimate(fan, B):
     """Exact number of positive-orthant candidate tuples the scan visits."""
+    validate_fan(fan).require()
     cap, coord_caps = _scan_plan(fan, B)
     return _candidate_count(cap, coord_caps)
 
@@ -197,13 +200,14 @@ def _candidate_count(cap, coord_caps):
     return tuples(0, cap)
 
 
-def _check_scan(fan, B, budget):
-    """Refuse a scan whose exact candidate count exceeds the budget."""
-    if Fraction(B) < 1:
-        return
-    estimate = candidate_estimate(fan, B)
-    if estimate > budget:
-        raise BudgetExceededError(estimate, budget, "scan candidates")
+def _check_scan(fan, bounds, budget):
+    """Refuse scans at the bounds whose exact candidate counts pass the budget."""
+    bounds = sorted(set(map(Fraction, bounds)), reverse=True)
+
+    def work(B, limit):
+        return candidate_estimate(fan, B) if B >= 1 else 0
+
+    _check_work(bounds, budget, "scan candidates", work)
 
 
 def _scan(fan, B):
@@ -246,9 +250,8 @@ def enumerate_naive(fan, B, budget=DEFAULT_BUDGET, with_heights=False):
     never changes any local height).  Deterministic order.  Refuses scans
     whose exact candidate count exceeds the budget.
     """
-    validate_fan(fan).require()
     fan.require_split("counting")
-    _check_scan(fan, B, budget)
+    _check_scan(fan, [B], budget)
     signs = list(iter_product((1, -1), repeat=fan.dim))
     out = []
     for pairs, hn, hd in _scan(fan, B):
@@ -1016,7 +1019,6 @@ def _counter(fan, strategy):
     """
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy %r" % strategy)
-    validate_fan(fan).require()
     # the sieves match rays alone, so they would count a nonsplit torus as split
     fan.require_split("counting")
     sid = None if strategy == "naive" else specialized_id_for(fan)
@@ -1028,12 +1030,14 @@ def _counter(fan, strategy):
     return ("naive", None) if plan is None else ("torsor", plan)
 
 
-def _route(fan, strategy, top, budget):
-    """(counter name, N as a function of B <= top), refused up front at top.
+def _route(fan, strategy, bounds, budget):
+    """(counter name, N as a function of B <= top), refused up front.
 
-    The name is "sieve", "torsor" or "naive" (_counter).  The torsor's
-    prefix bound and the scan's candidate count grow with B, so the one
-    check at top covers every smaller B, and the function returned checks
+    bounds are the B the caller counts and top the largest of them.  The
+    name is "sieve", "torsor" or "naive" (_counter).  Each count's work
+    is bounded by the scan's candidate count or the torsor's prefix bound,
+    and the call is refused when those bounds, summed over the distinct
+    B, pass the budget (_check_work); the function returned checks
     nothing.  The check runs on every call, before any context is read.
     The torsor's counts of every B share the plan's stored context
     (_stored_context), reused when its top is at least top and its leaf
@@ -1043,18 +1047,38 @@ def _route(fan, strategy, top, budget):
     if name == "sieve":
         return name, SPECIALIZED[choice]
     if name == "naive":
-        _check_scan(fan, top, budget)
+        _check_scan(fan, bounds, budget)
         return name, lambda B: 2**fan.dim * sum(1 for _ in _scan(fan, B))
     plan = choice
-    top = max(math.floor(Fraction(top)), 0)
-    # the product of the prefix caps bounds the walk's value: under the
-    # budget, the walk could not refuse
-    if math.prod(_prefix_caps(plan, top)) > budget:
-        bound = _prefix_bound(plan, top, budget)
-        if bound > budget:
-            raise BudgetExceededError(bound, budget, "torsor prefixes")
-    context = _stored_context(plan, top)
+    bounds = sorted({max(math.floor(Fraction(B)), 0) for B in bounds}, reverse=True) or [0]
+
+    def work(B, limit):
+        # the product of the prefix caps bounds the walk's value: within
+        # the limit, the walk could not pass it
+        caps = math.prod(_prefix_caps(plan, B))
+        return caps if caps <= limit else _prefix_bound(plan, B, limit)
+
+    _check_work(bounds, budget, "torsor prefixes", work)
+    context = _stored_context(plan, bounds[0])
     return name, lambda B: 2**fan.dim * _torsor_count(plan, B, context)[0]
+
+
+def _check_work(bounds, budget, unit, work):
+    """Refuse counts at the distinct bounds, largest first, whose work passes the budget.
+
+    work(B, limit) bounds the work of the count at B, and grows with B; it
+    may stop early with any value past limit.  No count does more than the
+    top's work, so the counts are accepted at once when their number times
+    the top's work is within the budget; otherwise the bounds are summed
+    until the sum passes the budget.
+    """
+    total = 0
+    for i, B in enumerate(bounds):
+        total += work(B, budget - total)
+        if total > budget:
+            raise BudgetExceededError(total, budget, unit)
+        if i == 0 and len(bounds) * total <= budget:
+            return
 
 
 def counter_for(fan, strategy="auto"):
@@ -1069,7 +1093,7 @@ def count_points(fan, B, strategy="auto", budget=DEFAULT_BUDGET):
     counter when -K is nef, and the naive scan otherwise (counter_for).
     Refuses up front, with BudgetExceededError, a count over the budget.
     """
-    return _route(fan, strategy, B, budget)[1](B)
+    return _route(fan, strategy, [B], budget)[1](B)
 
 
 # ---------------------------------------------------------------------------
@@ -1174,7 +1198,7 @@ def asymptotic_report(
     # both branches refuse a nonsplit fan before its theta, (None, None), is read
     if counts is None:
         schedule = sorted(schedule)
-        name, count = _route(fan, strategy, max(schedule, default=0), budget)
+        name, count = _route(fan, strategy, schedule, budget)
         source = "counts by the %s counter (strategy %r)" % (name, strategy)
         # each distinct B once, largest first, so arith refuses an oversized
         # table before any count
@@ -1183,7 +1207,6 @@ def asymptotic_report(
     else:
         if len(counts) != len(schedule):
             raise ValueError("%d counts for %d schedule entries" % (len(counts), len(schedule)))
-        validate_fan(fan).require()
         fan.require_split("counting")
         source = "counts supplied by the caller"
         # each count stays with its own B as the schedule is sorted

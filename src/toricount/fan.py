@@ -74,7 +74,10 @@ class Fan:
         return not self.galois
 
     def require_split(self, what):
-        """Raise ValueError("<what> needs a split fan"): the one scope check."""
+        """Refuse an invalid fan (ValidationReport.require), then a nonsplit
+        one with ValueError("<what> needs a split fan"): the one scope check,
+        one cached lookup per call."""
+        validate_fan(self).require()
         if not self.is_split():
             raise ValueError("%s needs a split fan" % what)
 
@@ -167,7 +170,8 @@ def primitive_collections(fan):
 
     The cones of a simplicial fan form a simplicial complex, and these
     are its minimal non-faces: at most d + 1 rays, not a cone, every
-    subset one smaller a cone.
+    subset one smaller a cone.  As a structural helper, it does not
+    validate the fan.
     """
     faces = set(_all_cones(fan))
     return tuple(
@@ -225,7 +229,8 @@ def locate_cone(fan, v):
 
     The entries of v must be ints or Fractions, so that the cone tests are
     exact: a float on a wall could fail them in both cones.  Refuses a
-    vector whose length is not the fan's dimension.
+    vector whose length is not the fan's dimension.  As a structural
+    helper, it does not validate the fan.
     """
     if len(v) != fan.dim:
         raise ValueError("vector of length %d in a fan of dimension %d" % (len(v), fan.dim))
@@ -244,7 +249,8 @@ def automorphisms(fan):
     perm[j] is the image of ray j.  An automorphism maps the ordered rays
     of cone 0 onto some maximal cone in some order, and that fixes it, so
     the |cones| * d! such maps are the candidates.  One is kept when it
-    maps every ray to a ray and permutes the maximal cones.
+    maps every ray to a ray and permutes the maximal cones.  As a
+    structural helper, it does not validate the fan.
     """
     # the rays off cone 0, in the basis of cone 0's rays
     base = fan.max_cones[0]
@@ -316,7 +322,10 @@ def galois_action(fan):
 
 
 def galois_orbits(fan):
-    """Orbit decomposition of the ray set, sorted by smallest member."""
+    """Orbit decomposition of the ray set, sorted by smallest member.
+
+    As a structural helper, it does not validate the fan.
+    """
     perms = [p for _, p in galois_action(fan)]
     if None in perms:
         raise ValueError("Galois matrix does not permute the rays")

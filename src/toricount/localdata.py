@@ -7,8 +7,8 @@ expanded straight into signed monomials, so Q is built by one pass of
 additions over the cones.  Its constant term is 1 and every other
 monomial has total degree >= 2, which is what makes the Euler products
 downstream converge; that property is asserted after construction, not
-assumed.  Every entry but qsigma works over Q and refuses a nonsplit
-fan first (Fan.require_split).
+assumed.  Every entry refuses an invalid fan first, and every entry but
+qsigma works over Q and refuses a nonsplit fan (Fan.require_split).
 """
 
 from __future__ import annotations
@@ -72,8 +72,10 @@ def qsigma(fan, decomposition: OrbitDecomposition) -> QSigmaPolynomial:
     to Q, one signed monomial per set T of orbits containing sigma's;
     those are added directly, with no polynomial products.  Q has at most
     2^l monomials for l orbits, so past QSIGMA_MONOMIALS_CAP it is refused
-    with BudgetExceededError before any work.
+    with BudgetExceededError before any work.  An invalid fan is refused
+    first.
     """
+    validate_fan(fan).require()
     n = fan.nrays
     flat = sorted(j for orb in decomposition.orbits for j in orb)
     if flat != list(range(n)):
@@ -201,7 +203,6 @@ def point_count_fp(fan, p) -> LocalDensity:
     Each i-dimensional cone contributes its orbit (F_p^*)^(d - i), so the
     count is sum_i f_i (p - 1)^(d - i) over the f-vector.
     """
-    validate_fan(fan).require()
     fan.require_split("the point count over F_p")
     d = fan.dim
     count = sum(fi * (p - 1) ** (d - i) for i, fi in enumerate(fan.f_vector()))

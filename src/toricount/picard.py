@@ -57,7 +57,8 @@ def pl_evaluate(fan, phi, v):
     """phi at v, exactly: <m_sigma, v> on the cone sigma that locate_cone finds.
 
     v must have int or Fraction entries.  Integer v and integer values give
-    an int; Fractions stay exact.
+    an int; Fractions stay exact.  As a structural helper, it does not
+    validate the fan.
     """
     form = cone_pieces(fan, phi.values)[locate_cone(fan, v)][1]
     return sum(map(mul, form, v))

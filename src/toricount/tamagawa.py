@@ -30,10 +30,10 @@ once per f-vector and shared by every fan that has it, such as all
 n-ray smooth complete surfaces, or a fan and its relabelings.
 
 The certificate is exact arithmetic throughout: the prefix, the zeta
-brackets and the tail bound are Fractions, and the logarithms and the
-exponential that join them are integer fixed-point brackets with
-directed rounding (tau's docstring), so no floating point enters the
-enclosure before its ends are rounded outward to floats.
+brackets and the tail bound are Fractions, and each zeta factor is raised
+to its power and multiplied into the product in integer fixed point with
+every rounding directed outward (tau's docstring), so no floating point
+enters the enclosure before its ends are rounded outward to floats.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from functools import lru_cache
 
 from .arith import iroot, mobius_table, primes_upto
 from .cones import alpha
-from .fan import validate_fan
 from .picard import picard_data
 
 # tau is certified to this many bits, relative: the tail and the zeta
@@ -56,9 +55,6 @@ _GUARD_BITS = 16
 # P0 is the least power of two >= _P0_RATIO * R, so q = R/P0 <= 1/16 and
 # every zeta term gains at least 4 bits
 _P0_RATIO = 16
-# a unit of each fixed-point log bracket is 2^-_SCALE_BITS of the tolerance
-# it serves, so the roundings of the combination stay far below it
-_SCALE_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -234,84 +230,27 @@ def _tail_log_bound(D, R, P0, N):
     return Fraction(4, 3) * D * (1 + Fraction(P0, N)) * q ** (N + 1) / (1 - q)
 
 
-def _log_bits(n, P0):
-    """The fixed-point precision of _log_zeta(n, P0), in bits.
+def _power_bound(x, e, bits, up):
+    """An integer P with P 2^-bits <= x^e, or >= when up, for a Fraction x >= 1 and an int e.
 
-    A unit of 2^-bits is 2^-_SCALE_BITS of _rough_zeta's tolerance
-    2^-(target + guard) (16/P0)^n; P0 is a power of two, so the
-    precision is an integer.
+    Square-and-multiply on x rounded toward the bound to a multiple of
+    2^-bits, each product floored (or, when up, ceiled) back to 2^-bits:
+    every operand is >= 1 and the roundings all point one way, so the
+    result bounds x^e.  For e < 0, x^e = 1 / x^-e with the rounding flipped.
     """
-    return _TARGET_BITS + _GUARD_BITS + n * (P0.bit_length() - 5) + _SCALE_BITS
-
-
-@lru_cache(maxsize=None)
-def _log_zeta(n, P0):
-    """Integers lo <= hi with lo 2^-b <= log zeta_{>=P0}(n) <= hi 2^-b, b = _log_bits.
-
-    The bracket is log(1 + x) at the ends of x = zeta_{>=P0}(n) - 1 from
-    _rough_zeta.  Its half-width stays below _rough_zeta's tolerance, as
-    tau's derivation needs: zeta_bracket's error is at most the
-    tolerance, the product over p < P0 scales it by at most 1 - 2^-n <=
-    3/4, log(1 + x) has slope at most 1, and each end adds a few units
-    of 2^-b, each 2^-_SCALE_BITS of the tolerance.
-    """
-    lo, hi = _rough_zeta(n, P0)
-    bits = _log_bits(n, P0)
-    # zeta_{>=P0}(n) > 1, so an end of the bracket below 1 may be raised to it
-    ends = _log1p_bound(max(lo - 1, Fraction(0)), bits, False), _log1p_bound(hi - 1, bits, True)
-    assert ends[1] - ends[0] <= 2 << _SCALE_BITS
-    return ends
-
-
-def _log1p_bound(x, bits, up):
-    """An integer L with L 2^-bits <= log(1 + x), or >= when up, for a Fraction 0 <= x <= 1/2.
-
-    x is first rounded toward the bound to a multiple of 2^-bits, as
-    log(1 + x) rises with x.  The series x - x^2/2 + x^3/3 - ...
-    alternates with decreasing terms, so a partial sum that ends on a
-    minus term is a lower bound and one that ends on a plus term an upper
-    bound.  Each term is rounded toward the bound, and the sum ends on the
-    first term below 2^-bits: of the right sign, it bounds the terms left
-    out; of the wrong sign, it rounds to 0, and the sum ends in effect on
-    the term before it.
-    """
+    if e < 0:
+        inv = _power_bound(x, -e, bits, not up)
+        return -((-1 << 2 * bits) // inv) if up else (1 << 2 * bits) // inv
     num = x.numerator << bits
     X = -(-num // x.denominator) if up else num // x.denominator
-    total, power, j = 0, 1, 0
-    while True:
-        j += 1
-        power *= X
-        den = j << (bits * (j - 1))  # x^j / j = power / den in units of 2^-bits
-        term = power if j % 2 else -power
-        total += -(-term // den) if up else term // den
-        if power < den:
-            return total
-
-
-def _exp_bound(x, bits, up):
-    """An integer E with E 2^-bits <= exp(x), or >= when up, for a Fraction |x| <= 1.
-
-    For x >= 0, x is rounded toward the bound to s, a multiple of 2^-bits,
-    and the Taylor terms s^j / j! are built each from the last, rounded
-    toward the bound.  Their partial sum is a lower bound.  The upper
-    bound stops at the first term t_K rounded up to one unit (K >= 1) and
-    adds 2 t_K, since for s <= 1 the terms left out sum to at most
-    s^K / K! (K + 1) / K.  For x < 0, exp(x) = 1 / exp(-x) with the
-    rounding flipped.
-    """
-    one = 1 << bits
-    if x < 0:
-        inv = _exp_bound(-x, bits, not up)
-        return -(-one * one // inv) if up else one * one // inv
-    num = x.numerator << bits
-    X = -(-num // x.denominator) if up else num // x.denominator
-    # rounded up, the terms settle at one unit; rounded down, at zero
-    total, term, j, last = 0, one, 0, int(up)
-    while term > last:
-        total += term
-        j += 1
-        term = -(-term * X // (j << bits)) if up else term * X // (j << bits)
-    return total + 2 * term if up else total
+    P = 1 << bits
+    while e:
+        if e & 1:
+            P = -(-P * X >> bits) if up else P * X >> bits
+        e >>= 1
+        if e:
+            X = -(-X * X >> bits) if up else X * X >> bits
+    return P
 
 
 def tau(fan, prime_cutoff=None) -> EulerProduct:
@@ -335,14 +274,28 @@ def tau(fan, prime_cutoff=None) -> EulerProduct:
         |log T| <= 4/3 D (1 + P0/N) q^(N+1) / (1 - q).
 
     Combination.  The prefix prod_{p < P0} f(1/p) is an exact Fraction.
-    Each log zeta_{>=P0}(n) is an integer bracket at 2^-_log_bits(n, P0)
-    (_log_zeta) of half-width at most 2^-144 (16/P0)^n, so with
-    |a_n| <= D R^n <= D (P0/16)^n it moves log tau by at most D 2^-144.
-    S = -sum_n a_n log zeta_{>=P0}(n) +- |log T| is then summed exactly
-    in integers at the finest of those scales, exp(S) is bracketed by
-    _exp_bound with directed rounding, and arch * prefix multiplies the
-    bracket exactly, so `enclosure` holds exact Fractions.  lo and hi are
-    its ends rounded outward to floats.
+    _rough_zeta brackets zeta_{>=P0}(n) to a relative half-width of at
+    most 2^-144 (16/P0)^n, so with |a_n| <= D R^n <= D (P0/16)^n the
+    factor zeta_{>=P0}(n)^(-a_n) is bracketed to a relative D 2^-144.
+    Its lower bound is _power_bound, rounded down, at the end of the
+    bracket that makes the factor least (the high end for a_n > 0, the
+    low end for a_n < 0), and its upper bound _power_bound, rounded up, at
+    the other end.  The lower bounds are multiplied at 2^-b with floors,
+    the upper bounds with ceilings, and a floor (ceiling) of a product of
+    positive lower (upper) bounds is still a lower (upper) bound, so lo
+    and hi enclose prod_n zeta_{>=P0}(n)^(-a_n).  The precision is
+
+        b = 144 + bits(max |a_n|) + 2 bits(N):
+
+    square-and-multiply to the power e at 2^-b is off by about 4|e| 2^-b,
+    relative, so the N factors' roundings add about 2^-(142 + bits(N)),
+    below the zeta brackets' widths.  Last, T lies between exp(-t) and
+    exp(t) for t the tail bound, and 1 - t <= exp(-t), exp(t) <= 1/(1 - t),
+    so `enclosure` is the pair of exact Fractions
+
+        arch * prefix * lo 2^-b * (1 - t),  arch * prefix * hi 2^-b / (1 - t),
+
+    and the EulerProduct's lo and hi are its ends rounded outward to floats.
 
     All of this reads f and arch, so only the fan's f-vector: the
     certificate is built once per f-vector, and a later fan with the same
@@ -350,7 +303,6 @@ def tau(fan, prime_cutoff=None) -> EulerProduct:
     itself is refused unless valid and split.  prime_cutoff is accepted
     for callers that still pass one and does not change the result.
     """
-    validate_fan(fan).require()
     fan.require_split("tau")
     return _certified_tau(fan.f_vector(), archimedean_density(fan))
 
@@ -374,23 +326,19 @@ def _certified_tau(f_vector, arch):
         math.prod(p**D for p in primes),
     )
 
-    # S in units of 2^-scale, the finest scale of the log brackets
-    scale = _log_bits(N, P0)
-    spread = -(-(tail.numerator << scale) // tail.denominator)
-    s_lo, s_hi = -spread, spread
-    for n, a in enumerate(factor_exponents(coeffs, N), 1):
+    exps = factor_exponents(coeffs, N)
+    b = _TARGET_BITS + _GUARD_BITS + max(map(abs, exps)).bit_length() + 2 * N.bit_length()
+    lo = hi = 1 << b
+    for n, a in enumerate(exps, 1):
         if a:
-            shift = scale - _log_bits(n, P0)
-            pair = [-a * e << shift for e in _log_zeta(n, P0)]
-            s_lo += min(pair)
-            s_hi += max(pair)
-    one = 1 << scale
-    assert -one <= s_lo <= s_hi <= one
+            # zeta_{>=P0}(n) > 1, so an end of the bracket below 1 may be raised to it
+            z = [max(end, Fraction(1)) for end in _rough_zeta(n, P0)]
+            if a > 0:
+                z.reverse()
+            lo = lo * _power_bound(z[0], -a, b, False) >> b
+            hi = -(-hi * _power_bound(z[1], -a, b, True) >> b)
     base = arch * prefix
-    ends = (
-        base * Fraction(_exp_bound(Fraction(s_lo, one), scale, False), one),
-        base * Fraction(_exp_bound(Fraction(s_hi, one), scale, True), one),
-    )
+    ends = base * Fraction(lo, 1 << b) * (1 - tail), base * Fraction(hi, 1 << b) / (1 - tail)
     return EulerProduct(
         cutoff=P0,
         terms=N,

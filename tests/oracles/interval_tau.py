@@ -1,11 +1,13 @@
-"""The mpmath.iv combination of the zeta-factored tau, kept as a test oracle.
+"""A log/exp combination of the zeta-factored tau in mpmath.iv, a test oracle.
 
-`toricount.tamagawa.tau` combines the same exact pieces (the prefix
-product, the zeta brackets of `_rough_zeta` and the tail bound) in
-integer fixed point with directed rounding.  This is the combination it
-replaced: the same sum and exponential in mpmath's interval arithmetic,
-at 144 bits plus the bits of max |a_n| and of N.  The two share the
-exact pieces and nothing of the rounding, so they check each other.
+`toricount.tamagawa.tau` multiplies the exact pieces (the prefix
+product, the zeta brackets of `_rough_zeta` and the tail bound) as
+powers, in integer fixed point with outward rounding.  This oracle joins
+the same pieces another way, which the package does not use: it sums
+-a_n log zeta_{>=P0}(n) and the tail as intervals and takes their
+exponential, in mpmath's interval arithmetic at 144 bits plus the bits
+of max |a_n| and of N.  The two share the exact pieces and nothing of
+the rounding, so they check each other.
 """
 
 from __future__ import annotations

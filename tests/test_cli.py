@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
+import toricount
 from toricount.cli import _json_text, main
 from toricount.corpus import NAMES, fan_from_dict, fan_to_dict, golden_constants
 
@@ -402,6 +406,8 @@ MALFORMED_FANS = {
     "string-entry": dict(P2, rays=[["1", 0], [0, 1], [-1, -1]]),
     "bool-dim": dict(P2, dim=True),
     "zero-dim": {"dim": 0, "rays": [], "max_cones": []},
+    # written as text: 1,500 nested arrays pass the JSON decoder's recursion limit
+    "deeply-nested": '{"dim": 2, "rays": %s, "max_cones": []}' % ("[" * 1500 + "]" * 1500),
 }
 COMMANDS = {
     "validate": (),
@@ -414,7 +420,7 @@ COMMANDS = {
 
 def _write_fan(tmp_path, data):
     path = tmp_path / "fan.json"
-    path.write_text(json.dumps(data))
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
     return str(path)
 
 
@@ -473,6 +479,19 @@ def test_malformed_fan_exits_2(tmp_path, capsys, command, fan_name):
     code, _, err = run(capsys, command, path, *COMMANDS[command])
     assert code == 2
     assert "Traceback" not in err and err.startswith("error: ")
+
+
+def test_deeply_nested_fan_exits_2_in_a_fresh_process(tmp_path):
+    # where the decoder gives up depends on the stack depth it starts at
+    path = _write_fan(tmp_path, MALFORMED_FANS["deeply-nested"])
+    src = os.path.dirname(os.path.dirname(toricount.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "toricount.cli", "validate", path],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: the fan file nests its JSON too deeply to decode\n"
 
 
 @pytest.mark.parametrize(
@@ -628,12 +647,39 @@ def test_localcheck_refuses_a_large_q_at_once(tmp_path, capsys):
 
 
 def test_schedule_refused_at_its_top_is_quick(capsys):
-    # the budget is checked once, at 10^8, before 10^4 and 10^5 are counted
+    # the largest B is bounded first: 10^8 alone passes the budget, before
+    # 10^4 and 10^5 are bounded or counted
     start = time.perf_counter()
     code, out, err = run(capsys, "count", "dp6", "--B-schedule", "10000,100000,100000000")
     assert time.perf_counter() - start < 2.5
     assert code == 3 and not out
     assert "torsor prefixes" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # dp6's prefix bound is 233,252 at 10^5: each of 40 bounds near it
+        # fits a budget of 300,000, and their sum does not
+        (
+            ["--B-schedule", ",".join(str(100000 - i) for i in range(40)), "--budget", "300000"],
+            "work estimate of 300205 torsor prefixes is over the budget of 300000",
+        ),
+        # the scan's candidates: 3,969 at B = 100 and 3,025 at 99
+        (
+            ["--B-schedule", "100,99", "--strategy", "naive", "--budget", "5000"],
+            "work estimate of 6994 scan candidates is over the budget of 5000",
+        ),
+    ],
+)
+def test_budget_bounds_the_whole_schedule(capsys, argv, message):
+    code, out, err = run(capsys, "count", "dp6", *argv)
+    assert code == 3 and not out
+    assert err == "budget exceeded: %s\n" % message
+    # the largest B alone fits
+    top = argv[1].split(",")[0]
+    code, out, err = run(capsys, "count", "dp6", *argv[:1], top, *argv[2:])
+    assert code == 0 and not err
 
 
 def _outcome(capsys, argv):

@@ -10,19 +10,32 @@ from test_tamagawa import product_fan
 
 from toricount import dd
 from toricount.cones import alpha
-from toricount.counting import asymptotic_report, count_points, counter_for, enumerate_naive
+from toricount.counting import (
+    asymptotic_report,
+    candidate_estimate,
+    count_points,
+    counter_for,
+    enumerate_naive,
+)
 from toricount.fan import (
     Fan,
+    OrbitDecomposition,
     cone_pieces,
     galois_action,
     galois_orbits,
     locate_cone,
     validate_fan,
 )
-from toricount.heights import HeightEvaluator, TorusPoint, anticanonical_height, local_height
-from toricount.localdata import local_integral, point_count_fp
-from toricount.picard import PLFunction, picard_data, pl_evaluate
-from toricount.tamagawa import tau, theta
+from toricount.heights import (
+    HeightEvaluator,
+    TorusPoint,
+    anticanonical_height,
+    global_height,
+    local_height,
+)
+from toricount.localdata import local_integral, point_count_fp, qsigma, qsigma_split
+from toricount.picard import PLFunction, anticanonical, picard_data, pl_evaluate
+from toricount.tamagawa import archimedean_density, euler_polynomial, tau, theta
 
 
 def check(report, name):
@@ -66,7 +79,9 @@ def test_irregular_cone_reports_determinant():
 
 # each fan once gave constants or counts: P^2 with a cone missing got a
 # theta interval and alpha = 1/3, the one with a determinant-2 cone theta
-# 2.4957, and both beta 1 and an F_5 density (6/5 and 31/25)
+# 2.4957, and both beta 1 and an F_5 density (6/5 and 31/25); F_0 with one
+# more cone inside cone 0 got an archimedean density of 20, a Q polynomial,
+# the height 36 at POINT and 35,937 scan candidates at B = 100
 INVALID = {
     "missing-cone": (
         Fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)]),
@@ -76,7 +91,12 @@ INVALID = {
         Fan(2, [(1, 0), (1, 2), (-1, -1)], [(0, 1), (1, 2), (2, 0)]),
         "regularity check failed: cone 0 has determinant 2",
     ),
+    "overlapping": (
+        Fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)], [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]),
+        "face_intersection check failed: cones 0,4 have overlapping interiors across facet (0,)",
+    ),
 }
+POINT = TorusPoint((2, 3))
 ENTRIES = {
     "tau": tau,
     "alpha": alpha,
@@ -91,6 +111,15 @@ ENTRIES = {
     "enumerate_naive": lambda fan: enumerate_naive(fan, 10),
     "point_count_fp": lambda fan: point_count_fp(fan, 5),
     "picard_data": picard_data,
+    "archimedean_density": archimedean_density,
+    "euler_polynomial": euler_polynomial,
+    "qsigma": lambda fan: qsigma(fan, OrbitDecomposition(tuple((j,) for j in range(fan.nrays)))),
+    "qsigma_split": qsigma_split,
+    "local_integral": lambda fan: local_integral(fan, 2, anticanonical(fan)),
+    "local_height": lambda fan: local_height(fan, anticanonical(fan), POINT, 2),
+    "global_height": lambda fan: global_height(fan, anticanonical(fan), POINT),
+    "anticanonical_height": lambda fan: anticanonical_height(fan, POINT),
+    "candidate_estimate": lambda fan: candidate_estimate(fan, 100),
 }
 
 

@@ -1,4 +1,6 @@
+import json
 import math
+import os
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -16,10 +18,9 @@ from toricount.localdata import point_count_fp
 from toricount.tamagawa import (
     _bernoulli_ratio,
     _certified_tau,
-    _exp_bound,
     _float_down,
     _float_up,
-    _log1p_bound,
+    _power_bound,
     _theta,
     archimedean_density,
     euler_polynomial,
@@ -322,41 +323,24 @@ def _dyadics(lo, hi):
 def _reals(lo, hi):
     """The ends, and dyadic and rational points of [lo, hi]."""
     return st.one_of(
-        st.sampled_from([Fraction(lo), Fraction(hi), Fraction(0)]),
+        st.sampled_from([Fraction(lo), Fraction(hi)]),
         _dyadics(lo, hi),
         st.fractions(min_value=lo, max_value=hi, max_denominator=2**200),
     )
 
 
-def _at_400_bits(f, x):
-    """f(x) by mpmath at 400 bits, as an exact Fraction."""
-    with mpmath.workprec(400):
-        return _exact(f(mpmath.mpf(x.numerator) / x.denominator))
-
-
 @settings(max_examples=300, deadline=None)
-@given(_reals(0, Fraction(1, 2)), st.integers(1, 300))
-def test_log1p_bounds_enclose_log(x, bits):
-    # mpmath's value is within 2^-399 of log(1 + x) <= log(3/2); the bounds
-    # are within a unit of 2^-bits per term summed
-    value = _at_400_bits(mpmath.log1p, x)
-    lo = Fraction(_log1p_bound(x, bits, False), 2**bits)
-    hi = Fraction(_log1p_bound(x, bits, True), 2**bits)
-    ulp = Fraction(1, 2**399)
-    assert lo <= value + ulp and value - ulp <= hi
-    assert hi - lo <= Fraction(2 * bits + 4, 2**bits)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_reals(-1, 1), st.integers(1, 300))
-def test_exp_bounds_enclose_exp(x, bits):
-    # mpmath's value is within 2^-397 of exp(x) <= e
-    value = _at_400_bits(mpmath.exp, x)
-    lo = Fraction(_exp_bound(x, bits, False), 2**bits)
-    hi = Fraction(_exp_bound(x, bits, True), 2**bits)
-    ulp = Fraction(1, 2**397)
-    assert lo <= value + ulp and value - ulp <= hi
-    assert hi - lo <= Fraction(2 * bits + 16, 2**bits)
+@given(_reals(1, 2), st.integers(-300, 300), st.integers(1, 300))
+def test_power_bound_encloses_the_power(x, e, bits):
+    # x^e is exact as a Fraction; past a few bits the bounds are within
+    # about 4|e| units of 2^-bits, relative, and the last rounding's unit
+    value = x**e
+    lo = Fraction(_power_bound(x, e, bits, False), 2**bits)
+    hi = Fraction(_power_bound(x, e, bits, True), 2**bits)
+    assert lo <= value <= hi
+    if bits >= 24:
+        slack = (value * (4 * abs(e) + 4) + 1) / 2**bits
+        assert value - lo <= slack and hi - value <= slack
 
 
 def test_bernoulli_ratios():
@@ -374,29 +358,61 @@ def _assert_matches_interval_oracle(fan):
     assert abs(lo - olo) <= lo / 2**140 and abs(hi - ohi) <= lo / 2**140
 
 
-def test_tau_carries_each_log_bracket_outward(monkeypatch, dp6):
-    # widen every log zeta bracket by 2^-60 on both sides: each a_n log
-    # zeta must enter with its ends in the right order, or the enclosure
+def test_tau_carries_each_zeta_bracket_outward(monkeypatch, dp6):
+    # widen every zeta bracket by 2^-150 on both sides: each factor
+    # zeta^(-a_n) must take its ends in the right order, or the enclosure
     # would shrink past tau (held here by the oracle's enclosure)
     import toricount.tamagawa as tamagawa
 
-    real = tamagawa._log_zeta
+    real = tamagawa._rough_zeta
+    unit = Fraction(1, 2**150)
 
     def widened(n, P0):
         lo, hi = real(n, P0)
-        unit = 1 << (tamagawa._log_bits(n, P0) - 60)
         return lo - unit, hi + unit
 
     # tau is cached per f-vector: certify afresh under the patch, and keep
     # the widened certificate out of the cache for later tests
     tamagawa._certified_tau.cache_clear()
-    monkeypatch.setattr(tamagawa, "_log_zeta", widened)
+    monkeypatch.setattr(tamagawa, "_rough_zeta", widened)
     try:
         lo, hi = tau(dp6).enclosure
     finally:
         tamagawa._certified_tau.cache_clear()
     olo, ohi = interval_tau(dp6)
     assert lo < olo and ohi < hi
+
+
+def test_tau_rounds_each_product_outward(monkeypatch):
+    # on P^1 x P^2, f = (1 - x^2)(1 - x^3): with the zeta brackets shrunk to
+    # points a and b and no tail, tau is exactly base / (a b), where base is
+    # tau at the points 1; a product rounded inward misses it at some a, b
+    import toricount.tamagawa as tamagawa
+
+    points = {}
+    monkeypatch.setattr(tamagawa, "_rough_zeta", lambda n, P0: (points.get(n, Fraction(1)),) * 2)
+    monkeypatch.setattr(tamagawa, "_tail_log_bound", lambda *args: Fraction(0))
+    certify = tamagawa._certified_tau.__wrapped__
+    base, same = certify((1, 5, 9, 6), 48).enclosure
+    assert base == same
+    for p in range(2, 40):
+        for q in range(2, 40):
+            a, b = Fraction(p + 1, p), Fraction(q + 1, q)
+            points.update({2: a, 3: b})
+            lo, hi = certify((1, 5, 9, 6), 48).enclosure
+            assert lo <= base / (a * b) <= hi, (a, b)
+
+
+def test_tau_floats_match_the_table():
+    # tau's floats, P0 and N as the earlier integer log and exp combination
+    # certified them, for the split benchmark fans' f-vectors, seeded
+    # star-subdivided surfaces and products of pairs of those
+    with open(os.path.join(os.path.dirname(__file__), "data", "tau_floats.json")) as f:
+        rows = json.load(f)
+    for row in rows:
+        t = _certified_tau(tuple(row["f_vector"]), row["archimedean"])
+        got = t.cutoff, t.terms, t.lo.hex(), t.hi.hex()
+        assert got == (row["cutoff"], row["terms"], row["lo"], row["hi"]), row["f_vector"]
 
 
 @pytest.mark.parametrize("name", SPLIT_FANS)

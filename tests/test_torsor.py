@@ -848,8 +848,8 @@ def test_f2_acceptance():
 )
 def test_schedule_refused_before_any_point_is_counted(monkeypatch, name, strategy, counter, schedule, budget):
     # every counter's work grows with B.  The torsor's prefixes and the
-    # scan's candidates are checked once, at the top, before the counter
-    # runs; a sieve is asked for the top first, and arith refuses its table
+    # scan's candidates are checked before the counter runs, the top
+    # first; a sieve is asked for the top first, and arith refuses its table
     import toricount.counting as counting
 
     seen = []
